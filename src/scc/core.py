@@ -13,6 +13,7 @@ Numeric conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -249,8 +250,14 @@ class Dictionary:
     def m(self) -> int:
         return self.atoms.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.atoms[:, j]
+    @functools.cached_property
+    def columns(self) -> list:
+        """Views of every atom, built once per dictionary.
+
+        The views share memory with ``atoms``, so in-place updates of
+        the atom matrix show through and writes through a view reach it.
+        """
+        return list(self.atoms.T)
 
     def copy(self) -> "Dictionary":
         return Dictionary(self.atoms)
@@ -287,6 +294,20 @@ class SparseCode:
                 raise InvariantViolation("explicit zeros are not stored")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
+
+    @classmethod
+    def _trusted(cls, indices: np.ndarray, values: np.ndarray, m: int) -> "SparseCode":
+        """Wrap arrays that already meet every invariant, without checking.
+
+        For kernels that build codes themselves: ``indices`` int64 and
+        strictly increasing in [0, m), ``values`` float64, finite and
+        nonzero, both 1-D and of equal length.
+        """
+        code = object.__new__(cls)
+        object.__setattr__(code, "indices", indices)
+        object.__setattr__(code, "values", values)
+        object.__setattr__(code, "m", m)
+        return code
 
     @classmethod
     def zero(cls, m: int) -> "SparseCode":

@@ -61,35 +61,39 @@ def learning_rate(H: HessianDiag, j: int) -> float:
 
 
 def _sgd_adaptive_inplace(
-    atoms: np.ndarray,
+    cols: Sequence[np.ndarray],
     indices: np.ndarray,
     values: np.ndarray,
-    residual_neg: np.ndarray,
+    residual: np.ndarray,
     hdiag: np.ndarray,
 ) -> None:
-    """Support-restricted stochastic step with rates 1/h_jj, in place."""
+    """Support-restricted stochastic step with rates 1/h_jj, in place.
+
+    ``cols[j]`` is a writable view of atom j and ``residual`` is x - D z,
+    so each step adds rate * z_j * residual to its atom.
+    """
     for j, zj in zip(indices.tolist(), values.tolist()):
         h = hdiag[j]
         if h <= 0.0:
             raise ZeroCurvature(f"column {j} has no accumulated curvature")
-        col = atoms[:, j]
-        col -= (zj / h) * residual_neg
+        col = cols[j]
+        col += (zj / h) * residual
         n2 = float(col @ col)
         if n2 > 1.0:
             col /= math.sqrt(n2)
 
 
 def _sgd_scalar_inplace(
-    atoms: np.ndarray,
+    cols: Sequence[np.ndarray],
     indices: np.ndarray,
     values: np.ndarray,
-    residual_neg: np.ndarray,
+    residual: np.ndarray,
     eta: float,
 ) -> None:
     """Support-restricted stochastic step with one shared rate, in place."""
     for j, zj in zip(indices.tolist(), values.tolist()):
-        col = atoms[:, j]
-        col -= (eta * zj) * residual_neg
+        col = cols[j]
+        col += (eta * zj) * residual
         n2 = float(col @ col)
         if n2 > 1.0:
             col /= math.sqrt(n2)
@@ -115,7 +119,7 @@ def sgd_update_support(
         raise DimensionMismatch(f"curvature length {H.m} != atom count {D.m}")
     atoms = D.atoms.copy(order="F")
     if z.nnz:
-        _sgd_adaptive_inplace(atoms, z.indices, z.values, rv, H.diag)
+        _sgd_adaptive_inplace(list(atoms.T), z.indices, z.values, -rv, H.diag)
     return Dictionary(atoms)
 
 

@@ -59,61 +59,71 @@ def soft_threshold(v: float, lam: float) -> float:
     return 0.0
 
 
-def _full_pass(cols, z: np.ndarray, r: np.ndarray, lam: float) -> float:
-    """Ascending pass over every coordinate; z, r updated in place.
+def _cd_pass(cols, coords, z: list, r: np.ndarray, lam: float) -> float:
+    """One coordinate-descent sweep over ``coords`` in the given order.
 
-    Returns the largest absolute coordinate change of the pass.
+    ``cols[j]`` is atom j, ``z`` the code as a list of floats and ``r``
+    the residual x - D z; both are updated in place.  Returns the
+    largest absolute coordinate change of the sweep.
     """
+    dot = r.dot
     max_delta = 0.0
-    for j, col in enumerate(cols):
-        old = float(z[j])
-        b = float(col @ r) + old
+    for j in coords:
+        old = z[j]
+        b = float(dot(cols[j])) + old
         if b > lam:
             new = b - lam
         elif b < -lam:
             new = b + lam
-        else:
+        elif old:
             new = 0.0
+        else:
+            continue  # a zero coordinate that stays in the dead zone
         if new != old:
             z[j] = new
-            r -= (new - old) * col
-            delta = abs(new - old)
-            if delta > max_delta:
-                max_delta = delta
+            delta = new - old
+            r -= delta * cols[j]
+            if abs(delta) > max_delta:
+                max_delta = abs(delta)
     return max_delta
 
 
-def _support_pass(atoms: np.ndarray, support, z: np.ndarray, r: np.ndarray, lam: float) -> float:
-    """Like :func:`_full_pass` but only over ``support`` (ascending)."""
-    max_delta = 0.0
-    for j in support:
-        col = atoms[:, j]
-        old = float(z[j])
-        b = float(col @ r) + old
-        if b > lam:
-            new = b - lam
-        elif b < -lam:
-            new = b + lam
-        else:
-            new = 0.0
-        if new != old:
-            z[j] = new
-            r -= (new - old) * col
-            delta = abs(new - old)
-            if delta > max_delta:
-                max_delta = delta
-    return max_delta
+def _as_list(code: SparseCode) -> list:
+    z = [0.0] * code.m
+    for j, v in zip(code.indices.tolist(), code.values.tolist()):
+        z[j] = v
+    return z
 
 
-def _check_cycle_args(D: Dictionary, z: SparseCode, x, ws: CDWorkspace) -> np.ndarray:
+def _nonzero(z: list, coords) -> list:
+    """The members of ``coords`` whose coordinate is nonzero, in order."""
+    return [j for j in coords if z[j]]
+
+
+def _code(z: list, support: list) -> SparseCode:
+    """Code of ``z``, whose nonzeros are exactly the ascending ``support``."""
+    return SparseCode._trusted(
+        np.array(support, dtype=np.int64), np.array([z[j] for j in support], dtype=np.float64), len(z)
+    )
+
+
+def _check_sample(D: Dictionary, x, z: Union[SparseCode, None] = None) -> np.ndarray:
+    """Return the vector of sample ``x``; it must fit ``D``, and so must ``z``."""
     xv = as_vector(x)
     if xv.size != D.p:
         raise DimensionMismatch(f"sample length {xv.size} != atom length {D.p}")
-    if z.m != D.m:
+    if z is not None and z.m != D.m:
         raise DimensionMismatch(f"code ambient {z.m} != atom count {D.m}")
+    return xv
+
+
+def _cycle(D: Dictionary, z: SparseCode, x, ws: CDWorkspace, lam: float, coords) -> CDResult:
+    _check_sample(D, x, z)
     if ws.residual.size != D.p:
         raise DimensionMismatch(f"workspace residual length {ws.residual.size} != {D.p}")
-    return xv
+    zl = _as_list(z)
+    _cd_pass(D.columns, coords, zl, ws.residual, lam)
+    return CDResult(_code(zl, _nonzero(zl, coords)), ws.residual.copy(), 1)
 
 
 def cd_full_cycle(
@@ -124,11 +134,7 @@ def cd_full_cycle(
     Requires ``ws.residual == x - D z`` on entry; leaves it consistent
     with the returned code on exit.
     """
-    _check_cycle_args(D, z, x, ws)
-    zd = z.to_dense()
-    cols = [D.atoms[:, j] for j in range(D.m)]
-    _full_pass(cols, zd, ws.residual, lam)
-    return CDResult(SparseCode.from_dense(zd, prune_tol=0.0), ws.residual.copy(), 1)
+    return _cycle(D, z, x, ws, lam, range(D.m))
 
 
 def cd_support_cycle(
@@ -138,12 +144,7 @@ def cd_support_cycle(
 
     Coordinates may shrink to zero and leave the support; none may enter.
     """
-    _check_cycle_args(D, z, x, ws)
-    if z.nnz == 0:
-        return CDResult(z, ws.residual.copy(), 1)
-    zd = z.to_dense()
-    _support_pass(D.atoms, z.indices.tolist(), zd, ws.residual, lam)
-    return CDResult(SparseCode.from_dense(zd, prune_tol=0.0), ws.residual.copy(), 1)
+    return _cycle(D, z, x, ws, lam, z.indices.tolist())
 
 
 def encode_scc(
@@ -161,23 +162,18 @@ def encode_scc(
     """
     if steps < 1:
         raise ConfigInvalid(f"steps must be >= 1, got {steps}")
-    xv = as_vector(x)
-    if xv.size != D.p:
-        raise DimensionMismatch(f"sample length {xv.size} != atom length {D.p}")
-    if z_init.m != D.m:
-        raise DimensionMismatch(f"code ambient {z_init.m} != atom count {D.m}")
-    atoms = D.atoms
+    xv = _check_sample(D, x, z_init)
     r = xv.astype(np.float64, copy=True)
     if z_init.nnz:
-        r -= atoms[:, z_init.indices] @ z_init.values
-    zd = z_init.to_dense()
-    cols = [atoms[:, j] for j in range(D.m)]
-    _full_pass(cols, zd, r, lam)
+        r -= D.atoms[:, z_init.indices] @ z_init.values
+    z = _as_list(z_init)
+    cols = D.columns
+    _cd_pass(cols, range(D.m), z, r, lam)
+    support = _nonzero(z, range(D.m))
     for _ in range(steps - 1):
-        support = np.flatnonzero(zd).tolist()
-        if support:
-            _support_pass(atoms, support, zd, r, lam)
-    return CDResult(SparseCode.from_dense(zd, prune_tol=0.0), r, steps)
+        _cd_pass(cols, support, z, r, lam)
+        support = _nonzero(z, support)  # support passes only ever remove coordinates
+    return CDResult(_code(z, support), r, steps)
 
 
 def lasso_oracle_cd(
@@ -195,15 +191,13 @@ def lasso_oracle_cd(
     """
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
-    xv = as_vector(x)
-    if xv.size != D.p:
-        raise DimensionMismatch(f"sample length {xv.size} != atom length {D.p}")
-    z = np.zeros(D.m)
+    xv = _check_sample(D, x)
+    z = [0.0] * D.m
     r = xv.astype(np.float64, copy=True)
-    cols = [D.atoms[:, j] for j in range(D.m)]
+    cols = D.columns
     for _ in range(max_cycles):
-        if _full_pass(cols, z, r, lam) < tol:
-            return SparseCode.from_dense(z, prune_tol=0.0)
+        if _cd_pass(cols, range(D.m), z, r, lam) < tol:
+            return _code(z, _nonzero(z, range(D.m)))
     raise MaxIterationsExceeded(f"coordinate descent did not converge in {max_cycles} cycles")
 
 
@@ -223,9 +217,7 @@ def lasso_oracle_prox(
     """
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
-    xv = as_vector(x)
-    if xv.size != D.p:
-        raise DimensionMismatch(f"sample length {xv.size} != atom length {D.p}")
+    xv = _check_sample(D, x)
     atoms = D.atoms
     L = _lipschitz_constant(atoms)
     if L <= 0.0:

@@ -117,7 +117,7 @@ def _sgd_train(
     m = cfg.dict_size
     lam = cfg.effective_lambda(ds.p)
     D = init_dictionary(ds, m, cfg.init, cfg.seed)
-    atoms = D.atoms  # advanced in place; D stays the live view
+    cols = D.columns  # atoms advanced in place through these views
     zero = SparseCode.zero(m)
     codes: List[SparseCode] = [zero] * n
     H = HessianDiag.zeros(m)
@@ -137,12 +137,11 @@ def _sgd_train(
             t_code += t1 - t0
             hessian_accumulate(H, code)
             if code.nnz:
-                residual_neg = -result.residual
                 if adaptive:
-                    _sgd_adaptive_inplace(atoms, code.indices, code.values, residual_neg, hdiag)
+                    _sgd_adaptive_inplace(cols, code.indices, code.values, result.residual, hdiag)
                 else:
                     _sgd_scalar_inplace(
-                        atoms, code.indices, code.values, residual_neg, schedule.next_rate()
+                        cols, code.indices, code.values, result.residual, schedule.next_rate()
                     )
             elif not adaptive:
                 schedule.next_rate()  # t counts sample visits, not touched columns
@@ -150,7 +149,7 @@ def _sgd_train(
         stats.append(_epoch_stats(epoch, D, codes, ds, lam, t_code, t_dict))
         if progress is not None:
             progress(stats[-1])
-    return TrainResult(dictionary=Dictionary(atoms), codes=codes, stats=stats)
+    return TrainResult(dictionary=Dictionary(D.atoms), codes=codes, stats=stats)
 
 
 def scc_train(

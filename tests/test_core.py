@@ -87,6 +87,32 @@ class TestDictionary:
         assert D.atoms[0, 0] == 0.5
         assert D.p == 2 and D.m == 2
 
+    def test_columns_see_in_place_atom_writes(self):
+        D = Dictionary(0.5 * np.eye(3))
+        cols = D.columns
+        assert cols is D.columns  # built once
+        D.atoms[1, 2] = 0.25
+        assert cols[2][1] == 0.25
+        candidate = np.asfortranarray(np.full((3, 3), 0.1))
+        D.atoms[:] = candidate  # whole-matrix write, as the batch trainer does
+        for j in range(3):
+            np.testing.assert_array_equal(cols[j], candidate[:, j])
+
+    def test_writes_through_columns_reach_atoms(self):
+        D = Dictionary(0.5 * np.eye(3))
+        D.columns[0] += 0.25
+        D.columns[2][:] = 0.0
+        np.testing.assert_array_equal(D.atoms[:, 0], [0.75, 0.25, 0.25])
+        np.testing.assert_array_equal(D.atoms[:, 2], [0.0, 0.0, 0.0])
+
+    def test_copy_gets_its_own_columns(self):
+        D = Dictionary(0.5 * np.eye(2))
+        C = D.copy()
+        assert C.columns is not D.columns
+        C.columns[0][0] = 0.1
+        assert D.atoms[0, 0] == 0.5 and D.columns[0][0] == 0.5
+        assert C.atoms[0, 0] == 0.1
+
 
 class TestSparseCode:
     def test_round_trip_dense(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scc import (
     CDWorkspace,
@@ -257,3 +258,143 @@ class TestCycleInvariants:
             after = cd_full_cycle(D, z_star, x, ws, 0.1)
             delta = np.abs(after.code.to_dense() - z_star.to_dense()).max()
             assert delta <= 10 * tol
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit reference: the coordinate-descent loop as first written, with
+# a numpy code vector, ``float(col @ r)``, the column list rebuilt per call
+# and codes collected through the validating ``from_dense``.
+# ---------------------------------------------------------------------------
+
+def _ref_pass(cols, coords, z, r, lam):
+    max_delta = 0.0
+    for j in coords:
+        col = cols[j]
+        old = float(z[j])
+        b = float(col @ r) + old
+        if b > lam:
+            new = b - lam
+        elif b < -lam:
+            new = b + lam
+        else:
+            new = 0.0
+        if new != old:
+            z[j] = new
+            r -= (new - old) * col
+            delta = abs(new - old)
+            if delta > max_delta:
+                max_delta = delta
+    return max_delta
+
+
+def _ref_cols(D):
+    return [D.atoms[:, j] for j in range(D.m)]
+
+
+def _ref_encode(D, z_init, x, lam, steps):
+    r = np.asarray(x, dtype=np.float64).copy()
+    if z_init.nnz:
+        r -= D.atoms[:, z_init.indices] @ z_init.values
+    zd = z_init.to_dense()
+    _ref_pass(_ref_cols(D), range(D.m), zd, r, lam)
+    for _ in range(steps - 1):
+        _ref_pass(_ref_cols(D), np.flatnonzero(zd).tolist(), zd, r, lam)
+    return SparseCode.from_dense(zd, prune_tol=0.0), r
+
+
+def _ref_cycle(D, z, r, lam, coords):
+    zd = z.to_dense()
+    _ref_pass(_ref_cols(D), coords, zd, r, lam)
+    return SparseCode.from_dense(zd, prune_tol=0.0), r
+
+
+def _ref_oracle(D, x, lam, tol):
+    z = np.zeros(D.m)
+    r = np.asarray(x, dtype=np.float64).copy()
+    while _ref_pass(_ref_cols(D), range(D.m), z, r, lam) >= tol:
+        pass
+    return SparseCode.from_dense(z, prune_tol=0.0)
+
+
+def _assert_same_bits(code, ref_code, residual=None, ref_residual=None):
+    assert code.m == ref_code.m
+    assert code.indices.tobytes() == ref_code.indices.tobytes()
+    assert code.values.tobytes() == ref_code.values.tobytes()
+    if residual is not None:
+        assert residual.tobytes() == ref_residual.tobytes()
+
+
+_SHAPES = [(16, 32), (32, 64), (64, 256)]
+
+
+class TestBitIdenticalToReference:
+    @pytest.mark.parametrize("p,m", _SHAPES)
+    def test_encode_cold_and_warm(self, p, m):
+        for seed in range(4):
+            D, _ = random_instance(seed=5000 + seed, p=p, m=m, unit=seed % 2 == 0)
+            rng = rng_from_seed(5100 + seed)
+            lam = float(rng.uniform(0.02, 0.15))
+            for _ in range(3):
+                x = rng.standard_normal(p)
+                x /= np.linalg.norm(x)
+                x_near = x + 0.1 * rng.standard_normal(p)
+                for steps in (1, 2, 3, 4):
+                    cold = encode_scc(D, SparseCode.zero(m), x, lam, steps)
+                    ref_code, ref_r = _ref_encode(D, SparseCode.zero(m), x, lam, steps)
+                    _assert_same_bits(cold.code, ref_code, cold.residual, ref_r)
+                    # warm start from a nearby sample's code, as in a later epoch
+                    warm = encode_scc(D, cold.code, x_near, lam, steps)
+                    ref_code, ref_r = _ref_encode(D, cold.code, x_near, lam, steps)
+                    _assert_same_bits(warm.code, ref_code, warm.residual, ref_r)
+
+    @pytest.mark.parametrize("p,m", _SHAPES)
+    def test_full_and_support_cycles(self, p, m):
+        for seed in range(4):
+            rng = rng_from_seed(5200 + seed)
+            D = Dictionary(random_ball_atoms(rng, p, m))
+            x = rng.standard_normal(p)
+            start = SparseCode.from_dense(
+                np.where(rng.random(m) < 0.2, rng.standard_normal(m), 0.0), prune_tol=0.0
+            )
+            lam = float(rng.uniform(0.02, 0.3))
+            for kernel, coords in (
+                (cd_full_cycle, range(m)),
+                (cd_support_cycle, start.indices.tolist()),
+            ):
+                ws = CDWorkspace.prepared(D, start, x)
+                ref_code, ref_r = _ref_cycle(D, start, ws.residual.copy(), lam, coords)
+                res = kernel(D, start, x, ws, lam)
+                _assert_same_bits(res.code, ref_code, res.residual, ref_r)
+                assert ws.residual.tobytes() == ref_r.tobytes()
+
+    @pytest.mark.parametrize("p,m", _SHAPES)
+    def test_oracle_cd(self, p, m):
+        for seed in range(3):
+            D, x = random_instance(seed=5300 + seed, p=p, m=m)
+            for lam in (0.03, 0.1):
+                _assert_same_bits(lasso_oracle_cd(D, x, lam, 1e-10), _ref_oracle(D, x, lam, 1e-10))
+
+
+def _assert_revalidates(code):
+    assert code.indices.dtype == np.int64 and code.values.dtype == np.float64
+    again = SparseCode(code.indices, code.values, code.m)  # re-runs every invariant check
+    assert again.indices.tobytes() == code.indices.tobytes()
+    assert again.values.tobytes() == code.values.tobytes()
+
+
+class TestKernelCodesAreValid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        p=st.integers(1, 12),
+        m=st.integers(1, 24),
+        lam=st.floats(1e-3, 1.0),
+        steps=st.integers(1, 4),
+        unit=st.booleans(),
+    )
+    def test_encode_and_oracle_codes_revalidate(self, seed, p, m, lam, steps, unit):
+        D, x = random_instance(seed=seed, p=p, m=m, unit=unit)
+        first = encode_scc(D, SparseCode.zero(m), x, lam, steps).code
+        _assert_revalidates(first)
+        _assert_revalidates(encode_scc(D, first, -0.5 * x, lam, steps).code)
+        _assert_revalidates(lasso_oracle_cd(D, x, lam, 1e-9))
