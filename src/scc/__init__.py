@@ -46,6 +46,7 @@ from .lasso import (
     cd_support_cycle,
     encode_scc,
     lasso_oracle_cd,
+    lasso_oracle_cd_batch,
     lasso_oracle_prox,
     soft_threshold,
 )

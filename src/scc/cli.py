@@ -5,17 +5,17 @@ sparse-codes a dataset against a stored dictionary, and ``bench`` runs
 a grid of trainings and emits one tidy CSV for plotting.
 
 Exit codes: 0 success, 1 runtime failure (message on stderr), 2 usage
-error.  The environment variable ``SCC_THREADS`` caps the worker count
-of the encode and objective-evaluation phases; everything else is
-single-threaded so repeated runs write identical bytes (metrics wall
-times excepted).
+error.  Every phase is single-threaded, so repeated runs write identical
+bytes (metrics wall times excepted).  The environment variable
+``SCC_THREADS`` is a validated hint: ``encode`` and the objective
+evaluation reject a value that is not a positive integer, and a valid
+value changes neither speed nor output bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional
 
@@ -202,23 +202,12 @@ def _cmd_encode(args) -> int:
     D = read_dictionary(args.dict_path)
     ds = read_dataset(args.data)
     lam = args.lam if args.lam is not None else TrainConfig(dict_size=D.m).effective_lambda(ds.p)
-    zero = SparseCode.zero(D.m)
-    codes: List[Optional[SparseCode]] = [None] * ds.n
-
-    def solve(i: int) -> None:
-        x = ds.column(i)
-        if steps is None:
-            codes[i] = lasso_oracle_cd(D, x, lam, ENCODE_ORACLE_TOL)
-        else:
-            codes[i] = encode_scc(D, zero, x, lam, steps).code
-
-    workers = thread_cap()
-    if workers > 1 and ds.n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve, range(ds.n)))
+    thread_cap()  # reject a malformed SCC_THREADS; the loop below is serial either way
+    if steps is None:
+        codes = [lasso_oracle_cd(D, ds.column(i), lam, ENCODE_ORACLE_TOL) for i in range(ds.n)]
     else:
-        for i in range(ds.n):
-            solve(i)
+        zero = SparseCode.zero(D.m)
+        codes = [encode_scc(D, zero, ds.column(i), lam, steps).code for i in range(ds.n)]
     write_codes(args.out, codes)
     return 0
 

@@ -429,7 +429,9 @@ class EpochStats:
     ``objective`` is the dataset average of the penalized reconstruction
     cost, evaluated at epoch end with the then-current dictionary and
     the codes stored during the epoch (no extra solves).  Wall times
-    split the epoch into its encoding and dictionary-update phases.
+    split the epoch into its encoding and dictionary-update phases; the
+    objective evaluation itself is in neither, so their sum understates
+    the epoch's wall time.
     """
 
     epoch: int

@@ -7,7 +7,6 @@ pairwise summation so large n does not erode precision.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -51,27 +50,19 @@ def objective(
 ) -> float:
     """Dataset-average objective.
 
-    ``workers`` defaults to the SCC_THREADS cap; per-sample terms land
-    in fixed slots and are summed pairwise afterwards, so the result
-    does not depend on the worker count.
+    Per-sample terms are summed pairwise.  ``workers`` is accepted for
+    compatibility and changes nothing: the loop is serial, because its
+    per-sample Python work holds the interpreter lock.  When it is left
+    out, ``SCC_THREADS`` is still validated.
     """
     if len(codes) != ds.n:
         raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")
+    if workers is None:
+        thread_cap()
     n = ds.n
     terms = np.empty(n)
-    if workers is None:
-        workers = thread_cap()
-    if workers > 1 and n > 1:
-        def fill(lo: int, hi: int) -> None:
-            for i in range(lo, hi):
-                terms[i] = sample_objective(D, codes[i], ds.column(i), lam)
-        chunk = (n + workers - 1) // workers
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda be: fill(*be), bounds))
-    else:
-        for i in range(n):
-            terms[i] = sample_objective(D, codes[i], ds.column(i), lam)
+    for i in range(n):
+        terms[i] = sample_objective(D, codes[i], ds.column(i), lam)
     return float(np.sum(terms) / n)
 
 

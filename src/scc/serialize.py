@@ -92,8 +92,9 @@ def write_dataset(path: PathLike, ds: DataSet) -> None:
 
 def read_dataset(path: PathLike, preprocessed: bool = False) -> DataSet:
     """Read a dataset, accepting CSV text as a fallback to the binary form."""
-    data = Path(path).read_bytes()
-    if data[:8] == MAGIC_MATRIX:
+    with open(path, "rb") as fh:
+        magic = fh.read(8)
+    if magic == MAGIC_MATRIX:
         return DataSet(read_matrix(path), preprocessed=preprocessed)
     return read_dataset_csv(path, preprocessed=preprocessed)
 

@@ -176,6 +176,17 @@ class TestEncode:
             blobs[workers] = out.read_bytes()
         assert blobs["1"] == blobs["3"]
 
+    def test_invalid_thread_cap_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        self.identity_fixture(tmp_path)
+        monkeypatch.setenv("SCC_THREADS", "zero")
+        out = tmp_path / "z.sccspc"
+        assert run(
+            ["encode", "--dict", tmp_path / "dict.sccmat", "--data",
+             tmp_path / "data.sccmat", "--mode", "scc:2", "--out", out]
+        ) == 1
+        assert "SCC_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_grid_rows_and_step_monotonicity(self, tmp_path):

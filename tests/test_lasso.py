@@ -13,13 +13,15 @@ from scc import (
     cd_support_cycle,
     encode_scc,
     lasso_oracle_cd,
+    lasso_oracle_cd_batch,
     lasso_oracle_prox,
     sample_objective,
     soft_threshold,
 )
 from scc import rng_from_seed
+from scc.lasso import BATCH_MIN_LIVE
 
-from conftest import random_ball_atoms, random_instance
+from conftest import random_ball_atoms, random_instance, random_unit_atoms
 
 
 class TestSoftThreshold:
@@ -196,6 +198,82 @@ class TestOracleCD:
         D = Dictionary(np.eye(2))
         with pytest.raises(ConfigInvalid):
             lasso_oracle_cd(D, np.zeros(2), 0.1, 0.0)
+
+
+def _unit_columns(rng, p, n):
+    X = rng.standard_normal((p, n))
+    return X / np.linalg.norm(X, axis=0)
+
+
+def _assert_batch_matches_oracle(D, X, lam, tol=1e-10):
+    """Each batched code agrees with the per-sample oracle's within the stated tolerance."""
+    codes = lasso_oracle_cd_batch(D, X, lam, tol)
+    assert len(codes) == X.shape[1]
+    for i, code in enumerate(codes):
+        ref = lasso_oracle_cd(D, X[:, i], lam, tol)
+        f = sample_objective(D, code, X[:, i], lam)
+        f_ref = sample_objective(D, ref, X[:, i], lam)
+        assert abs(f - f_ref) <= 1e-12 * f_ref
+        np.testing.assert_allclose(code.to_dense(), ref.to_dense(), rtol=0, atol=1e-9)
+    return codes
+
+
+class TestOracleCDBatch:
+    @pytest.mark.parametrize("p,m", [(16, 32), (32, 64), (8, 24)])
+    @pytest.mark.parametrize("n", [BATCH_MIN_LIVE - 3, 3 * BATCH_MIN_LIVE])
+    def test_agrees_with_per_sample_oracle(self, p, m, n):
+        rng = rng_from_seed(6000 + p + m + n)
+        for unit in (True, False):
+            atoms = random_unit_atoms(rng, p, m) if unit else random_ball_atoms(rng, p, m)
+            X = _unit_columns(rng, p, n)
+            for lam in (0.05, 0.2):
+                _assert_batch_matches_oracle(Dictionary(atoms), X, lam)
+
+    def test_single_sample(self):
+        D, x = random_instance(seed=6100, p=16, m=32)
+        _assert_batch_matches_oracle(D, x[:, None], 0.1)
+
+    def test_all_zero_columns(self):
+        rng = rng_from_seed(6200)
+        D = Dictionary(random_unit_atoms(rng, 16, 32))
+        X = _unit_columns(rng, 16, 3 * BATCH_MIN_LIVE)
+        X[:, ::2] = 0.0
+        codes = _assert_batch_matches_oracle(D, X, 0.1)
+        assert all(codes[i].nnz == 0 for i in range(0, X.shape[1], 2))
+        assert all(z.nnz == 0 for z in lasso_oracle_cd_batch(D, np.zeros((16, 12)), 0.1, 1e-10))
+
+    def test_duplicated_columns(self):
+        rng = rng_from_seed(6300)
+        D = Dictionary(random_unit_atoms(rng, 16, 32))
+        X = np.repeat(_unit_columns(rng, 16, 3), 2 * BATCH_MIN_LIVE, axis=1)
+        codes = _assert_batch_matches_oracle(D, X, 0.1)
+        for i in range(1, X.shape[1]):
+            if np.array_equal(X[:, i], X[:, i - 1]):
+                np.testing.assert_allclose(
+                    codes[i].to_dense(), codes[i - 1].to_dense(), rtol=0, atol=1e-9
+                )
+
+    def test_rejects_bad_tol(self):
+        D = Dictionary(np.eye(2))
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ConfigInvalid):
+                lasso_oracle_cd_batch(D, np.zeros((2, 3)), 0.1, tol)
+
+    def test_rejects_wrong_row_count(self):
+        D = Dictionary(np.eye(3))
+        for X in (np.zeros((2, 10)), np.zeros((4, 1)), np.zeros(3)):
+            with pytest.raises(DimensionMismatch):
+                lasso_oracle_cd_batch(D, X, 0.1, 1e-10)
+
+    @pytest.mark.parametrize("n", [1, BATCH_MIN_LIVE - 1, 2 * BATCH_MIN_LIVE])
+    def test_iteration_cap(self, n):
+        rng = rng_from_seed(6400 + n)
+        D = Dictionary(random_unit_atoms(rng, 8, 16))
+        X = _unit_columns(rng, 8, n)
+        with pytest.raises(MaxIterationsExceeded):
+            lasso_oracle_cd(D, X[:, 0], 0.1, 1e-10, max_cycles=1)
+        with pytest.raises(MaxIterationsExceeded):
+            lasso_oracle_cd_batch(D, X, 0.1, 1e-10, max_cycles=1)
 
 
 class TestOracleProx:
@@ -398,3 +476,6 @@ class TestKernelCodesAreValid:
         _assert_revalidates(first)
         _assert_revalidates(encode_scc(D, first, -0.5 * x, lam, steps).code)
         _assert_revalidates(lasso_oracle_cd(D, x, lam, 1e-9))
+        X = np.column_stack([x, -0.5 * x, _unit_columns(rng_from_seed(seed, 1), p, BATCH_MIN_LIVE)])
+        for code in lasso_oracle_cd_batch(D, X, lam, 1e-9):
+            _assert_revalidates(code)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,19 @@ class TestMatrixContainer:
         write_dictionary(tmp_path / "dict.sccmat", D)
         back_dict = read_dictionary(tmp_path / "dict.sccmat")
         assert back_dict.atoms.tobytes() == D.atoms.tobytes()
+
+    def test_dataset_read_peaks_below_two_and_a_half_file_sizes(self, tmp_path, rng):
+        path = tmp_path / "d.sccmat"
+        write_matrix(path, rng.standard_normal((64, 2000)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.X.shape == (64, 2000)
+        assert peak < 2.5 * size, peak / size
 
     def test_csv_fallback_one_sample_per_line(self, tmp_path):
         path = tmp_path / "d.csv"

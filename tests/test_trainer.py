@@ -16,12 +16,15 @@ from scc import (
     generate_planted,
     hessian_accumulate,
     init_dictionary,
+    lasso_oracle_cd,
     natural_rate_train,
+    objective,
     scc_train,
     sgd_update_support,
     soft_threshold,
 )
-from scc.trainer import NaturalRateSchedule
+from scc.dictionary import _dense_codes, _gradient_step_dense, _quadratic_term
+from scc.trainer import BATCH_CODE_TOL, BATCH_MAX_STEPS, NaturalRateSchedule
 
 
 def manual_scc(ds, cfg):
@@ -193,7 +196,47 @@ class TestNaturalRate:
             natural_rate_train(ds, TrainConfig(dict_size=8))
 
 
+def reference_batch(ds, cfg):
+    """The batch alternation with one per-sample oracle call per code.
+
+    Returns the final dictionary and the final objective.
+    """
+    lam = cfg.effective_lambda(ds.p)
+    D = init_dictionary(ds, cfg.dict_size, cfg.init, cfg.seed)
+    atoms = D.atoms
+    for _ in range(cfg.epochs):
+        codes = [lasso_oracle_cd(D, ds.column(i), lam, BATCH_CODE_TOL) for i in range(ds.n)]
+        Z = _dense_codes(codes, cfg.dict_size)
+        eta = 1.0
+        quad = _quadratic_term(atoms, Z, ds.X)
+        for _ in range(BATCH_MAX_STEPS):
+            candidate = _gradient_step_dense(atoms, Z, ds.X, eta)
+            quad_new = _quadratic_term(candidate, Z, ds.X)
+            if quad_new <= quad:
+                if np.array_equal(candidate, atoms):
+                    break
+                atoms[:] = candidate
+                quad = quad_new
+            else:
+                eta *= 0.5
+    return D, objective(D, codes, ds, lam)
+
+
 class TestBatchTrain:
+    @pytest.mark.parametrize("planted,epochs,init", [
+        ((8, 12, 60, 2, 0.02, 41), 3, "random_patches"),
+        ((16, 32, 150, 3, 0.01, 42), 2, "random_gaussian"),
+        ((12, 20, 40, 2, 0.05, 43), 3, "random_gaussian"),
+    ])
+    def test_matches_per_sample_reference(self, planted, epochs, init):
+        *dims, seed = planted
+        ds, _, _ = generate_planted(*dims, seed=seed)
+        cfg = TrainConfig(dict_size=dims[1], epochs=epochs, seed=seed, init=init)
+        result = batch_train(ds, cfg)
+        D_ref, f_ref = reference_batch(ds, cfg)
+        assert abs(result.stats[-1].objective - f_ref) <= 1e-9 * f_ref
+        np.testing.assert_allclose(result.dictionary.atoms, D_ref.atoms, rtol=1e-7, atol=1e-9)
+
     def test_zero_data_is_a_fixed_point(self):
         ds = DataSet(np.zeros((4, 6)))
         cfg = TrainConfig(dict_size=5, lam=0.1, epochs=2, seed=1)
