@@ -1,4 +1,4 @@
-"""Shared domain types, validation, and the seeded random-number contract.
+"""Shared domain types, the sample contract, and the seeded random-number contract.
 
 Numeric conventions used across the package:
 
@@ -9,6 +9,11 @@ Numeric conventions used across the package:
   (index, value) pairs,
 * all randomness flows through :func:`rng_from_seed`, which pins the bit
   generator (PCG64), so equal seeds give bit-identical streams.
+
+The sample contract is written once, here: :func:`_fit_sample` is the
+one check that a sample (and a code) fits a dictionary, :func:`_residual`
+the one fresh computation of x - D z, and :func:`validate_dataset` the
+one whole-matrix check of a dataset's samples.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -172,10 +177,20 @@ class DataSet:
     preprocessed: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.array(self.X, dtype=np.float64, order="F")
+        self._hold(np.array(self.X, dtype=np.float64, order="F"))
+
+    @classmethod
+    def _adopt(cls, X: np.ndarray, preprocessed: bool = False) -> "DataSet":
+        """Hold ``X``, a fresh Fortran-ordered float64 array nothing else holds, uncopied."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "preprocessed", preprocessed)
+        ds._hold(X)
+        return ds
+
+    def _hold(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise DimensionMismatch(
-                f"dataset payload must be (p, n) with p >= 1, got shape {np.shape(self.X)}"
+                f"dataset payload must be (p, n) with p >= 1, got shape {arr.shape}"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "X", arr)
@@ -185,13 +200,10 @@ class DataSet:
         samples = list(samples)
         if not samples:
             raise Empty("cannot build a dataset from zero samples")
-        p = samples[0].p
-        for s in samples:
-            if s.p != p:
-                raise DimensionMismatch(f"sample lengths differ: {s.p} vs {p}")
-        X = np.empty((p, len(samples)), order="F")
         for i, s in enumerate(samples):
-            X[:, i] = s.values
+            if s.p != samples[0].p:
+                raise DimensionMismatch(f"sample {i} has length {s.p}, expected {samples[0].p}")
+        X = np.column_stack([s.values for s in samples])
         return cls(X, preprocessed=all(s.preprocessed for s in samples))
 
     @property
@@ -208,13 +220,6 @@ class DataSet:
     def column(self, i: int) -> np.ndarray:
         """Read-only view of sample ``i``."""
         return self.X[:, i]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.X[:, i], preprocessed=self.preprocessed)
-
-    def samples(self) -> Iterator[Sample]:
-        for i in range(self.n):
-            yield self.sample(i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,80 +449,73 @@ class EpochStats:
 
 @dataclass(eq=False)
 class CDWorkspace:
-    """Caller-owned scratch for coordinate descent.
+    """Caller-owned residual for coordinate descent.
 
     ``residual`` must hold x - D z on entry to any cycle; the cycle
     updates it in place and leaves it consistent on exit.
     """
 
     residual: np.ndarray
-    scratch: np.ndarray
-
-    @classmethod
-    def for_dim(cls, p: int) -> "CDWorkspace":
-        return cls(np.zeros(p), np.zeros(p))
 
     @classmethod
     def prepared(cls, D: Dictionary, z: SparseCode, x) -> "CDWorkspace":
         """Workspace whose residual is computed fresh as x - D z."""
-        xv = as_vector(x)
-        if xv.size != D.p:
-            raise DimensionMismatch(f"sample has length {xv.size}, dictionary expects {D.p}")
-        if z.m != D.m:
-            raise DimensionMismatch(f"code ambient {z.m} != dictionary atoms {D.m}")
-        residual = xv.astype(np.float64, copy=True)
-        if z.nnz:
-            residual -= D.atoms[:, z.indices] @ z.values
-        return cls(residual, np.zeros(D.p))
+        return cls(_residual(D, z, x))
 
 
-def as_vector(x) -> np.ndarray:
-    """Accept a Sample or a 1-D array-like; return its float64 vector."""
-    if isinstance(x, Sample):
-        return x.values
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
+# ---------------------------------------------------------------------------
+# The sample contract
+# ---------------------------------------------------------------------------
+
+def _fit_sample(D: Dictionary, x, z: Union[SparseCode, None] = None) -> np.ndarray:
+    """Return the float64 vector of sample ``x``; it must fit ``D``, and so must code ``z``.
+
+    ``x`` is a Sample or a 1-D array-like of length ``D.p``; ``z``, when
+    given, must be a code over ``D.m`` atoms.
+    """
+    v = x.values if isinstance(x, Sample) else np.asarray(x, dtype=np.float64)
+    if v.ndim != 1 or v.size != D.p:
+        raise DimensionMismatch(f"sample of shape {v.shape} does not fit atoms of length {D.p}")
+    if z is not None and z.m != D.m:
+        raise DimensionMismatch(f"code ambient {z.m} != atom count {D.m}")
     return v
 
 
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def _check_flagged(values: np.ndarray, where: str) -> None:
-    mean = float(values.mean())
-    norm = float(np.linalg.norm(values))
-    if abs(mean) > PREPROCESS_TOL:
-        raise InvariantViolation(f"{where}: flagged preprocessed but mean is {mean}")
-    if abs(norm - 1.0) > PREPROCESS_TOL:
-        raise InvariantViolation(f"{where}: flagged preprocessed but norm is {norm}")
+def _residual(D: Dictionary, z: SparseCode, x) -> np.ndarray:
+    """Check through :func:`_fit_sample` that ``x`` and ``z`` fit ``D``; return a fresh x - D z."""
+    r = _fit_sample(D, x, z).astype(np.float64, copy=True)
+    if z.nnz:
+        r -= D.atoms[:, z.indices] @ z.values
+    return r
 
 
 def validate_dataset(ds: Union[DataSet, Sequence[Sample]]) -> None:
-    """Check every sample invariant; raise the first violation found.
+    """Check every sample invariant; raise for the first sample that breaks one.
 
     Accepts either a DataSet or a raw sequence of Samples (the latter is
-    how unequal lengths can be detected at all).
+    how unequal lengths can be detected at all).  A sample is checked for
+    finite values, then, if flagged preprocessed, for zero mean and unit
+    norm to within ``PREPROCESS_TOL``.  Each check runs on the whole
+    matrix and names the first sample that fails it.
     """
     if isinstance(ds, DataSet):
-        if ds.n == 0:
-            raise Empty("dataset has no samples")
-        if not np.isfinite(ds.X).all():
-            raise NonFinite("dataset contains NaN or Inf")
-        if ds.preprocessed:
-            for i in range(ds.n):
-                _check_flagged(ds.X[:, i], f"sample {i}")
-        return
-    samples = list(ds)
-    if not samples:
+        X, flagged = ds.X, np.full(ds.n, ds.preprocessed)
+    else:
+        samples = list(ds)
+        X = DataSet.from_samples(samples).X
+        flagged = np.array([s.preprocessed for s in samples], dtype=bool)
+    if X.shape[1] == 0:
         raise Empty("no samples to validate")
-    p = samples[0].p
-    for i, s in enumerate(samples):
-        if s.p != p:
-            raise DimensionMismatch(f"sample {i} has length {s.p}, expected {p}")
-    for i, s in enumerate(samples):
-        if not np.isfinite(s.values).all():
-            raise NonFinite(f"sample {i} contains NaN or Inf")
-        if s.preprocessed:
-            _check_flagged(s.values, f"sample {i}")
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise NonFinite(f"sample {int(np.argmin(finite))} contains NaN or Inf")
+    if flagged.any():
+        mean = X.mean(axis=0)
+        norm = np.sqrt(np.einsum("ij,ij->j", X, X))  # no p x n temporary
+        bad_mean = np.abs(mean) > PREPROCESS_TOL
+        bad = flagged & (bad_mean | (np.abs(norm - 1.0) > PREPROCESS_TOL))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_mean[i]:
+                raise InvariantViolation(f"sample {i}: flagged preprocessed but mean is {mean[i]}")
+            raise InvariantViolation(f"sample {i}: flagged preprocessed but norm is {norm[i]}")

@@ -1,9 +1,12 @@
 """Data ingestion and synthetic ground truth.
 
 Pipeline pieces: slide a square window over a grayscale image, drop
-flat patches, center and normalize each sample, seed a dictionary from
+flat patches, center and normalize the samples, seed a dictionary from
 the data or from Gaussian noise, or fabricate a dataset with a known
 sparse structure for controlled experiments.
+
+Centering and normalizing is one whole-matrix computation, shared by
+single samples, datasets and the planted generator.
 """
 
 from __future__ import annotations
@@ -69,19 +72,29 @@ def extract_patches(
 
 def preprocess(s: Sample) -> Sample:
     """Center to zero mean, scale to unit norm, and flag the result."""
-    v = s.values
-    centered = v - v.mean()
-    nrm = float(np.linalg.norm(centered))
-    if nrm < _MIN_NORM:
-        raise DegenerateSample("sample has (effectively) zero variance")
-    return Sample(centered / nrm, preprocessed=True)
+    return Sample(_center_and_scale(s.values[:, None])[:, 0], preprocessed=True)
 
 
 def preprocess_dataset(ds: DataSet) -> DataSet:
-    """Apply :func:`preprocess` to every sample."""
+    """Center every sample to zero mean, scale it to unit norm, and flag the result."""
     if ds.n == 0:
         raise Empty("dataset has no samples")
-    return DataSet.from_samples([preprocess(s) for s in ds.samples()])
+    return DataSet._adopt(_center_and_scale(ds.X), preprocessed=True)
+
+
+def _center_and_scale(X: np.ndarray) -> np.ndarray:
+    """Fresh Fortran-ordered ``X`` with every column centered and scaled to unit norm.
+
+    Norms are taken column by column, so each column has the bits of
+    ``(v - v.mean()) / np.linalg.norm(v - v.mean())`` for its vector v.
+    """
+    C = np.asfortranarray(X - X.mean(axis=0))
+    norms = np.array([np.linalg.norm(c) for c in C.T])
+    flat = np.flatnonzero(norms < _MIN_NORM)
+    if flat.size:
+        raise DegenerateSample(f"sample {flat[0]} has (effectively) zero variance")
+    C /= norms
+    return C
 
 
 def init_dictionary(ds: DataSet, m: int, method: str, seed: int) -> Dictionary:
@@ -142,16 +155,15 @@ def generate_planted(
     atoms -= atoms.mean(axis=0)
     atoms /= np.sqrt((atoms * atoms).sum(axis=0))
     truth = Dictionary(atoms)
-    samples: List[Sample] = []
+    X = np.empty((p, n), order="F")
     codes: List[SparseCode] = []
-    for _ in range(n):
+    for i in range(n):
         support = np.sort(rng.choice(m, size=k_sparsity, replace=False)).astype(np.int64)
         weights = rng.standard_normal(k_sparsity)
         while np.any(weights == 0.0):  # zero draw has measure zero; keep codes honest
             weights = rng.standard_normal(k_sparsity)
-        x = truth.atoms[:, support] @ weights
+        X[:, i] = truth.atoms[:, support] @ weights
         if noise_sigma > 0:
-            x = x + noise_sigma * rng.standard_normal(p)
-        samples.append(preprocess(Sample(x)))
+            X[:, i] += noise_sigma * rng.standard_normal(p)
         codes.append(SparseCode(support, weights, m))
-    return DataSet.from_samples(samples), truth, codes
+    return preprocess_dataset(DataSet._adopt(X)), truth, codes

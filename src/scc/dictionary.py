@@ -28,7 +28,7 @@ from .core import (
     HessianDiag,
     SparseCode,
     ZeroCurvature,
-    as_vector,
+    _fit_sample,
 )
 
 
@@ -110,11 +110,7 @@ def sgd_update_support(
     touched column sees the same ``residual_neg``.  Columns outside the
     support come back bit-identical.
     """
-    rv = as_vector(residual_neg)
-    if rv.size != D.p:
-        raise DimensionMismatch(f"residual length {rv.size} != atom length {D.p}")
-    if z.m != D.m:
-        raise DimensionMismatch(f"code ambient {z.m} != atom count {D.m}")
+    rv = _fit_sample(D, residual_neg, z)
     if H.m != D.m:
         raise DimensionMismatch(f"curvature length {H.m} != atom count {D.m}")
     atoms = D.atoms.copy(order="F")

@@ -34,7 +34,8 @@ from .core import (
     MaxIterationsExceeded,
     Sample,
     SparseCode,
-    as_vector,
+    _fit_sample,
+    _residual,
 )
 
 DEFAULT_MAX_CYCLES = 100_000
@@ -112,18 +113,8 @@ def _code(z: list, support: list) -> SparseCode:
     )
 
 
-def _check_sample(D: Dictionary, x, z: Union[SparseCode, None] = None) -> np.ndarray:
-    """Return the vector of sample ``x``; it must fit ``D``, and so must ``z``."""
-    xv = as_vector(x)
-    if xv.size != D.p:
-        raise DimensionMismatch(f"sample length {xv.size} != atom length {D.p}")
-    if z is not None and z.m != D.m:
-        raise DimensionMismatch(f"code ambient {z.m} != atom count {D.m}")
-    return xv
-
-
 def _cycle(D: Dictionary, z: SparseCode, x, ws: CDWorkspace, lam: float, coords) -> CDResult:
-    _check_sample(D, x, z)
+    _fit_sample(D, x, z)
     if ws.residual.size != D.p:
         raise DimensionMismatch(f"workspace residual length {ws.residual.size} != {D.p}")
     zl = _as_list(z)
@@ -167,10 +158,7 @@ def encode_scc(
     """
     if steps < 1:
         raise ConfigInvalid(f"steps must be >= 1, got {steps}")
-    xv = _check_sample(D, x, z_init)
-    r = xv.astype(np.float64, copy=True)
-    if z_init.nnz:
-        r -= D.atoms[:, z_init.indices] @ z_init.values
+    r = _residual(D, z_init, x)
     z = _as_list(z_init)
     cols = D.columns
     _cd_pass(cols, range(D.m), z, r, lam)
@@ -211,7 +199,7 @@ def lasso_oracle_cd(
     """
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
-    r = _check_sample(D, x).astype(np.float64, copy=True)
+    r = _fit_sample(D, x).astype(np.float64, copy=True)
     return _cd_to_tol(D.columns, [0.0] * D.m, r, lam, tol, max_cycles)
 
 
@@ -280,16 +268,17 @@ def lasso_oracle_prox(
 ) -> SparseCode:
     """Accelerated proximal-gradient solver, independent of the CD path.
 
-    Steps with 1/L where L is the top eigenvalue of the Gram matrix
-    (estimated by power iteration), and stops once the relative change
-    of the objective falls below ``tol``.  Near-zero iterate entries are
-    pruned at the documented cutoff.
+    Steps with 1/L where L is the top eigenvalue of the Gram matrix,
+    the squared spectral norm of D inflated by a hair so that rounding
+    never leaves it below the true constant, and stops once the relative
+    change of the objective falls below ``tol``.  Near-zero iterate
+    entries are pruned at the documented cutoff.
     """
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
-    xv = _check_sample(D, x)
+    xv = _fit_sample(D, x)
     atoms = D.atoms
-    L = _lipschitz_constant(atoms)
+    L = np.linalg.norm(atoms, 2) ** 2 * (1.0 + 1e-6)
     if L <= 0.0:
         # all-zero dictionary: the penalty alone decides, optimum is 0
         return SparseCode.zero(D.m)
@@ -317,38 +306,3 @@ def _objective_dense(atoms: np.ndarray, z: np.ndarray, x: np.ndarray, lam: float
     r = atoms @ z - x
     return 0.5 * float(r @ r) + lam * float(np.abs(z).sum())
 
-
-def _lipschitz_constant(atoms: np.ndarray, tol: float = 1e-13, max_iters: int = 10_000) -> float:
-    """Top eigenvalue of atoms^T atoms by power iteration.
-
-    Falls back to the Frobenius bound if the deterministic start vectors
-    are annihilated (possible only for contrived rank patterns).  The
-    returned value is inflated by a hair so it never undershoots the
-    true constant.
-    """
-    m = atoms.shape[1]
-    starts = (
-        np.full(m, 1.0 / math.sqrt(m)),
-        np.linspace(1.0, 2.0, m) / np.linalg.norm(np.linspace(1.0, 2.0, m)),
-    )
-    for v in starts:
-        v = v.copy()
-        lam_prev = -1.0
-        lam_est = 0.0
-        dead = False
-        for _ in range(max_iters):
-            u = atoms @ v
-            lam_est = float(u @ u)  # Rayleigh quotient of the Gram matrix at unit v
-            w = atoms.T @ u
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                dead = lam_est == 0.0
-                break
-            v = w / nw
-            if abs(lam_est - lam_prev) <= tol * max(lam_est, 1.0):
-                break
-            lam_prev = lam_est
-        if not dead:
-            return lam_est * (1.0 + 1e-6)
-    total = float((atoms * atoms).sum())
-    return total * (1.0 + 1e-6)

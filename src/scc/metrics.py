@@ -18,7 +18,7 @@ from .core import (
     Empty,
     Sample,
     SparseCode,
-    as_vector,
+    _residual,
     thread_cap,
 )
 
@@ -27,17 +27,8 @@ def sample_objective(
     D: Dictionary, z: SparseCode, x: Union[Sample, np.ndarray], lam: float
 ) -> float:
     """Penalized reconstruction cost of one sample under code ``z``."""
-    xv = as_vector(x)
-    if xv.size != D.p:
-        raise DimensionMismatch(f"sample length {xv.size} != atom length {D.p}")
-    if z.m != D.m:
-        raise DimensionMismatch(f"code ambient {z.m} != atom count {D.m}")
-    if z.nnz:
-        r = xv - D.atoms[:, z.indices] @ z.values
-        penalty = lam * float(np.abs(z.values).sum())
-    else:
-        r = xv
-        penalty = 0.0
+    r = _residual(D, z, x)
+    penalty = lam * float(np.abs(z.values).sum())
     return 0.5 * float(r @ r) + penalty
 
 

@@ -21,6 +21,7 @@ is 8-bit binary PGM (P5).
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import List, Sequence, Union
@@ -66,21 +67,26 @@ def write_matrix(path: PathLike, X: np.ndarray) -> None:
 
 
 def read_matrix(path: PathLike) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise Truncated(f"{path}: shorter than the magic tag")
-    if data[:8] != MAGIC_MATRIX:
-        raise BadMagic(f"{path}: not a matrix container")
-    if len(data) < 16:
-        raise Truncated(f"{path}: header cut short")
-    p, n = struct.unpack("<II", data[8:16])
-    expected = 16 + 8 * p * n
-    if len(data) < expected:
-        raise Truncated(f"{path}: payload ends early ({len(data)} of {expected} bytes)")
-    if len(data) > expected:
-        raise FormatError(f"{path}: {len(data) - expected} trailing bytes")
-    flat = np.frombuffer(data, dtype="<f8", offset=16)
-    arr = np.array(flat.reshape((p, n), order="F"), dtype=np.float64, order="F")
+    """Read a matrix container; the payload goes straight into the returned Fortran array."""
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 8:
+            raise Truncated(f"{path}: shorter than the magic tag")
+        if head[:8] != MAGIC_MATRIX:
+            raise BadMagic(f"{path}: not a matrix container")
+        if len(head) < 16:
+            raise Truncated(f"{path}: header cut short")
+        p, n = struct.unpack("<II", head[8:16])
+        size = os.fstat(fh.fileno()).st_size
+        expected = 16 + 8 * p * n
+        if size < expected:
+            raise Truncated(f"{path}: payload ends early ({size} of {expected} bytes)")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} trailing bytes")
+        flat = np.fromfile(fh, dtype="<f8", count=p * n)
+    if flat.size != p * n:
+        raise Truncated(f"{path}: payload ends early ({16 + 8 * flat.size} of {expected} bytes)")
+    arr = flat.astype(np.float64, copy=False).reshape((p, n), order="F")
     if not np.isfinite(arr).all():
         raise NonFinite(f"{path}: payload contains NaN or Inf")
     return arr
@@ -95,7 +101,7 @@ def read_dataset(path: PathLike, preprocessed: bool = False) -> DataSet:
     with open(path, "rb") as fh:
         magic = fh.read(8)
     if magic == MAGIC_MATRIX:
-        return DataSet(read_matrix(path), preprocessed=preprocessed)
+        return DataSet._adopt(read_matrix(path), preprocessed=preprocessed)
     return read_dataset_csv(path, preprocessed=preprocessed)
 
 

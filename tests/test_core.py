@@ -17,6 +17,17 @@ from scc import (
     rng_from_seed,
     validate_dataset,
 )
+from scc import (
+    cd_full_cycle,
+    cd_support_cycle,
+    encode_scc,
+    lasso_oracle_cd,
+    lasso_oracle_prox,
+    objective,
+    preprocess_dataset,
+    sample_objective,
+    sgd_update_support,
+)
 from scc.core import CDWorkspace, thread_cap
 
 
@@ -50,7 +61,35 @@ class TestValidateDataset:
         validate_dataset([Sample(good, preprocessed=True)])
 
 
+    @pytest.mark.parametrize("fault", ["mean", "norm"])
+    @pytest.mark.parametrize("k", [0, 4, 11])
+    def test_flagged_dataset_names_failing_sample(self, rng, fault, k):
+        X = np.array(preprocess_dataset(DataSet(rng.standard_normal((7, 12)))).X)
+        if fault == "mean":
+            X[:, k] += 1e-6
+        else:
+            X[:, k] *= 1.0 + 1e-6
+        with pytest.raises(InvariantViolation, match=f"^sample {k}: .* {fault} is"):
+            validate_dataset(DataSet(X, preprocessed=True))
+        validate_dataset(DataSet(X))  # unflagged data need not be preprocessed
+
+    def test_first_nonfinite_sample_named(self):
+        X = np.ones((3, 5))
+        X[1, 2] = np.nan
+        X[0, 4] = np.inf
+        with pytest.raises(NonFinite, match="^sample 2 "):
+            validate_dataset(DataSet(X))
+
+
 class TestDataSet:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_construction_copies_and_leaves_input_writable(self, order):
+        X = np.ones((2, 3), order=order)
+        ds = DataSet(X)
+        X[0, 0] = 7.0
+        assert X.flags.writeable
+        assert ds.X[0, 0] == 1.0
+
     def test_from_samples_round_trip(self):
         samples = [Sample(np.array([1.0, 2.0])), Sample(np.array([3.0, 4.0]))]
         ds = DataSet.from_samples(samples)
@@ -246,3 +285,50 @@ class TestWorkspace:
         x = np.array([1.0, 1.0, 1.0])
         ws = CDWorkspace.prepared(D, z, x)
         np.testing.assert_allclose(ws.residual, [1.0, -1.0, 1.0])
+
+
+def _wrong_sample(D):
+    return np.ones(D.p + 1) / np.sqrt(D.p + 1), SparseCode.zero(D.m)
+
+
+def _wrong_code(D):
+    return np.ones(D.p) / np.sqrt(D.p), SparseCode(np.array([0]), np.array([0.5]), D.m + 1)
+
+
+# Every public entry that takes a sample x (and a code z) against a dictionary D.
+_FIT_ENTRIES = {
+    "encode_scc": (True, lambda D, x, z: encode_scc(D, z, x, 0.1, 2)),
+    "cd_full_cycle": (True, lambda D, x, z: cd_full_cycle(D, z, x, CDWorkspace(np.zeros(D.p)), 0.1)),
+    "cd_support_cycle": (True, lambda D, x, z: cd_support_cycle(D, z, x, CDWorkspace(np.zeros(D.p)), 0.1)),
+    "lasso_oracle_cd": (False, lambda D, x, z: lasso_oracle_cd(D, x, 0.1, 1e-8)),
+    "lasso_oracle_prox": (False, lambda D, x, z: lasso_oracle_prox(D, x, 0.1, 1e-8)),
+    "CDWorkspace.prepared": (True, lambda D, x, z: CDWorkspace.prepared(D, z, x)),
+    "sample_objective": (True, lambda D, x, z: sample_objective(D, z, x, 0.1)),
+    "sgd_update_support": (True, lambda D, x, z: sgd_update_support(D, z, x, HessianDiag(np.ones(D.m)))),
+    "objective": (True, lambda D, x, z: objective(D, [z], DataSet(x[:, None]), 0.1)),
+}
+
+
+class TestSampleContract:
+    @pytest.mark.parametrize(
+        "entry, fault",
+        [(name, "sample") for name in _FIT_ENTRIES]
+        + [(name, "code") for name, (takes_code, _) in _FIT_ENTRIES.items() if takes_code],
+    )
+    def test_misfit_raises_from_the_one_fit_check(self, entry, fault):
+        D = Dictionary(np.eye(3, 4))
+        x, z = (_wrong_sample if fault == "sample" else _wrong_code)(D)
+        with pytest.raises(DimensionMismatch) as info:
+            _FIT_ENTRIES[entry][1](D, x, z)
+        assert info.traceback[-1].name == "_fit_sample"
+
+    @pytest.mark.parametrize("entry", list(_FIT_ENTRIES))
+    def test_fitting_inputs_pass(self, entry):
+        D = Dictionary(np.eye(3, 4))
+        x = np.array([0.6, -0.8, 0.0])
+        _FIT_ENTRIES[entry][1](D, x, SparseCode(np.array([1]), np.array([-0.5]), 4))
+
+    def test_two_dimensional_sample_rejected(self):
+        D = Dictionary(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            sample_objective(D, SparseCode.zero(3), np.zeros((3, 1)), 0.1)

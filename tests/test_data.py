@@ -3,6 +3,7 @@ import pytest
 
 from scc import (
     ConfigInvalid,
+    DataSet,
     DegenerateSample,
     ImageTooSmall,
     Sample,
@@ -59,6 +60,37 @@ class TestPreprocess:
     def test_constant_vector_rejected(self):
         with pytest.raises(DegenerateSample):
             preprocess(Sample(np.full(5, 3.3)))
+
+    @staticmethod
+    def per_sample_reference(X):
+        """The per-sample formula: center, then divide by the 1-D norm."""
+        out = np.empty(X.shape, order="F")
+        for i in range(X.shape[1]):
+            v = X[:, i]
+            centered = v - v.mean()
+            out[:, i] = centered / float(np.linalg.norm(centered))
+        return out
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("p", [2, 3, 16, 17, 255, 256, 1023, 4096])
+    def test_dataset_matches_per_sample_formula(self, p, n, order):
+        rng = rng_from_seed(p * 1000 + n)
+        X = np.array(rng.standard_normal((p, n)) * rng.uniform(0.1, 50.0, n)
+                     + rng.uniform(-5.0, 5.0, n), order=order)
+        ds = DataSet(X)
+        pre = preprocess_dataset(ds)
+        want = self.per_sample_reference(ds.X)
+        assert pre.preprocessed
+        assert np.array_equal(pre.X, want)
+        assert pre.X.flags.f_contiguous and not pre.X.flags.writeable
+        assert np.array_equal(preprocess(Sample(X[:, 0])).values, want[:, 0])
+
+    def test_dataset_constant_column_rejected(self, rng):
+        X = rng.standard_normal((6, 5))
+        X[:, 3] = 2.5
+        with pytest.raises(DegenerateSample, match="sample 3 "):
+            preprocess_dataset(DataSet(X))
 
     def test_dataset_preprocessing_validates(self, rng):
         ds = extract_patches(rng.random((32, 32)), window=16, std_threshold=0.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from scc import (
     CDWorkspace,
@@ -475,7 +475,14 @@ class TestKernelCodesAreValid:
         first = encode_scc(D, SparseCode.zero(m), x, lam, steps).code
         _assert_revalidates(first)
         _assert_revalidates(encode_scc(D, first, -0.5 * x, lam, steps).code)
-        _assert_revalidates(lasso_oracle_cd(D, x, lam, 1e-9))
         X = np.column_stack([x, -0.5 * x, _unit_columns(rng_from_seed(seed, 1), p, BATCH_MIN_LIVE)])
-        for code in lasso_oracle_cd_batch(D, X, lam, 1e-9):
+        try:
+            singles = [lasso_oracle_cd(D, X[:, j], lam, 1e-9) for j in range(X.shape[1])]
+        except MaxIterationsExceeded:
+            # Short ball atoms and a small lambda can make cyclic descent need more
+            # than the documented cap of passes (seed=4, p=4, m=22, lam=2**-9, ball
+            # atoms: one column needs 123,859); such an instance returns no code.
+            reject()
+        # Wherever the per-sample reference converges, the batched oracle must too.
+        for code in singles + lasso_oracle_cd_batch(D, X, lam, 1e-9):
             _assert_revalidates(code)

@@ -14,7 +14,7 @@ from scc import (
     SparseCode,
     Truncated,
 )
-from scc import rng_from_seed
+from scc import rng_from_seed, validate_dataset
 from scc.serialize import (
     MAGIC_MATRIX,
     read_codes,
@@ -106,6 +106,39 @@ class TestMatrixContainer:
             tracemalloc.stop()
         assert ds.X.shape == (64, 2000)
         assert peak < 2.5 * size, peak / size
+
+    def test_dataset_read_peaks_below_one_and_a_half_file_sizes(self, tmp_path, rng):
+        path = tmp_path / "d.sccmat"
+        X = rng.standard_normal((64, 2000))
+        write_matrix(path, X)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, peak / size
+        assert ds.X.tobytes(order="F") == X.tobytes(order="F")
+        assert ds.X.flags.f_contiguous and not ds.X.flags.writeable
+
+    def test_flagged_dataset_read_and_validated_below_one_and_a_half_file_sizes(
+        self, tmp_path, rng
+    ):
+        path = tmp_path / "d.sccmat"
+        X = rng.standard_normal((64, 2000))
+        X -= X.mean(axis=0)
+        X /= np.linalg.norm(X, axis=0)
+        write_matrix(path, X)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = read_dataset(path, preprocessed=True)
+            validate_dataset(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, peak / size
 
     def test_csv_fallback_one_sample_per_line(self, tmp_path):
         path = tmp_path / "d.csv"
