@@ -201,7 +201,9 @@ def _cmd_encode(args) -> int:
     steps = _parse_mode(args.mode, args.parser)
     D = read_dictionary(args.dict_path)
     ds = read_dataset(args.data)
-    lam = args.lam if args.lam is not None else TrainConfig(dict_size=D.m).effective_lambda(ds.p)
+    cfg = TrainConfig(dict_size=D.m, lam=args.lam)
+    cfg.validate()  # the one lambda rule: finite and > 0, or the default
+    lam = cfg.effective_lambda(ds.p)
     thread_cap()  # reject a malformed SCC_THREADS; the loop below is serial either way
     if steps is None:
         codes = [lasso_oracle_cd(D, ds.column(i), lam, ENCODE_ORACLE_TOL) for i in range(ds.n)]

@@ -402,8 +402,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.dict_size < 1:
             raise ConfigInvalid(f"dict_size must be >= 1, got {self.dict_size}")
-        if self.lam is not None and not (self.lam > 0):
-            raise ConfigInvalid(f"lambda must be > 0, got {self.lam}")
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ConfigInvalid(f"lambda must be finite and > 0, got {self.lam}")
         if self.epochs < 1:
             raise ConfigInvalid(f"epochs must be >= 1, got {self.epochs}")
         if self.cd_steps < 1:
@@ -415,10 +415,10 @@ class TrainConfig:
         if self.rate_schedule not in (RATE_ADAPTIVE, RATE_NATURAL):
             raise ConfigInvalid(f"unknown rate schedule {self.rate_schedule!r}")
         if self.rate_schedule == RATE_NATURAL:
-            if not (self.rate_a > 0):
-                raise ConfigInvalid(f"rate_a must be > 0, got {self.rate_a}")
-            if self.rate_b < 0:
-                raise ConfigInvalid(f"rate_b must be >= 0, got {self.rate_b}")
+            if not 0 < self.rate_a < math.inf:
+                raise ConfigInvalid(f"rate_a must be finite and > 0, got {self.rate_a}")
+            if not 0 <= self.rate_b < math.inf:
+                raise ConfigInvalid(f"rate_b must be finite and >= 0, got {self.rate_b}")
         _require_seed(self.seed)
 
     def effective_lambda(self, p: int) -> float:

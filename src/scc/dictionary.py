@@ -8,9 +8,11 @@ projected back onto the unit ball.  A full-batch averaged gradient step
 is provided as the classical baseline.
 
 The public update functions are pure (they return a fresh Dictionary
-and never touch their input); trainers reach for the in-place kernels
+and never touch their input); trainers reach for the in-place kernel
 so that the cost of one stochastic update stays proportional to the
-support size, not to the dictionary size.
+support size, not to the dictionary size.  The kernel takes one step
+per supported atom, so both rate schedules share it: the adaptive rule
+passes z_j / h_jj and the natural rule a/(t+b) * z_j.
 """
 
 from __future__ import annotations
@@ -60,40 +62,31 @@ def learning_rate(H: HessianDiag, j: int) -> float:
     return 1.0 / h
 
 
-def _sgd_adaptive_inplace(
-    cols: Sequence[np.ndarray],
-    indices: np.ndarray,
-    values: np.ndarray,
-    residual: np.ndarray,
-    hdiag: np.ndarray,
+def _adaptive_steps(H: HessianDiag, z: SparseCode) -> np.ndarray:
+    """Steps z_j / h_jj of the adaptive rule; ``H`` must already include ``z``.
+
+    Raises ZeroCurvature for the first supported cell that is not
+    positive, before any atom has moved.
+    """
+    h = H.diag[z.indices]
+    if min(h.tolist(), default=1.0) <= 0.0:
+        j = int(z.indices[np.argmax(h <= 0.0)])
+        raise ZeroCurvature(f"column {j} has no accumulated curvature")
+    return z.values / h
+
+
+def _sgd_inplace(
+    cols: Sequence[np.ndarray], indices: np.ndarray, steps: np.ndarray, residual: np.ndarray
 ) -> None:
-    """Support-restricted stochastic step with rates 1/h_jj, in place.
+    """Support-restricted stochastic step, in place.
 
     ``cols[j]`` is a writable view of atom j and ``residual`` is x - D z,
-    so each step adds rate * z_j * residual to its atom.
+    so atom ``indices[k]`` gains ``steps[k] * residual`` and is then
+    projected back onto the unit ball.
     """
-    for j, zj in zip(indices.tolist(), values.tolist()):
-        h = hdiag[j]
-        if h <= 0.0:
-            raise ZeroCurvature(f"column {j} has no accumulated curvature")
+    for j, step in zip(indices.tolist(), steps.tolist()):
         col = cols[j]
-        col += (zj / h) * residual
-        n2 = float(col @ col)
-        if n2 > 1.0:
-            col /= math.sqrt(n2)
-
-
-def _sgd_scalar_inplace(
-    cols: Sequence[np.ndarray],
-    indices: np.ndarray,
-    values: np.ndarray,
-    residual: np.ndarray,
-    eta: float,
-) -> None:
-    """Support-restricted stochastic step with one shared rate, in place."""
-    for j, zj in zip(indices.tolist(), values.tolist()):
-        col = cols[j]
-        col += (eta * zj) * residual
+        col += step * residual
         n2 = float(col @ col)
         if n2 > 1.0:
             col /= math.sqrt(n2)
@@ -113,9 +106,9 @@ def sgd_update_support(
     rv = _fit_sample(D, residual_neg, z)
     if H.m != D.m:
         raise DimensionMismatch(f"curvature length {H.m} != atom count {D.m}")
+    steps = _adaptive_steps(H, z)
     atoms = D.atoms.copy(order="F")
-    if z.nnz:
-        _sgd_adaptive_inplace(list(atoms.T), z.indices, z.values, -rv, H.diag)
+    _sgd_inplace(list(atoms.T), z.indices, steps, -rv)
     return Dictionary(atoms)
 
 

@@ -20,6 +20,7 @@ phases only; the end-of-epoch objective evaluation falls outside both.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -43,11 +44,11 @@ from .core import (
 )
 from .data import init_dictionary
 from .dictionary import (
+    _adaptive_steps,
     _dense_codes,
     _gradient_step_dense,
     _quadratic_term,
-    _sgd_adaptive_inplace,
-    _sgd_scalar_inplace,
+    _sgd_inplace,
     hessian_accumulate,
 )
 from .lasso import encode_scc, lasso_oracle_cd_batch
@@ -68,10 +69,10 @@ class NaturalRateSchedule:
     t: int = field(default=1)
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ConfigInvalid(f"a must be > 0, got {self.a}")
-        if self.b < 0:
-            raise ConfigInvalid(f"b must be >= 0, got {self.b}")
+        if not 0 < self.a < math.inf:
+            raise ConfigInvalid(f"a must be finite and > 0, got {self.a}")
+        if not 0 <= self.b < math.inf:
+            raise ConfigInvalid(f"b must be finite and >= 0, got {self.b}")
 
     def next_rate(self) -> float:
         rate = self.a / (self.t + self.b)
@@ -110,7 +111,7 @@ def _epoch_stats(
 
 
 def _sgd_train(
-    ds: DataSet, cfg: TrainConfig, progress: Optional[ProgressCallback], adaptive: bool
+    ds: DataSet, cfg: TrainConfig, progress: Optional[ProgressCallback]
 ) -> TrainResult:
     cfg.validate()
     validate_dataset(ds)
@@ -121,9 +122,16 @@ def _sgd_train(
     cols = D.columns  # atoms advanced in place through these views
     zero = SparseCode.zero(m)
     codes: List[SparseCode] = [zero] * n
-    H = HessianDiag.zeros(m)
-    schedule = None if adaptive else NaturalRateSchedule(cfg.rate_a, cfg.rate_b)
-    hdiag = H.diag
+    if cfg.rate_schedule == RATE_ADAPTIVE:
+        H = HessianDiag.zeros(m)
+
+        def steps(code: SparseCode) -> np.ndarray:
+            return _adaptive_steps(hessian_accumulate(H, code), code)
+    else:
+        schedule = NaturalRateSchedule(cfg.rate_a, cfg.rate_b)
+
+        def steps(code: SparseCode) -> np.ndarray:
+            return schedule.next_rate() * code.values  # t counts visits, empty codes too
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         t_code = 0.0
@@ -136,16 +144,7 @@ def _sgd_train(
             codes[i] = code
             t1 = time.perf_counter()
             t_code += t1 - t0
-            hessian_accumulate(H, code)
-            if code.nnz:
-                if adaptive:
-                    _sgd_adaptive_inplace(cols, code.indices, code.values, result.residual, hdiag)
-                else:
-                    _sgd_scalar_inplace(
-                        cols, code.indices, code.values, result.residual, schedule.next_rate()
-                    )
-            elif not adaptive:
-                schedule.next_rate()  # t counts sample visits, not touched columns
+            _sgd_inplace(cols, code.indices, steps(code), result.residual)
             t_dict += time.perf_counter() - t1
         stats.append(_epoch_stats(epoch, D, codes, ds, lam, t_code, t_dict))
         if progress is not None:
@@ -159,7 +158,7 @@ def scc_train(
     """Stochastic training with adaptive per-atom rates."""
     if cfg.rate_schedule != RATE_ADAPTIVE:
         raise ConfigInvalid("scc_train requires the adaptive_hessian rate schedule")
-    return _sgd_train(ds, cfg, progress, adaptive=True)
+    return _sgd_train(ds, cfg, progress)
 
 
 def natural_rate_train(
@@ -168,7 +167,7 @@ def natural_rate_train(
     """Stochastic training with the scalar a/(t+b) schedule."""
     if cfg.rate_schedule != RATE_NATURAL:
         raise ConfigInvalid("natural_rate_train requires the natural rate schedule")
-    return _sgd_train(ds, cfg, progress, adaptive=False)
+    return _sgd_train(ds, cfg, progress)
 
 
 def batch_train(

@@ -126,6 +126,17 @@ class TestEncode:
         ) == 0
         assert all(z.nnz == 0 for z in read_codes(out))
 
+    @pytest.mark.parametrize("lam", ["-0.5", "0", "nan", "inf"])
+    def test_bad_lambda_exits_one(self, tmp_path, capsys, lam):
+        self.identity_fixture(tmp_path)
+        out = tmp_path / "z.sccspc"
+        assert run(
+            ["encode", "--dict", tmp_path / "dict.sccmat", "--data",
+             tmp_path / "data.sccmat", "--lambda", lam, "--out", out]
+        ) == 1
+        assert "lambda" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_exits_one(self, tmp_path):
         self.identity_fixture(tmp_path)
         write_matrix(tmp_path / "dict5.sccmat", np.eye(5))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +242,10 @@ class TestTrainConfig:
             dict(dict_size=4, rate_schedule="natural", rate_b=-1.0),
             dict(dict_size=4, seed=-1),
             dict(dict_size=4, seed=2**64),
+            dict(dict_size=4, lam=math.inf),
+            dict(dict_size=4, rate_schedule="natural", rate_a=math.inf),
+            dict(dict_size=4, rate_schedule="natural", rate_b=math.nan),
+            dict(dict_size=4, rate_schedule="natural", rate_b=math.inf),
         ],
     )
     def test_invalid_configs(self, kwargs):

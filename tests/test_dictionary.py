@@ -150,9 +150,12 @@ class TestSgdUpdateSupport:
         assert np.linalg.norm(out.atoms, axis=0).max() <= 1.0 + 1e-12
 
     def test_requires_accumulated_curvature(self):
-        D, z, residual_neg, _ = random_sgd_case(5)
-        with pytest.raises(ZeroCurvature):
+        D, z, residual_neg, H = random_sgd_case(5)
+        with pytest.raises(ZeroCurvature, match=f"column {z.indices[0]} has"):
             sgd_update_support(D, z, residual_neg, HessianDiag.zeros(D.m))
+        H.diag[z.indices[-1]] = 0.0  # only the last supported cell is empty
+        with pytest.raises(ZeroCurvature, match=f"column {z.indices[-1]} has"):
+            sgd_update_support(D, z, residual_neg, H)
 
 
 class TestFullGradientStep:

@@ -45,9 +45,14 @@ def manual_scc(ds, cfg):
 
 
 class TestSccTrain:
-    def test_matches_manual_replay_bit_for_bit(self):
-        ds, _, _ = generate_planted(5, 6, 9, 2, 0.05, seed=21)
-        cfg = TrainConfig(dict_size=6, lam=0.15, epochs=3, cd_steps=2, seed=4)
+    @pytest.mark.parametrize("planted,lam", [
+        ((5, 6, 9, 2, 0.05, 21), 0.15),
+        ((16, 32, 100, 3, 0.05, 22), 0.3),
+    ], ids=["5x6", "16x32"])
+    def test_matches_manual_replay_bit_for_bit(self, planted, lam):
+        *dims, seed = planted
+        ds, _, _ = generate_planted(*dims, seed=seed)
+        cfg = TrainConfig(dict_size=dims[1], lam=lam, epochs=3, cd_steps=2, seed=4)
         result = scc_train(ds, cfg)
         D_manual, codes_manual = manual_scc(ds, cfg)
         assert result.dictionary.atoms.tobytes() == D_manual.atoms.tobytes()
@@ -161,11 +166,21 @@ class TestNaturalRate:
             NaturalRateSchedule(a=0.0, b=1.0)
         with pytest.raises(ConfigInvalid):
             NaturalRateSchedule(a=1.0, b=-0.5)
+        for a, b in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ConfigInvalid):
+                NaturalRateSchedule(a=a, b=b)
 
-    def test_matches_manual_replay(self):
-        ds, _, _ = generate_planted(5, 6, 8, 2, 0.05, seed=31)
+    # the last case has visits that code to zero: t must still advance on them
+    @pytest.mark.parametrize("planted,lam,min_empty", [
+        ((5, 6, 8, 2, 0.05, 31), 0.15, 0),
+        ((16, 32, 100, 3, 0.05, 32), 0.3, 0),
+        ((16, 32, 100, 3, 0.05, 32), 0.6, 1),
+    ], ids=["5x6", "16x32", "16x32-empty-codes"])
+    def test_matches_manual_replay(self, planted, lam, min_empty):
+        *dims, seed = planted
+        ds, _, _ = generate_planted(*dims, seed=seed)
         cfg = TrainConfig(
-            dict_size=6, lam=0.15, epochs=2, cd_steps=2, seed=4,
+            dict_size=dims[1], lam=lam, epochs=2, cd_steps=2, seed=4,
             rate_schedule="natural", rate_a=2.0, rate_b=1.0,
         )
         result = natural_rate_train(ds, cfg)
@@ -175,11 +190,13 @@ class TestNaturalRate:
         atoms = D.atoms
         codes = [SparseCode.zero(m)] * ds.n
         sched = NaturalRateSchedule(cfg.rate_a, cfg.rate_b)
+        empty = 0
         for _ in range(cfg.epochs):
             for i in range(ds.n):
                 res = encode_scc(D, codes[i], ds.column(i), cfg.lam, cfg.cd_steps)
                 codes[i] = res.code
                 eta = sched.next_rate()
+                empty += res.code.nnz == 0
                 if res.code.nnz:
                     residual_neg = -res.residual
                     for j, zj in zip(res.code.indices.tolist(), res.code.values.tolist()):
@@ -188,6 +205,7 @@ class TestNaturalRate:
                         if n2 > 1.0:
                             col = col / math.sqrt(n2)
                         atoms[:, j] = col
+        assert empty >= min_empty
         assert result.dictionary.atoms.tobytes() == atoms.tobytes()
 
     def test_requires_natural_schedule(self):
