@@ -7,8 +7,8 @@ a grid of trainings and emits one tidy CSV for plotting.
 Exit codes: 0 success, 1 runtime failure (message on stderr), 2 usage
 error.  Every phase is single-threaded, so repeated runs write identical
 bytes (metrics wall times excepted).  The environment variable
-``SCC_THREADS`` is a validated hint: ``encode`` and the objective
-evaluation reject a value that is not a positive integer, and a valid
+``SCC_THREADS`` is a validated hint: every subcommand rejects a value
+that is not a positive integer before it starts any work, and a valid
 value changes neither speed nor output bytes.
 """
 
@@ -204,7 +204,6 @@ def _cmd_encode(args) -> int:
     cfg = TrainConfig(dict_size=D.m, lam=args.lam)
     cfg.validate()  # the one lambda rule: finite and > 0, or the default
     lam = cfg.effective_lambda(ds.p)
-    thread_cap()  # reject a malformed SCC_THREADS; the loop below is serial either way
     if steps is None:
         codes = [lasso_oracle_cd(D, ds.column(i), lam, ENCODE_ORACLE_TOL) for i in range(ds.n)]
     else:
@@ -245,6 +244,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        thread_cap()  # reject a malformed SCC_THREADS; every phase is serial either way
         return args.func(args)
     except (SCCError, OSError) as exc:
         print(f"scc: error: {exc}", file=sys.stderr)

@@ -101,10 +101,21 @@ class Truncated(FormatError):
 # Randomness and environment
 # ---------------------------------------------------------------------------
 
+def _require_int(name: str, value) -> int:
+    """``value`` as a Python int; bools, floats and other types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_lambda(lam: float) -> None:
+    """The one rule for a regularization weight: finite and > 0."""
+    if not 0 < lam < math.inf:
+        raise ConfigInvalid(f"lambda must be finite and > 0, got {lam}")
+
+
 def _require_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigInvalid(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
+    seed = _require_int("seed", seed)
     if not 0 <= seed < 2 ** 64:
         raise ConfigInvalid(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed
@@ -400,14 +411,11 @@ class TrainConfig:
     rate_b: float = 0.0
 
     def validate(self) -> None:
-        if self.dict_size < 1:
-            raise ConfigInvalid(f"dict_size must be >= 1, got {self.dict_size}")
-        if self.lam is not None and not 0 < self.lam < math.inf:
-            raise ConfigInvalid(f"lambda must be finite and > 0, got {self.lam}")
-        if self.epochs < 1:
-            raise ConfigInvalid(f"epochs must be >= 1, got {self.epochs}")
-        if self.cd_steps < 1:
-            raise ConfigInvalid(f"cd_steps must be >= 1, got {self.cd_steps}")
+        for name in ("dict_size", "epochs", "cd_steps"):
+            if _require_int(name, getattr(self, name)) < 1:
+                raise ConfigInvalid(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lam is not None:
+            _require_lambda(self.lam)
         if self.init not in (INIT_RANDOM_PATCHES, INIT_RANDOM_GAUSSIAN):
             raise ConfigInvalid(f"unknown init method {self.init!r}")
         if self.ordering not in (ORDER_SEQUENTIAL, ORDER_SHUFFLED):

@@ -35,6 +35,7 @@ from .core import (
     Sample,
     SparseCode,
     _fit_sample,
+    _require_lambda,
     _residual,
 )
 
@@ -114,6 +115,7 @@ def _code(z: list, support: list) -> SparseCode:
 
 
 def _cycle(D: Dictionary, z: SparseCode, x, ws: CDWorkspace, lam: float, coords) -> CDResult:
+    _require_lambda(lam)
     _fit_sample(D, x, z)
     if ws.residual.size != D.p:
         raise DimensionMismatch(f"workspace residual length {ws.residual.size} != {D.p}")
@@ -156,6 +158,7 @@ def encode_scc(
     the remaining passes refine values on that (possibly shrinking)
     support.  The residual is computed fresh from the inputs.
     """
+    _require_lambda(lam)
     if steps < 1:
         raise ConfigInvalid(f"steps must be >= 1, got {steps}")
     r = _residual(D, z_init, x)
@@ -169,21 +172,6 @@ def encode_scc(
     return CDResult(_code(z, support), r, steps)
 
 
-def _cd_to_tol(
-    cols, z: list, r: np.ndarray, lam: float, tol: float, max_cycles: int, cycles: int = 0
-) -> SparseCode:
-    """Full passes from ``z`` and ``r`` until one changes no coordinate by ``tol`` or more.
-
-    ``cycles`` passes were already made; raises MaxIterationsExceeded
-    once ``max_cycles`` passes in all have not converged.
-    """
-    coords = range(len(z))
-    for _ in range(cycles, max_cycles):
-        if _cd_pass(cols, coords, z, r, lam) < tol:
-            return _code(z, _nonzero(z, coords))
-    raise MaxIterationsExceeded(f"coordinate descent did not converge in {max_cycles} cycles")
-
-
 def lasso_oracle_cd(
     D: Dictionary,
     x: Union[Sample, np.ndarray],
@@ -195,12 +183,10 @@ def lasso_oracle_cd(
 
     Stops when the largest coordinate change of a full pass drops below
     ``tol``; raises MaxIterationsExceeded after ``max_cycles`` passes,
-    which signals an ill-conditioned instance.
+    which signals an ill-conditioned instance.  This is
+    ``lasso_oracle_cd_batch`` on the one-column matrix ``x``.
     """
-    if not tol > 0:
-        raise ConfigInvalid(f"tol must be > 0, got {tol}")
-    r = _fit_sample(D, x).astype(np.float64, copy=True)
-    return _cd_to_tol(D.columns, [0.0] * D.m, r, lam, tol, max_cycles)
+    return lasso_oracle_cd_batch(D, _fit_sample(D, x)[:, None], lam, tol, max_cycles)[0]
 
 
 def lasso_oracle_cd_batch(
@@ -212,18 +198,19 @@ def lasso_oracle_cd_batch(
 ) -> List[SparseCode]:
     """``lasso_oracle_cd`` for every column of ``X``, the samples advancing together.
 
-    Each sample runs the same algorithm as ``lasso_oracle_cd`` (start
-    from zero, ascending full passes, stop after the first pass whose
-    largest change is below ``tol``), but one coordinate step serves all
-    live samples: a gemv ``d_j @ R`` over the residual matrix, the
-    shrink ``b - clip(b, -lam, lam)`` (the same bits as ``b -/+ lam``)
-    and, if any sample's coordinate moved, a rank-1 residual update.  A
-    converged sample leaves the live set; once fewer than
-    ``BATCH_MIN_LIVE`` remain, each finishes alone on the per-sample
-    oracle's loop.  Codes differ from ``lasso_oracle_cd``'s only by
-    gemv-versus-dot rounding.  Raises MaxIterationsExceeded if any
-    sample is still moving after ``max_cycles`` passes.
+    Each sample runs the same algorithm, with the same bits, as it would
+    alone: start from zero, make ascending full passes, and stop after
+    the first pass whose largest change is below ``tol``.  One
+    coordinate step serves all live samples: a per-row ``ddot`` of the
+    residual matrix with ``d_j`` (``np.vecdot``, the dot product that
+    ``_cd_pass`` takes), the shrink ``b - clip(b, -lam, lam)`` (the same
+    bits as ``b -/+ lam``) and, if any sample's coordinate moved, a
+    rank-1 residual update.  A converged sample leaves the live set;
+    once fewer than ``BATCH_MIN_LIVE`` remain, each finishes alone on
+    ``_cd_pass``.  Raises MaxIterationsExceeded if any sample is still
+    moving after ``max_cycles`` passes.
     """
+    _require_lambda(lam)
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
     X = np.asarray(X, dtype=np.float64)
@@ -233,19 +220,19 @@ def lasso_oracle_cd_batch(
     cols = D.columns
     codes: List[Union[SparseCode, None]] = [None] * X.shape[1]
     live = np.arange(X.shape[1])
-    R = np.array(X, order="C")  # residuals, one column per live sample
+    R = np.array(X.T, order="C")  # residuals, one contiguous row per live sample
     Z = np.zeros((m, live.size))  # codes, one column per live sample
     cycles = 0
     while live.size >= BATCH_MIN_LIVE and cycles < max_cycles:
         cycles += 1
         Z0 = Z.copy()  # coordinate j still holds Z0[j] when the pass reaches it
         for j in range(m):
-            b = cols[j] @ R
+            b = np.vecdot(R, cols[j])
             b += Z0[j]
             new = np.subtract(b, np.minimum(np.maximum(b, -lam), lam), out=Z[j])
             delta = new - Z0[j]
             if np.count_nonzero(delta):
-                R -= cols[j][:, None] * delta
+                R -= np.multiply.outer(delta, cols[j])
         # each coordinate moves once per pass, so this is each sample's largest change
         done = np.abs(Z - Z0).max(axis=0) < tol
         if done.any():
@@ -253,9 +240,18 @@ def lasso_oracle_cd_batch(
                 support = np.flatnonzero(Z[:, k])
                 codes[live[k]] = SparseCode._trusted(support, Z[support, k], m)
             keep = ~done
-            live, R, Z = live[keep], R[:, keep], Z[:, keep]
+            live, R, Z = live[keep], R[keep], Z[:, keep]
+    coords = range(m)
     for k, i in enumerate(live.tolist()):
-        codes[i] = _cd_to_tol(cols, Z[:, k].tolist(), R[:, k].copy(), lam, tol, max_cycles, cycles)
+        z = Z[:, k].tolist()
+        for _ in range(cycles, max_cycles):
+            if _cd_pass(cols, coords, z, R[k], lam) < tol:
+                codes[i] = _code(z, _nonzero(z, coords))
+                break
+        else:
+            raise MaxIterationsExceeded(
+                f"coordinate descent did not converge in {max_cycles} cycles"
+            )
     return codes
 
 
@@ -274,6 +270,7 @@ def lasso_oracle_prox(
     change of the objective falls below ``tol``.  Near-zero iterate
     entries are pruned at the documented cutoff.
     """
+    _require_lambda(lam)
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
     xv = _fit_sample(D, x)

@@ -19,7 +19,6 @@ from .core import (
     Sample,
     SparseCode,
     _residual,
-    thread_cap,
 )
 
 
@@ -43,13 +42,11 @@ def objective(
 
     Per-sample terms are summed pairwise.  ``workers`` is accepted for
     compatibility and changes nothing: the loop is serial, because its
-    per-sample Python work holds the interpreter lock.  When it is left
-    out, ``SCC_THREADS`` is still validated.
+    per-sample Python work holds the interpreter lock.  ``SCC_THREADS``
+    is not read here; the ``scc`` command validates it once at start-up.
     """
     if len(codes) != ds.n:
         raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")
-    if workers is None:
-        thread_cap()
     n = ds.n
     terms = np.empty(n)
     for i in range(n):

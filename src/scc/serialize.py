@@ -9,9 +9,10 @@ Matrix container (datasets and dictionaries):
 Sparse-code container:
 
     bytes 0..7    magic "SCCSPC01"
-    bytes 8..15   m, n as uint32
+    bytes 8..15   m, n as uint32, with m >= 1
     per code      count as uint32, then count (uint32 index, float64
-                  value) pairs with strictly increasing indices
+                  value) pairs with strictly increasing indices below m
+                  and finite nonzero values
 
 Metrics go to CSV with columns
 ``epoch,objective,time_code_s,time_dict_s,mean_support,max_support``;
@@ -35,6 +36,7 @@ from .core import (
     DimensionMismatch,
     EpochStats,
     FormatError,
+    InvariantViolation,
     NonFinite,
     SparseCode,
     Truncated,
@@ -165,6 +167,8 @@ def read_codes(path: PathLike) -> List[SparseCode]:
     if len(data) < 16:
         raise Truncated(f"{path}: header cut short")
     m, n = struct.unpack("<II", data[8:16])
+    if m == 0:
+        raise FormatError(f"{path}: header declares codes over 0 atoms")
     codes: List[SparseCode] = []
     pos = 16
     for i in range(n):
@@ -179,7 +183,10 @@ def read_codes(path: PathLike) -> List[SparseCode]:
         pos = end
         if count and not np.isfinite(rec["value"]).all():
             raise NonFinite(f"{path}: code {i} contains NaN or Inf")
-        codes.append(SparseCode(rec["index"].astype(np.int64), rec["value"].copy(), m))
+        try:
+            codes.append(SparseCode(rec["index"].astype(np.int64), rec["value"].copy(), m))
+        except InvariantViolation as exc:
+            raise FormatError(f"{path}: code {i}: {exc}") from None
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
     return codes

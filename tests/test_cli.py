@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scc import generate_planted, sample_objective, soft_threshold
+from scc import cli, generate_planted, sample_objective, soft_threshold
 from scc.cli import main
 from scc.serialize import (
     read_codes,
@@ -28,6 +28,27 @@ class TestTrain:
         assert len(lines) == 11  # header + default 10 epochs
         stats = read_metrics_csv(out)
         assert stats[-1].objective < stats[0].objective
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--epochs", "3", "--out-metrics"],
+        ["bench", "--dict-sizes", "32", "--epochs", "3", "--out"],
+    ])
+    def test_invalid_thread_cap_fails_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setenv("SCC_THREADS", "abc")
+        loads = []
+        real = cli.generate_planted
+        monkeypatch.setattr(
+            cli, "generate_planted", lambda *a, **k: loads.append(a) or real(*a, **k)
+        )
+        out = tmp_path / "m.csv"
+        assert run([command[0], "--synthetic", "16,32,500,3,0.01", *command[1:], out]) == 1
+        err = capsys.readouterr().err
+        assert "SCC_THREADS" in err
+        assert "epoch" not in err
+        assert not out.exists()
+        assert loads == []  # rejected before the data was even generated
 
     def test_missing_data_source_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

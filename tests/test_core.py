@@ -246,6 +246,10 @@ class TestTrainConfig:
             dict(dict_size=4, rate_schedule="natural", rate_a=math.inf),
             dict(dict_size=4, rate_schedule="natural", rate_b=math.nan),
             dict(dict_size=4, rate_schedule="natural", rate_b=math.inf),
+            dict(dict_size=8.5),
+            dict(dict_size=True),
+            dict(dict_size=4, epochs=1.5),
+            dict(dict_size=4, cd_steps=2.5),
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -206,20 +208,16 @@ def _unit_columns(rng, p, n):
 
 
 def _assert_batch_matches_oracle(D, X, lam, tol=1e-10):
-    """Each batched code agrees with the per-sample oracle's within the stated tolerance."""
+    """Each batched code has the per-sample oracle's bits."""
     codes = lasso_oracle_cd_batch(D, X, lam, tol)
     assert len(codes) == X.shape[1]
     for i, code in enumerate(codes):
-        ref = lasso_oracle_cd(D, X[:, i], lam, tol)
-        f = sample_objective(D, code, X[:, i], lam)
-        f_ref = sample_objective(D, ref, X[:, i], lam)
-        assert abs(f - f_ref) <= 1e-12 * f_ref
-        np.testing.assert_allclose(code.to_dense(), ref.to_dense(), rtol=0, atol=1e-9)
+        _assert_same_bits(code, lasso_oracle_cd(D, X[:, i], lam, tol))
     return codes
 
 
 class TestOracleCDBatch:
-    @pytest.mark.parametrize("p,m", [(16, 32), (32, 64), (8, 24)])
+    @pytest.mark.parametrize("p,m", [(16, 32), (32, 64), (8, 24), (17, 40), (64, 256)])
     @pytest.mark.parametrize("n", [BATCH_MIN_LIVE - 3, 3 * BATCH_MIN_LIVE])
     def test_agrees_with_per_sample_oracle(self, p, m, n):
         rng = rng_from_seed(6000 + p + m + n)
@@ -249,9 +247,7 @@ class TestOracleCDBatch:
         codes = _assert_batch_matches_oracle(D, X, 0.1)
         for i in range(1, X.shape[1]):
             if np.array_equal(X[:, i], X[:, i - 1]):
-                np.testing.assert_allclose(
-                    codes[i].to_dense(), codes[i - 1].to_dense(), rtol=0, atol=1e-9
-                )
+                _assert_same_bits(codes[i], codes[i - 1])
 
     def test_rejects_bad_tol(self):
         D = Dictionary(np.eye(2))
@@ -274,6 +270,31 @@ class TestOracleCDBatch:
             lasso_oracle_cd(D, X[:, 0], 0.1, 1e-10, max_cycles=1)
         with pytest.raises(MaxIterationsExceeded):
             lasso_oracle_cd_batch(D, X, 0.1, 1e-10, max_cycles=1)
+
+
+_SOLVERS = {
+    "encode_scc": lambda D, x, lam: encode_scc(D, SparseCode.zero(D.m), x, lam, 3),
+    "cd_full_cycle": lambda D, x, lam: cd_full_cycle(
+        D, SparseCode.zero(D.m), x, CDWorkspace(x.copy()), lam
+    ),
+    "cd_support_cycle": lambda D, x, lam: cd_support_cycle(
+        D, SparseCode.zero(D.m), x, CDWorkspace(x.copy()), lam
+    ),
+    "lasso_oracle_cd": lambda D, x, lam: lasso_oracle_cd(D, x, lam, 1e-10),
+    "lasso_oracle_cd_batch": lambda D, x, lam: lasso_oracle_cd_batch(
+        D, np.tile(x[:, None], 2 * BATCH_MIN_LIVE), lam, 1e-10
+    ),
+    "lasso_oracle_prox": lambda D, x, lam: lasso_oracle_prox(D, x, lam, 1e-10),
+}
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_solvers_reject_bad_lambda(solver, lam):
+    D = Dictionary(np.eye(4))
+    x = np.array([1.0, -0.5, 0.2, 0.0])
+    with pytest.raises(ConfigInvalid, match="lambda"):
+        _SOLVERS[solver](D, x, lam)
 
 
 class TestOracleProx:

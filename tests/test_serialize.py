@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from scc import (
 )
 from scc import rng_from_seed, validate_dataset
 from scc.serialize import (
+    MAGIC_CODES,
     MAGIC_MATRIX,
     read_codes,
     read_dataset,
@@ -191,6 +193,26 @@ class TestCodesContainer:
         path = tmp_path / "z.sccspc"
         path.write_bytes(b"SCCMAT01" + b"\0" * 8)
         with pytest.raises(BadMagic):
+            read_codes(path)
+
+    @pytest.mark.parametrize("pairs", [
+        [(3, 1.0), (1, 2.0)],  # indices out of order
+        [(1, 0.0)],  # an explicit zero
+        [(4, 1.0)],  # an index at m
+    ])
+    def test_malformed_record_is_format_error(self, tmp_path, pairs):
+        path = tmp_path / "z.sccspc"
+        good = struct.pack("<I", 1) + struct.pack("<Id", 0, 0.5)
+        bad = struct.pack("<I", len(pairs)) + b"".join(struct.pack("<Id", *pr) for pr in pairs)
+        path.write_bytes(MAGIC_CODES + struct.pack("<II", 4, 2) + good + bad)
+        with pytest.raises(FormatError, match="code 1"):
+            read_codes(path)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_atom_header_is_format_error(self, tmp_path, n):
+        path = tmp_path / "z.sccspc"
+        path.write_bytes(MAGIC_CODES + struct.pack("<II", 0, n) + struct.pack("<I", 0) * n)
+        with pytest.raises(FormatError):
             read_codes(path)
 
 
