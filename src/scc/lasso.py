@@ -15,6 +15,11 @@ Coordinate update, with r = x - D z maintained incrementally:
 which is exact minimization over z_j when ||d_j|| = 1 and a valid
 unit-step proximal update whenever ||d_j|| <= 1, so the objective
 never increases.
+
+``encode_scc`` and the CD oracle run their passes in the native kernel
+(``_native``) when it loads, one call per sample, and otherwise in
+``_cd_pass``; both give the same bits.  ``cd_full_cycle`` and
+``cd_support_cycle`` always run ``_cd_pass``, the reference loop.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import List, Union
 
 import numpy as np
 
+from . import _native
 from .core import (
     CDWorkspace,
     ConfigInvalid,
@@ -35,6 +41,7 @@ from .core import (
     Sample,
     SparseCode,
     _fit_sample,
+    _require_int,
     _require_lambda,
     _residual,
 )
@@ -156,12 +163,25 @@ def encode_scc(
 
     The full pass discovers the support from the warm start ``z_init``;
     the remaining passes refine values on that (possibly shrinking)
-    support.  The residual is computed fresh from the inputs.
+    support.  The residual is computed fresh from the inputs.  The
+    passes run in the native kernel when it is loaded, else in
+    ``_encode_py``; both give the same bits.
     """
     _require_lambda(lam)
+    steps = _require_int("steps", steps)
     if steps < 1:
         raise ConfigInvalid(f"steps must be >= 1, got {steps}")
     r = _residual(D, z_init, x)
+    kernel = _native.kernel()
+    code = _encode_py(D, z_init, r, lam, steps) if kernel is None else kernel.encode(
+        D, z_init, r, lam, steps)
+    return CDResult(code, r, steps)
+
+
+def _encode_py(
+    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, steps: int
+) -> SparseCode:
+    """``encode_scc``'s passes in Python; ``r`` = x - D z_init, updated in place."""
     z = _as_list(z_init)
     cols = D.columns
     _cd_pass(cols, range(D.m), z, r, lam)
@@ -169,7 +189,7 @@ def encode_scc(
     for _ in range(steps - 1):
         _cd_pass(cols, support, z, r, lam)
         support = _nonzero(z, support)  # support passes only ever remove coordinates
-    return CDResult(_code(z, support), r, steps)
+    return _code(z, support)
 
 
 def lasso_oracle_cd(
@@ -196,26 +216,48 @@ def lasso_oracle_cd_batch(
     tol: float,
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> List[SparseCode]:
-    """``lasso_oracle_cd`` for every column of ``X``, the samples advancing together.
+    """``lasso_oracle_cd`` for every column of ``X``.
 
-    Each sample runs the same algorithm, with the same bits, as it would
-    alone: start from zero, make ascending full passes, and stop after
-    the first pass whose largest change is below ``tol``.  One
-    coordinate step serves all live samples: a per-row ``ddot`` of the
-    residual matrix with ``d_j`` (``np.vecdot``, the dot product that
-    ``_cd_pass`` takes), the shrink ``b - clip(b, -lam, lam)`` (the same
-    bits as ``b -/+ lam``) and, if any sample's coordinate moved, a
-    rank-1 residual update.  A converged sample leaves the live set;
-    once fewer than ``BATCH_MIN_LIVE`` remain, each finishes alone on
-    ``_cd_pass``.  Raises MaxIterationsExceeded if any sample is still
-    moving after ``max_cycles`` passes.
+    Each sample starts from zero, makes ascending full passes and stops
+    after the first pass whose largest change is below ``tol``; raises
+    MaxIterationsExceeded if any sample is still moving after
+    ``max_cycles`` passes.  With the native kernel loaded, each sample
+    makes all its passes in one kernel call; otherwise the samples
+    advance together in ``_oracle_batched``.  Both give the bits that
+    each sample would get alone on ``_cd_pass``.
     """
     _require_lambda(lam)
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
+    max_cycles = _require_int("max_cycles", max_cycles)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"samples of shape {X.shape} do not have {D.p} rows")
+    kernel = _native.kernel()
+    if kernel is None:
+        return _oracle_batched(D, X, lam, tol, max_cycles)
+    codes = []
+    for x in X.T:
+        code = kernel.cd_to_tol(D, np.zeros(D.m), np.array(x), lam, tol, max_cycles)
+        if code is None:
+            raise _not_converged(max_cycles)
+        codes.append(code)
+    return codes
+
+
+def _oracle_batched(
+    D: Dictionary, X: np.ndarray, lam: float, tol: float, max_cycles: int
+) -> List[SparseCode]:
+    """``lasso_oracle_cd_batch`` in numpy, the live samples advancing together.
+
+    One coordinate step serves all live samples: a per-row ``ddot`` of
+    the residual matrix with ``d_j`` (``np.vecdot``, the dot product
+    that ``_cd_pass`` takes), the shrink ``b - clip(b, -lam, lam)`` (the
+    same bits as ``b -/+ lam``) and, if any sample's coordinate moved, a
+    rank-1 residual update.  A converged sample leaves the live set;
+    once fewer than ``BATCH_MIN_LIVE`` remain, each finishes alone in
+    ``_finish``.
+    """
     m = D.m
     cols = D.columns
     codes: List[Union[SparseCode, None]] = [None] * X.shape[1]
@@ -241,18 +283,25 @@ def lasso_oracle_cd_batch(
                 codes[live[k]] = SparseCode._trusted(support, Z[support, k], m)
             keep = ~done
             live, R, Z = live[keep], R[keep], Z[:, keep]
-    coords = range(m)
     for k, i in enumerate(live.tolist()):
-        z = Z[:, k].tolist()
-        for _ in range(cycles, max_cycles):
-            if _cd_pass(cols, coords, z, R[k], lam) < tol:
-                codes[i] = _code(z, _nonzero(z, coords))
-                break
-        else:
-            raise MaxIterationsExceeded(
-                f"coordinate descent did not converge in {max_cycles} cycles"
-            )
+        codes[i] = _finish(cols, Z[:, k].tolist(), R[k], lam, tol, max_cycles - cycles)
+        if codes[i] is None:
+            raise _not_converged(max_cycles)
     return codes
+
+
+def _finish(cols, z: list, r: np.ndarray, lam: float, tol: float, passes: int):
+    """Full passes on ``z`` and ``r`` (in place) until the largest change is below
+    ``tol``: the code, or None if ``passes`` passes do not get there."""
+    coords = range(len(z))
+    for _ in range(passes):
+        if _cd_pass(cols, coords, z, r, lam) < tol:
+            return _code(z, _nonzero(z, coords))
+    return None
+
+
+def _not_converged(max_cycles: int) -> MaxIterationsExceeded:
+    return MaxIterationsExceeded(f"coordinate descent did not converge in {max_cycles} cycles")
 
 
 def lasso_oracle_prox(

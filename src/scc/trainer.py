@@ -16,6 +16,11 @@ All three are deterministic given (data, config): randomness comes only
 from the config seed, and the recorded wall times are the one exception
 to bit-reproducibility.  Those times cover the code and dictionary
 phases only; the end-of-epoch objective evaluation falls outside both.
+
+The stochastic loops' code refresh and dictionary step, and
+``batch_train``'s code phase, run in the native kernel when it loads
+(see ``_native``), with the same bits as the Python loops that run
+otherwise.
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
 
+from . import _native
 from .core import (
     ConfigInvalid,
     DataSet,
@@ -119,7 +126,9 @@ def _sgd_train(
     m = cfg.dict_size
     lam = cfg.effective_lambda(ds.p)
     D = init_dictionary(ds, m, cfg.init, cfg.seed)
-    cols = D.columns  # atoms advanced in place through these views
+    kernel = _native.kernel()
+    # the atoms advance in place: through the kernel, or through the column views
+    sgd_step = partial(_sgd_inplace, D.columns) if kernel is None else kernel.sgd_step(D.atoms)
     zero = SparseCode.zero(m)
     codes: List[SparseCode] = [zero] * n
     if cfg.rate_schedule == RATE_ADAPTIVE:
@@ -144,7 +153,7 @@ def _sgd_train(
             codes[i] = code
             t1 = time.perf_counter()
             t_code += t1 - t0
-            _sgd_inplace(cols, code.indices, steps(code), result.residual)
+            sgd_step(code.indices, steps(code), result.residual)
             t_dict += time.perf_counter() - t1
         stats.append(_epoch_stats(epoch, D, codes, ds, lam, t_code, t_dict))
         if progress is not None:

@@ -1,7 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from scc import Dictionary, rng_from_seed
+from scc import Dictionary, _native, rng_from_seed
 
 
 def random_unit_atoms(rng: np.random.Generator, p: int, m: int) -> np.ndarray:
@@ -29,3 +31,25 @@ def random_instance(seed: int, p: int, m: int, unit: bool = True):
 @pytest.fixture
 def rng():
     return rng_from_seed(12345)
+
+
+@contextmanager
+def cd_path(name: str):
+    """Run the block on one coordinate-descent path: "python" or "kernel".
+
+    "python" forces the Python loops; "kernel" skips the test where the
+    native kernel cannot be loaded (tests/test_native.py asserts that it
+    loads wherever a C compiler and numpy's OpenBLAS ddot exist).
+    """
+    if name == "kernel" and _native.kernel() is None:
+        pytest.skip("the native kernel is not available here")
+    saved = _native._kernel
+    if name == "python":
+        _native._kernel = None
+    try:
+        yield
+    finally:
+        _native._kernel = saved
+
+
+CD_PATHS = ("python", "kernel")

@@ -173,9 +173,18 @@ def test_criterion_6_dictionary_update_scaling():
             stats = batch_train(ds, cfg).stats
             return sum(s.time_dict_update for s in stats)
 
+        def ratio(dict_time):
+            # each size timed three times, interleaved; the minimum per size is
+            # the least disturbed measurement on a shared machine
+            times = {256: [], 1024: []}
+            for _ in range(3):
+                for m, seen in times.items():
+                    seen.append(dict_time(m))
+            return min(times[1024]) / min(times[256])
+
         scc_dict_time(64)  # warm caches and the allocator
-        scc_ratio = scc_dict_time(1024) / scc_dict_time(256)
-        batch_ratio = batch_dict_time(1024) / batch_dict_time(256)
+        scc_ratio = ratio(scc_dict_time)
+        batch_ratio = ratio(batch_dict_time)
         assert scc_ratio < 2.0, scc_ratio
         assert batch_ratio >= 3.0, batch_ratio
 

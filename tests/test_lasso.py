@@ -21,9 +21,9 @@ from scc import (
     soft_threshold,
 )
 from scc import rng_from_seed
-from scc.lasso import BATCH_MIN_LIVE
+from scc.lasso import BATCH_MIN_LIVE, DEFAULT_MAX_CYCLES
 
-from conftest import random_ball_atoms, random_instance, random_unit_atoms
+from conftest import CD_PATHS, cd_path, random_ball_atoms, random_instance, random_unit_atoms
 
 
 class TestSoftThreshold:
@@ -167,6 +167,18 @@ class TestEncode:
         with pytest.raises(ConfigInvalid):
             encode_scc(D, z, x, lam, steps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, True, False, "3", None, -1])
+    def test_rejects_non_integer_steps(self, steps):
+        D, x, z, ws, lam = identity_setup()
+        with pytest.raises(ConfigInvalid):
+            encode_scc(D, z, x, lam, steps=steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        D, x, z, ws, lam = identity_setup()
+        res = encode_scc(D, z, x, lam, steps=np.int64(2))
+        assert res.cycles_run == 2 and type(res.cycles_run) is int
+        _assert_same_bits(res.code, encode_scc(D, z, x, lam, steps=2).code)
+
 
 class TestOracleCD:
     def test_identity_exact(self):
@@ -270,6 +282,28 @@ class TestOracleCDBatch:
             lasso_oracle_cd(D, X[:, 0], 0.1, 1e-10, max_cycles=1)
         with pytest.raises(MaxIterationsExceeded):
             lasso_oracle_cd_batch(D, X, 0.1, 1e-10, max_cycles=1)
+
+    @pytest.mark.parametrize("path", CD_PATHS)
+    @pytest.mark.parametrize("p,m", [(1, 4), (16, 32), (17, 40), (64, 256)])
+    def test_each_path_matches_reference(self, path, p, m):
+        # the kernel's one call per sample, and the batched numpy loop with its
+        # per-sample finish, against the reference loop column by column
+        rng = rng_from_seed(6500 + p + m)
+        D = Dictionary(random_ball_atoms(rng, p, m))
+        X = _unit_columns(rng, p, 3 * BATCH_MIN_LIVE)
+        X[:, 5] = 0.0
+        with cd_path(path):
+            codes = lasso_oracle_cd_batch(D, X, 0.1, 1e-10)
+            with pytest.raises(MaxIterationsExceeded, match="in 2 cycles"):
+                lasso_oracle_cd_batch(D, X, 0.1, 1e-10, max_cycles=2)
+        for j, code in enumerate(codes):
+            _assert_same_bits(code, _ref_oracle(D, X[:, j], 0.1, 1e-10))
+
+    def test_rejects_non_integer_cycle_cap(self):
+        D = Dictionary(np.eye(2))
+        for cap in (2.5, True, "10"):
+            with pytest.raises(ConfigInvalid):
+                lasso_oracle_cd_batch(D, np.ones((2, 3)), 0.1, 1e-10, max_cycles=cap)
 
 
 _SOLVERS = {
@@ -426,25 +460,44 @@ def _assert_same_bits(code, ref_code, residual=None, ref_residual=None):
 _SHAPES = [(16, 32), (32, 64), (64, 256)]
 
 
+def _check_encode_cold_and_warm(p, m):
+    for seed in range(4):
+        D, _ = random_instance(seed=5000 + seed, p=p, m=m, unit=seed % 2 == 0)
+        rng = rng_from_seed(5100 + seed)
+        lam = float(rng.uniform(0.02, 0.15))
+        for _ in range(3):
+            x = rng.standard_normal(p)
+            x /= np.linalg.norm(x)
+            x_near = x + 0.1 * rng.standard_normal(p)
+            for steps in (1, 2, 3, 4):
+                cold = encode_scc(D, SparseCode.zero(m), x, lam, steps)
+                ref_code, ref_r = _ref_encode(D, SparseCode.zero(m), x, lam, steps)
+                _assert_same_bits(cold.code, ref_code, cold.residual, ref_r)
+                # warm start from a nearby sample's code, as in a later epoch
+                warm = encode_scc(D, cold.code, x_near, lam, steps)
+                ref_code, ref_r = _ref_encode(D, cold.code, x_near, lam, steps)
+                _assert_same_bits(warm.code, ref_code, warm.residual, ref_r)
+
+
+def _check_oracle_cd(p, m):
+    for seed in range(3):
+        D, x = random_instance(seed=5300 + seed, p=p, m=m)
+        for lam in (0.03, 0.1):
+            _assert_same_bits(lasso_oracle_cd(D, x, lam, 1e-10), _ref_oracle(D, x, lam, 1e-10))
+
+
 class TestBitIdenticalToReference:
+    """The default path (the native kernel where it loads), then each path forced."""
+
     @pytest.mark.parametrize("p,m", _SHAPES)
     def test_encode_cold_and_warm(self, p, m):
-        for seed in range(4):
-            D, _ = random_instance(seed=5000 + seed, p=p, m=m, unit=seed % 2 == 0)
-            rng = rng_from_seed(5100 + seed)
-            lam = float(rng.uniform(0.02, 0.15))
-            for _ in range(3):
-                x = rng.standard_normal(p)
-                x /= np.linalg.norm(x)
-                x_near = x + 0.1 * rng.standard_normal(p)
-                for steps in (1, 2, 3, 4):
-                    cold = encode_scc(D, SparseCode.zero(m), x, lam, steps)
-                    ref_code, ref_r = _ref_encode(D, SparseCode.zero(m), x, lam, steps)
-                    _assert_same_bits(cold.code, ref_code, cold.residual, ref_r)
-                    # warm start from a nearby sample's code, as in a later epoch
-                    warm = encode_scc(D, cold.code, x_near, lam, steps)
-                    ref_code, ref_r = _ref_encode(D, cold.code, x_near, lam, steps)
-                    _assert_same_bits(warm.code, ref_code, warm.residual, ref_r)
+        _check_encode_cold_and_warm(p, m)
+
+    @pytest.mark.parametrize("path", CD_PATHS)
+    @pytest.mark.parametrize("p,m", _SHAPES + [(1, 4), (3, 8), (17, 40)])
+    def test_encode_cold_and_warm_on_each_path(self, path, p, m):
+        with cd_path(path):
+            _check_encode_cold_and_warm(p, m)
 
     @pytest.mark.parametrize("p,m", _SHAPES)
     def test_full_and_support_cycles(self, p, m):
@@ -468,10 +521,13 @@ class TestBitIdenticalToReference:
 
     @pytest.mark.parametrize("p,m", _SHAPES)
     def test_oracle_cd(self, p, m):
-        for seed in range(3):
-            D, x = random_instance(seed=5300 + seed, p=p, m=m)
-            for lam in (0.03, 0.1):
-                _assert_same_bits(lasso_oracle_cd(D, x, lam, 1e-10), _ref_oracle(D, x, lam, 1e-10))
+        _check_oracle_cd(p, m)
+
+    @pytest.mark.parametrize("path", CD_PATHS)
+    @pytest.mark.parametrize("p,m", _SHAPES + [(1, 4), (3, 8), (17, 40)])
+    def test_oracle_cd_on_each_path(self, path, p, m):
+        with cd_path(path):
+            _check_oracle_cd(p, m)
 
 
 def _assert_revalidates(code):
@@ -479,6 +535,24 @@ def _assert_revalidates(code):
     again = SparseCode(code.indices, code.values, code.m)  # re-runs every invariant check
     assert again.indices.tobytes() == code.indices.tobytes()
     assert again.values.tobytes() == code.values.tobytes()
+
+
+def _check_codes_revalidate(seed, p, m, lam, steps, unit, max_cycles=DEFAULT_MAX_CYCLES):
+    D, x = random_instance(seed=seed, p=p, m=m, unit=unit)
+    first = encode_scc(D, SparseCode.zero(m), x, lam, steps).code
+    _assert_revalidates(first)
+    _assert_revalidates(encode_scc(D, first, -0.5 * x, lam, steps).code)
+    X = np.column_stack([x, -0.5 * x, _unit_columns(rng_from_seed(seed, 1), p, BATCH_MIN_LIVE)])
+    try:
+        singles = [lasso_oracle_cd(D, X[:, j], lam, 1e-9, max_cycles) for j in range(X.shape[1])]
+    except MaxIterationsExceeded:
+        # Short ball atoms and a small lambda can make cyclic descent need more
+        # than the documented cap of passes (seed=4, p=4, m=22, lam=2**-9, ball
+        # atoms: one column needs 123,859); such an instance returns no code.
+        reject()
+    # Wherever the per-sample reference converges, the batched oracle must too.
+    for code in singles + lasso_oracle_cd_batch(D, X, lam, 1e-9, max_cycles):
+        _assert_revalidates(code)
 
 
 class TestKernelCodesAreValid:
@@ -492,18 +566,19 @@ class TestKernelCodesAreValid:
         unit=st.booleans(),
     )
     def test_encode_and_oracle_codes_revalidate(self, seed, p, m, lam, steps, unit):
-        D, x = random_instance(seed=seed, p=p, m=m, unit=unit)
-        first = encode_scc(D, SparseCode.zero(m), x, lam, steps).code
-        _assert_revalidates(first)
-        _assert_revalidates(encode_scc(D, first, -0.5 * x, lam, steps).code)
-        X = np.column_stack([x, -0.5 * x, _unit_columns(rng_from_seed(seed, 1), p, BATCH_MIN_LIVE)])
-        try:
-            singles = [lasso_oracle_cd(D, X[:, j], lam, 1e-9) for j in range(X.shape[1])]
-        except MaxIterationsExceeded:
-            # Short ball atoms and a small lambda can make cyclic descent need more
-            # than the documented cap of passes (seed=4, p=4, m=22, lam=2**-9, ball
-            # atoms: one column needs 123,859); such an instance returns no code.
-            reject()
-        # Wherever the per-sample reference converges, the batched oracle must too.
-        for code in singles + lasso_oracle_cd_batch(D, X, lam, 1e-9):
-            _assert_revalidates(code)
+        _check_codes_revalidate(seed, p, m, lam, steps, unit)
+
+    @pytest.mark.parametrize("path", CD_PATHS)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        p=st.integers(1, 12),
+        m=st.integers(1, 24),
+        lam=st.floats(1e-3, 1.0),
+        steps=st.integers(1, 4),
+        unit=st.booleans(),
+    )
+    def test_codes_revalidate_on_each_path(self, path, seed, p, m, lam, steps, unit):
+        with cd_path(path):  # a lower pass cap keeps the Python loops' worst case short
+            _check_codes_revalidate(seed, p, m, lam, steps, unit, max_cycles=2000)
+

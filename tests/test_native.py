@@ -1,0 +1,236 @@
+"""The native kernel: it loads where it can, it falls back silently where it
+cannot, and it never changes a bit of what the trainers compute."""
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from scc import (
+    DataSet,
+    SparseCode,
+    TrainConfig,
+    _native,
+    _native_lib,
+    batch_train,
+    cli,
+    encode_scc,
+    generate_planted,
+    lasso_oracle_cd_batch,
+    natural_rate_train,
+    scc_train,
+)
+
+from conftest import cd_path, random_instance
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+NATIVE_POSSIBLE = shutil.which("cc") is not None and _native_lib._numpy_ddot() is not None
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty kernel cache, so that loading compiles."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "scc"
+
+
+@pytest.fixture
+def failing_cc(tmp_path, monkeypatch):
+    """A ``cc`` first on PATH that fails every compilation."""
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    cc = bindir / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}")
+    return str(cc)
+
+
+def _codes_bytes(codes):
+    return b"".join(c.indices.tobytes() + c.values.tobytes() + b"|" for c in codes)
+
+
+def _encode_bytes():
+    """Cold and warm codes and residuals of a few samples on the current path."""
+    out = []
+    for seed, (p, m) in enumerate([(1, 4), (16, 32), (17, 40)]):
+        D, x = random_instance(seed=7000 + seed, p=p, m=m)
+        cold = encode_scc(D, SparseCode.zero(m), x, 0.05, 3)
+        warm = encode_scc(D, cold.code, 0.9 * x, 0.05, 3)
+        out += [_codes_bytes([cold.code, warm.code]), cold.residual.tobytes(),
+                warm.residual.tobytes()]
+    return b"".join(out)
+
+
+class TestLoading:
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_kernel_loads_where_it_can(self, fresh_cache):
+        # where a compiler and numpy's ddot exist, the kernel must load, so
+        # that a test run cannot quietly exercise only the Python loops
+        assert _native.kernel() is not None
+        assert _native_lib.load() is not None
+        assert [f.suffix for f in fresh_cache.iterdir()] == [".so"]  # no temporary left over
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_cached_library_is_reused(self, fresh_cache):
+        assert _native_lib.load() is not None
+        (built,) = fresh_cache.iterdir()
+        stamp = built.stat().st_mtime_ns
+        assert _native_lib.load() is not None
+        assert built.stat().st_mtime_ns == stamp
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_damaged_cached_library_is_rebuilt(self, fresh_cache):
+        path = _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_ddot()[0])
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"not a shared library")
+        assert _native_lib.load() is not None
+        assert path.read_bytes()[:4] == b"\x7fELF"
+
+    def test_compiler_failure_falls_back_silently(self, fresh_cache, failing_cc):
+        assert _native_lib.load() is None
+        assert not fresh_cache.exists() or not any(fresh_cache.iterdir())
+
+    def test_damaged_library_and_failing_compiler_fall_back(self, fresh_cache, failing_cc):
+        found = _native_lib._numpy_ddot()
+        if found is None:
+            pytest.skip("numpy loaded no OpenBLAS with that ddot here")
+        path = _native_lib.cache_path(failing_cc, found[0])
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\x7fELF truncated")
+        assert _native_lib.load() is None
+
+    def test_unwritable_cache_falls_back(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))  # no directory can be made under it
+        assert _native_lib.load() is None
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_rejects_a_kernel_with_other_bits(self, fresh_cache, tmp_path, monkeypatch,
+                                                        caplog):
+        # a fused multiply-add in the residual update rounds once instead of twice
+        source = _native_lib.SOURCE.read_text()
+        fused = source.replace("r[i] -= delta * col[i];", "r[i] = fma(-delta, col[i], r[i]);")
+        assert fused != source
+        mutant = tmp_path / "_kernel.c"
+        mutant.write_text(fused)
+        monkeypatch.setattr(_native_lib, "SOURCE", mutant)
+        with caplog.at_level("DEBUG", logger="scc._native_lib"):
+            assert _native_lib.load() is None
+        assert "computes other bits than the Python loops" in caplog.text
+        assert len(list(fresh_cache.iterdir())) == 1  # it built, and then refused to run it
+
+    def test_import_does_not_load_the_kernel(self):
+        code = ("import sys, scc, scc._native as n; "
+                "print(n._kernel is n._UNLOADED, 'scc._native_lib' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+        assert out.stdout.split() == ["True", "False"]
+
+
+def test_fallback_gives_the_kernels_bits(fresh_cache, failing_cc, monkeypatch):
+    monkeypatch.setattr(_native, "_kernel", _native._UNLOADED)
+    assert _native.kernel() is None  # the failing compiler: the Python loops run
+    fallback = _encode_bytes()
+    monkeypatch.undo()
+    if NATIVE_POSSIBLE:
+        with cd_path("kernel"):
+            assert _encode_bytes() == fallback
+
+
+def _train_digest(train, ds, cfg):
+    result = train(ds, cfg)
+    h = hashlib.sha256(result.dictionary.atoms.tobytes())
+    h.update(_codes_bytes(result.codes))
+    h.update(np.array([s.objective for s in result.stats]).tobytes())
+    return h.hexdigest()
+
+
+_TRAININGS = {
+    "scc_train": (scc_train, dict()),
+    "scc_train_shuffled": (scc_train, dict(ordering="shuffled", cd_steps=5)),
+    "natural_rate_train": (natural_rate_train,
+                           dict(rate_schedule="natural", rate_a=0.5, rate_b=10.0)),
+    "batch_train": (batch_train, dict(init="random_gaussian")),
+}
+
+
+@pytest.mark.parametrize("p,m,n", [(1, 4, 30), (16, 32, 120), (17, 40, 60), (64, 256, 40)])
+@pytest.mark.parametrize("training", sorted(_TRAININGS))
+def test_trainers_give_the_same_bits_on_each_path(training, p, m, n):
+    train, extra = _TRAININGS[training]
+    if p > 1:
+        ds, _, _ = generate_planted(p, m, n, 3, 0.01, seed=7100 + p)
+    else:  # planted data need p > 1
+        ds = DataSet(np.random.default_rng(7100).standard_normal((p, n)))
+    cfg = TrainConfig(dict_size=m, lam=1.2 / np.sqrt(p), epochs=2, seed=3, **extra)
+    digests = {}
+    for path in ("python", "kernel"):
+        with cd_path(path):
+            digests[path] = _train_digest(train, ds, cfg)
+    assert digests["kernel"] == digests["python"]
+
+
+@pytest.mark.parametrize("path", ["python", "kernel"])
+def test_reference_run_digests(path, tmp_path):
+    argv = ["train", "--synthetic", "32,64,300,4,0.05", "--epochs", "3", "--seed", "2",
+            "--out-dict", str(tmp_path / "d.sccmat"), "--out-codes", str(tmp_path / "z.sccspc")]
+    with cd_path(path):
+        assert cli.main(argv) == 0
+    digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16]
+              for f in ("d.sccmat", "z.sccspc")}
+    assert digest == {"d.sccmat": "24a1d14c73cbc436", "z.sccspc": "92180bba26df655d"}
+
+
+def test_concurrent_encodes_match_serial():
+    # the kernel runs without the GIL; calls from more threads than cores must not share state
+    D, _ = random_instance(seed=7200, p=32, m=64)
+    X = np.random.default_rng(7201).standard_normal((32, 64))
+    workers = 4
+    serial = [encode_scc(D, SparseCode.zero(64), X[:, i], 0.05, 3).code for i in range(64)]
+    serial_batches = [lasso_oracle_cd_batch(D, X[:, k::workers], 0.05, 1e-10)
+                      for k in range(workers)]
+    found, found_batches = [None] * 64, [None] * workers
+
+    def work(k):
+        for i in range(k, 64, workers):
+            found[i] = encode_scc(D, SparseCode.zero(64), X[:, i], 0.05, 3).code
+        found_batches[k] = lasso_oracle_cd_batch(D, X[:, k::workers], 0.05, 1e-10)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert _codes_bytes(found) == _codes_bytes(serial)
+    for got, want in zip(found_batches, serial_batches):
+        assert _codes_bytes(got) == _codes_bytes(want)
+
+
+@pytest.mark.parametrize("path", ["python", "kernel"])
+def test_read_only_atoms_encode(path):
+    # holders other than a trainer may lock the atom matrix; encoding only reads it
+    D, x = random_instance(seed=7300, p=16, m=32)
+    with cd_path(path):
+        want = encode_scc(D, SparseCode.zero(32), x, 0.05, 3)
+        D.atoms.flags.writeable = False
+        got = encode_scc(D, SparseCode.zero(32), x, 0.05, 3)
+        codes = lasso_oracle_cd_batch(D, x[:, None], 0.05, 1e-10)
+    assert _codes_bytes([got.code]) == _codes_bytes([want.code])
+    assert got.residual.tobytes() == want.residual.tobytes()
+    assert _codes_bytes(codes) == _codes_bytes(lasso_oracle_cd_batch(D, x[:, None], 0.05, 1e-10))
