@@ -136,7 +136,11 @@ def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
 
 
 def thread_cap() -> int:
-    """Worker cap for sample-parallel phases, from ``SCC_THREADS`` (default 1)."""
+    """The validated ``SCC_THREADS`` hint (default 1): a positive integer.
+
+    Every phase runs in one thread, so the value changes neither speed
+    nor output; a malformed one raises ConfigInvalid.
+    """
     raw = os.environ.get("SCC_THREADS")
     if raw is None:
         return 1
@@ -497,6 +501,13 @@ def _residual(D: Dictionary, z: SparseCode, x) -> np.ndarray:
     return r
 
 
+def _require_finite(X: np.ndarray) -> None:
+    """Raise NonFinite naming the first column (sample) of ``X`` that holds NaN or Inf."""
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise NonFinite(f"sample {int(np.argmin(finite))} contains NaN or Inf")
+
+
 def validate_dataset(ds: Union[DataSet, Sequence[Sample]]) -> None:
     """Check every sample invariant; raise for the first sample that breaks one.
 
@@ -514,9 +525,7 @@ def validate_dataset(ds: Union[DataSet, Sequence[Sample]]) -> None:
         flagged = np.array([s.preprocessed for s in samples], dtype=bool)
     if X.shape[1] == 0:
         raise Empty("no samples to validate")
-    finite = np.isfinite(X).all(axis=0)
-    if not finite.all():
-        raise NonFinite(f"sample {int(np.argmin(finite))} contains NaN or Inf")
+    _require_finite(X)
     if flagged.any():
         mean = X.mean(axis=0)
         norm = np.sqrt(np.einsum("ij,ij->j", X, X))  # no p x n temporary

@@ -11,6 +11,7 @@ single samples, datasets and the planted generator.
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -144,12 +145,15 @@ def generate_planted(
     but their supports are the ground truth that recovery experiments
     care about.
     """
-    if p < 1 or m < 1 or n < 1:
-        raise ConfigInvalid(f"p, m, n must be >= 1, got {p}, {m}, {n}")
+    if p < 2:
+        # a centred atom of one row is zero and cannot be scaled to unit norm
+        raise ConfigInvalid(f"p must be >= 2, got {p}")
+    if m < 1 or n < 1:
+        raise ConfigInvalid(f"m, n must be >= 1, got {m}, {n}")
     if not 1 <= k_sparsity <= m:
         raise ConfigInvalid(f"k_sparsity must be in [1, {m}], got {k_sparsity}")
-    if noise_sigma < 0:
-        raise ConfigInvalid(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ConfigInvalid(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = rng_from_seed(seed)
     atoms = np.asfortranarray(rng.standard_normal((p, m)))
     atoms -= atoms.mean(axis=0)

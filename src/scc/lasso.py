@@ -16,10 +16,11 @@ which is exact minimization over z_j when ||d_j|| = 1 and a valid
 unit-step proximal update whenever ||d_j|| <= 1, so the objective
 never increases.
 
-``encode_scc`` and the CD oracle run their passes in the native kernel
-(``_native``) when it loads, one call per sample, and otherwise in
-``_cd_pass``; both give the same bits.  ``cd_full_cycle`` and
-``cd_support_cycle`` always run ``_cd_pass``, the reference loop.
+``encode_scc`` and the CD oracle solve one sample at a time: in one
+native kernel call (``_native``) when the kernel loads, otherwise in the
+Python reference loops ``_encode_py`` and ``_finish`` over ``_cd_pass``;
+both give the same bits.  ``cd_full_cycle`` and ``cd_support_cycle``
+always run ``_cd_pass``.
 """
 
 from __future__ import annotations
@@ -41,17 +42,13 @@ from .core import (
     Sample,
     SparseCode,
     _fit_sample,
+    _require_finite,
     _require_int,
     _require_lambda,
     _residual,
 )
 
 DEFAULT_MAX_CYCLES = 100_000
-# lasso_oracle_cd_batch hands samples to the per-sample loop once fewer than
-# this many are live: at 16x32 one batched coordinate step costs about as
-# much as ten per-sample visits (2-core x86-64 guest, OpenBLAS), and half of
-# a batch_train epoch's batched passes would otherwise run below eight.
-BATCH_MIN_LIVE = 8
 _TINY = 1e-300
 
 
@@ -220,11 +217,10 @@ def lasso_oracle_cd_batch(
 
     Each sample starts from zero, makes ascending full passes and stops
     after the first pass whose largest change is below ``tol``; raises
-    MaxIterationsExceeded if any sample is still moving after
-    ``max_cycles`` passes.  With the native kernel loaded, each sample
-    makes all its passes in one kernel call; otherwise the samples
-    advance together in ``_oracle_batched``.  Both give the bits that
-    each sample would get alone on ``_cd_pass``.
+    MaxIterationsExceeded on the first sample still moving after
+    ``max_cycles`` passes, and NonFinite if ``X`` holds NaN or Inf.
+    Each sample makes all its passes in one native kernel call when the
+    kernel is loaded, else in ``_finish``; both give the same bits.
     """
     _require_lambda(lam)
     if not tol > 0:
@@ -233,60 +229,25 @@ def lasso_oracle_cd_batch(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"samples of shape {X.shape} do not have {D.p} rows")
+    _require_finite(X)
     kernel = _native.kernel()
     if kernel is None:
-        return _oracle_batched(D, X, lam, tol, max_cycles)
+        cols = D.columns
+
+        def solve(r: np.ndarray):
+            return _finish(cols, [0.0] * D.m, r, lam, tol, max_cycles)
+    else:
+
+        def solve(r: np.ndarray):
+            return kernel.cd_to_tol(D, np.zeros(D.m), r, lam, tol, max_cycles)
+
     codes = []
     for x in X.T:
-        code = kernel.cd_to_tol(D, np.zeros(D.m), np.array(x), lam, tol, max_cycles)
+        code = solve(np.array(x))  # the zero code's residual, a fresh copy
         if code is None:
-            raise _not_converged(max_cycles)
+            raise MaxIterationsExceeded(
+                f"coordinate descent did not converge in {max_cycles} cycles")
         codes.append(code)
-    return codes
-
-
-def _oracle_batched(
-    D: Dictionary, X: np.ndarray, lam: float, tol: float, max_cycles: int
-) -> List[SparseCode]:
-    """``lasso_oracle_cd_batch`` in numpy, the live samples advancing together.
-
-    One coordinate step serves all live samples: a per-row ``ddot`` of
-    the residual matrix with ``d_j`` (``np.vecdot``, the dot product
-    that ``_cd_pass`` takes), the shrink ``b - clip(b, -lam, lam)`` (the
-    same bits as ``b -/+ lam``) and, if any sample's coordinate moved, a
-    rank-1 residual update.  A converged sample leaves the live set;
-    once fewer than ``BATCH_MIN_LIVE`` remain, each finishes alone in
-    ``_finish``.
-    """
-    m = D.m
-    cols = D.columns
-    codes: List[Union[SparseCode, None]] = [None] * X.shape[1]
-    live = np.arange(X.shape[1])
-    R = np.array(X.T, order="C")  # residuals, one contiguous row per live sample
-    Z = np.zeros((m, live.size))  # codes, one column per live sample
-    cycles = 0
-    while live.size >= BATCH_MIN_LIVE and cycles < max_cycles:
-        cycles += 1
-        Z0 = Z.copy()  # coordinate j still holds Z0[j] when the pass reaches it
-        for j in range(m):
-            b = np.vecdot(R, cols[j])
-            b += Z0[j]
-            new = np.subtract(b, np.minimum(np.maximum(b, -lam), lam), out=Z[j])
-            delta = new - Z0[j]
-            if np.count_nonzero(delta):
-                R -= np.multiply.outer(delta, cols[j])
-        # each coordinate moves once per pass, so this is each sample's largest change
-        done = np.abs(Z - Z0).max(axis=0) < tol
-        if done.any():
-            for k in np.flatnonzero(done).tolist():
-                support = np.flatnonzero(Z[:, k])
-                codes[live[k]] = SparseCode._trusted(support, Z[support, k], m)
-            keep = ~done
-            live, R, Z = live[keep], R[keep], Z[:, keep]
-    for k, i in enumerate(live.tolist()):
-        codes[i] = _finish(cols, Z[:, k].tolist(), R[k], lam, tol, max_cycles - cycles)
-        if codes[i] is None:
-            raise _not_converged(max_cycles)
     return codes
 
 
@@ -298,10 +259,6 @@ def _finish(cols, z: list, r: np.ndarray, lam: float, tol: float, passes: int):
         if _cd_pass(cols, coords, z, r, lam) < tol:
             return _code(z, _nonzero(z, coords))
     return None
-
-
-def _not_converged(max_cycles: int) -> MaxIterationsExceeded:
-    return MaxIterationsExceeded(f"coordinate descent did not converge in {max_cycles} cycles")
 
 
 def lasso_oracle_prox(
@@ -323,6 +280,7 @@ def lasso_oracle_prox(
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
     xv = _fit_sample(D, x)
+    _require_finite(xv[:, None])
     atoms = D.atoms
     L = np.linalg.norm(atoms, 2) ** 2 * (1.0 + 1e-6)
     if L <= 0.0:

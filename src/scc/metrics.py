@@ -36,14 +36,13 @@ def objective(
     codes: Sequence[SparseCode],
     ds: DataSet,
     lam: float,
-    workers: Union[int, None] = None,
 ) -> float:
     """Dataset-average objective.
 
-    Per-sample terms are summed pairwise.  ``workers`` is accepted for
-    compatibility and changes nothing: the loop is serial, because its
-    per-sample Python work holds the interpreter lock.  ``SCC_THREADS``
-    is not read here; the ``scc`` command validates it once at start-up.
+    Per-sample terms are summed pairwise.  The loop is serial, because
+    its per-sample Python work holds the interpreter lock.
+    ``SCC_THREADS`` is not read here; the ``scc`` command validates it
+    once at start-up.
     """
     if len(codes) != ds.n:
         raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")

@@ -184,11 +184,12 @@ def batch_train(
 ) -> TrainResult:
     """Alternating baseline: exact codes, then backtracking gradient steps.
 
-    Per epoch every code is re-solved to convergence, all samples at
-    once by ``lasso_oracle_cd_batch`` against the fixed dictionary (the
-    same bits as one ``lasso_oracle_cd`` call per sample), then
-    up to ``BATCH_MAX_STEPS`` full-gradient attempts run with the step
-    halved whenever the quadratic part of the objective would grow.
+    Per epoch every code is re-solved from zero to convergence against
+    the fixed dictionary, one sample after another, by
+    ``lasso_oracle_cd_batch`` (the bits of one ``lasso_oracle_cd`` call
+    per sample), then up to ``BATCH_MAX_STEPS`` full-gradient attempts
+    run with the step halved whenever the quadratic part of the
+    objective would grow.
     """
     cfg.validate()
     validate_dataset(ds)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,12 @@ class TestTrain:
         assert "epoch" not in err
         assert not out.exists()
         assert loads == []  # rejected before the data was even generated
+
+    def test_one_row_synthetic_data_is_runtime_failure(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["train", "--synthetic", "1,4,60,2,0.01", "--epochs", "1"]) == 1
+        assert "p must be >= 2" in capsys.readouterr().err
 
     def test_missing_data_source_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

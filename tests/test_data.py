@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,12 +168,18 @@ class TestGeneratePlanted:
         validate_dataset(ds)
 
     def test_parameter_validation(self):
-        with pytest.raises(ConfigInvalid):
-            generate_planted(8, 12, 20, 13, 0.0, seed=1)
-        with pytest.raises(ConfigInvalid):
-            generate_planted(8, 12, 20, 2, -0.1, seed=1)
-        with pytest.raises(ConfigInvalid):
-            generate_planted(0, 12, 20, 2, 0.1, seed=1)
+        for args in [
+            (8, 12, 20, 13, 0.0),
+            (8, 12, 20, 2, -0.1),
+            (0, 12, 20, 2, 0.1),
+            (1, 4, 60, 2, 0.01),  # a centred 1-row atom is zero
+            (8, 12, 20, 2, math.nan),
+            (8, 12, 20, 2, math.inf),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # rejected before any arithmetic
+                with pytest.raises(ConfigInvalid):
+                    generate_planted(*args, seed=1)
 
     def test_planted_support_contained_in_oracle_support(self):
         # noiseless samples against the generating dictionary: the

@@ -10,6 +10,7 @@ from scc import (
     Dictionary,
     DimensionMismatch,
     MaxIterationsExceeded,
+    NonFinite,
     SparseCode,
     cd_full_cycle,
     cd_support_cycle,
@@ -21,7 +22,7 @@ from scc import (
     soft_threshold,
 )
 from scc import rng_from_seed
-from scc.lasso import BATCH_MIN_LIVE, DEFAULT_MAX_CYCLES
+from scc.lasso import DEFAULT_MAX_CYCLES
 
 from conftest import CD_PATHS, cd_path, random_ball_atoms, random_instance, random_unit_atoms
 
@@ -230,7 +231,7 @@ def _assert_batch_matches_oracle(D, X, lam, tol=1e-10):
 
 class TestOracleCDBatch:
     @pytest.mark.parametrize("p,m", [(16, 32), (32, 64), (8, 24), (17, 40), (64, 256)])
-    @pytest.mark.parametrize("n", [BATCH_MIN_LIVE - 3, 3 * BATCH_MIN_LIVE])
+    @pytest.mark.parametrize("n", [5, 24])
     def test_agrees_with_per_sample_oracle(self, p, m, n):
         rng = rng_from_seed(6000 + p + m + n)
         for unit in (True, False):
@@ -246,7 +247,7 @@ class TestOracleCDBatch:
     def test_all_zero_columns(self):
         rng = rng_from_seed(6200)
         D = Dictionary(random_unit_atoms(rng, 16, 32))
-        X = _unit_columns(rng, 16, 3 * BATCH_MIN_LIVE)
+        X = _unit_columns(rng, 16, 24)
         X[:, ::2] = 0.0
         codes = _assert_batch_matches_oracle(D, X, 0.1)
         assert all(codes[i].nnz == 0 for i in range(0, X.shape[1], 2))
@@ -255,7 +256,7 @@ class TestOracleCDBatch:
     def test_duplicated_columns(self):
         rng = rng_from_seed(6300)
         D = Dictionary(random_unit_atoms(rng, 16, 32))
-        X = np.repeat(_unit_columns(rng, 16, 3), 2 * BATCH_MIN_LIVE, axis=1)
+        X = np.repeat(_unit_columns(rng, 16, 3), 16, axis=1)
         codes = _assert_batch_matches_oracle(D, X, 0.1)
         for i in range(1, X.shape[1]):
             if np.array_equal(X[:, i], X[:, i - 1]):
@@ -273,7 +274,7 @@ class TestOracleCDBatch:
             with pytest.raises(DimensionMismatch):
                 lasso_oracle_cd_batch(D, X, 0.1, 1e-10)
 
-    @pytest.mark.parametrize("n", [1, BATCH_MIN_LIVE - 1, 2 * BATCH_MIN_LIVE])
+    @pytest.mark.parametrize("n", [1, 7, 16])
     def test_iteration_cap(self, n):
         rng = rng_from_seed(6400 + n)
         D = Dictionary(random_unit_atoms(rng, 8, 16))
@@ -286,11 +287,11 @@ class TestOracleCDBatch:
     @pytest.mark.parametrize("path", CD_PATHS)
     @pytest.mark.parametrize("p,m", [(1, 4), (16, 32), (17, 40), (64, 256)])
     def test_each_path_matches_reference(self, path, p, m):
-        # the kernel's one call per sample, and the batched numpy loop with its
-        # per-sample finish, against the reference loop column by column
+        # the kernel's one call per sample, and the Python reference loop,
+        # against the test's own loop column by column
         rng = rng_from_seed(6500 + p + m)
         D = Dictionary(random_ball_atoms(rng, p, m))
-        X = _unit_columns(rng, p, 3 * BATCH_MIN_LIVE)
+        X = _unit_columns(rng, p, 24)
         X[:, 5] = 0.0
         with cd_path(path):
             codes = lasso_oracle_cd_batch(D, X, 0.1, 1e-10)
@@ -316,7 +317,7 @@ _SOLVERS = {
     ),
     "lasso_oracle_cd": lambda D, x, lam: lasso_oracle_cd(D, x, lam, 1e-10),
     "lasso_oracle_cd_batch": lambda D, x, lam: lasso_oracle_cd_batch(
-        D, np.tile(x[:, None], 2 * BATCH_MIN_LIVE), lam, 1e-10
+        D, np.tile(x[:, None], 16), lam, 1e-10
     ),
     "lasso_oracle_prox": lambda D, x, lam: lasso_oracle_prox(D, x, lam, 1e-10),
 }
@@ -329,6 +330,18 @@ def test_solvers_reject_bad_lambda(solver, lam):
     x = np.array([1.0, -0.5, 0.2, 0.0])
     with pytest.raises(ConfigInvalid, match="lambda"):
         _SOLVERS[solver](D, x, lam)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", ["lasso_oracle_cd", "lasso_oracle_cd_batch", "lasso_oracle_prox"])
+def test_oracles_reject_non_finite_samples(solver, bad):
+    D = Dictionary(np.eye(3))
+    x = np.array([1.0, bad, 0.5])
+    with pytest.raises(NonFinite, match="sample 0 contains NaN or Inf"):
+        _SOLVERS[solver](D, x, 0.1)
+    if solver == "lasso_oracle_cd_batch":  # the first bad column is named
+        with pytest.raises(NonFinite, match="sample 1 contains NaN or Inf"):
+            lasso_oracle_cd_batch(D, np.column_stack([np.ones(3), x, x]), 0.1, 1e-10)
 
 
 class TestOracleProx:
@@ -542,7 +555,7 @@ def _check_codes_revalidate(seed, p, m, lam, steps, unit, max_cycles=DEFAULT_MAX
     first = encode_scc(D, SparseCode.zero(m), x, lam, steps).code
     _assert_revalidates(first)
     _assert_revalidates(encode_scc(D, first, -0.5 * x, lam, steps).code)
-    X = np.column_stack([x, -0.5 * x, _unit_columns(rng_from_seed(seed, 1), p, BATCH_MIN_LIVE)])
+    X = np.column_stack([x, -0.5 * x, _unit_columns(rng_from_seed(seed, 1), p, 8)])
     try:
         singles = [lasso_oracle_cd(D, X[:, j], lam, 1e-9, max_cycles) for j in range(X.shape[1])]
     except MaxIterationsExceeded:

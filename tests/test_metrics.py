@@ -75,13 +75,6 @@ class TestObjective:
         ds = DataSet(np.column_stack([x1, x2]))
         assert objective(D, [z1, z2], ds, 0.1) == pytest.approx(0.273125)
 
-    def test_worker_count_does_not_change_result(self):
-        ds, D, _ = generate_planted(8, 12, 40, 2, 0.05, seed=4)
-        codes = [lasso_oracle_cd(D, ds.column(i), 0.1, 1e-8) for i in range(ds.n)]
-        serial = objective(D, codes, ds, 0.1, workers=1)
-        threaded = objective(D, codes, ds, 0.1, workers=4)
-        assert serial == threaded
-
 
 class TestSparsityStats:
     def test_mean_and_max(self):
