@@ -1,12 +1,14 @@
-"""Native kernel for the per-sample hot path, with the Python loops as fallback.
+"""Native kernel for the hot paths, with the Python loops as fallback.
 
-``_kernel.c``, shipped next to this module, holds the coordinate-descent
-passes of ``lasso.encode_scc`` and of the CD oracle, and the
-support-restricted step of ``dictionary._sgd_inplace``.  Its results are
-bit-identical to the Python loops: every inner product goes through the
-``cblas_ddot`` of the OpenBLAS that numpy loaded, summed as numpy sums
-it, and every other operation is the same correctly rounded IEEE
-operation (the source is built without floating-point contraction).
+``_kernel.c``, shipped next to this module, holds the whole stochastic
+epoch of ``trainer._epoch_py``, the per-sample objective terms of
+``metrics._terms_py``, and the coordinate-descent passes of
+``lasso.encode_scc`` and of the CD oracle.  Its results are
+bit-identical to the Python loops: every inner product and every fresh
+residual goes through the ``cblas_ddot`` and ``cblas_dgemv`` of the
+OpenBLAS that numpy loaded, called as numpy calls them, sums follow
+numpy's order, and every other operation is the same correctly rounded
+IEEE operation (the source is built without floating-point contraction).
 
 The kernel is built and loaded on the first call of ``kernel()``, not at
 import (see ``_native_lib``).  ``kernel()`` returns None, and the callers

@@ -2,11 +2,12 @@
 
 ``_native.kernel()`` imports this module on first use, so that
 ``import scc`` does not pay for it.  ``load()`` finds the ``cblas_ddot``
-of the OpenBLAS that numpy loaded, compiles ``_kernel.c`` with the
-system C compiler (``cc``) into ``${XDG_CACHE_HOME:-~/.cache}/scc/<hash>.so``
-unless it is cached there, loads it with ctypes and compares it byte for
-byte with the Python loops before handing it out.  Any failure makes
-``load()`` return None.
+and ``cblas_dgemv`` of the OpenBLAS that numpy loaded, compiles
+``_kernel.c`` with the system C compiler (``cc``) into
+``${XDG_CACHE_HOME:-~/.cache}/scc/<hash>.so`` unless it is cached
+there, loads it with ctypes and compares it byte for byte with the
+Python loops before handing it out.  Any failure makes ``load()``
+return None.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dictionary, SparseCode, _residual
-from .dictionary import _sgd_inplace
-from .lasso import _encode_py, _finish
+from .core import Dictionary, HessianDiag, SparseCode, _CodeStore
+from .dictionary import _no_curvature
+from .lasso import _finish
+from .metrics import _terms_py
+from .trainer import NaturalRateSchedule, _epoch_py
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"  # the ILP64 cblas_ddot of numpy's OpenBLAS wheels
+DGEMV = "scipy_cblas_dgemv64_"  # and its cblas_dgemv
 SELF_TEST_P = (1, 2, 3, 16, 17, 256)  # covers the ddot kernel's remainder paths
 
 _i64 = ctypes.c_int64
@@ -36,27 +40,55 @@ _ptr = ctypes.c_void_p
 _f64 = ctypes.c_double
 
 
+class _Codes(ctypes.Structure):
+    """``struct codes``: a ``core._CodeStore`` by address."""
+
+    _fields_ = [("start", _ptr), ("length", _ptr), ("indices", _ptr), ("values", _ptr),
+                ("capacity", _i64), ("used", _i64)]
+
+
+class _Epoch(ctypes.Structure):
+    """``struct epoch``: the arguments and progress of one ``scc_epoch`` run."""
+
+    _fields_ = [("p", _i64), ("m", _i64), ("n", _i64), ("steps", _i64), ("lam", _f64),
+                ("atoms", _ptr), ("x", _ptr), ("order", _ptr), ("old", _Codes), ("new", _Codes),
+                ("h", _ptr), ("a", _f64), ("b", _f64), ("t", _i64),
+                ("z", _ptr), ("r", _ptr), ("g", _ptr), ("y", _ptr), ("support", _ptr),
+                ("next", _i64), ("time_code", _f64), ("time_dict", _f64), ("bad", _i64)]
+
+
+def _codes(store: _CodeStore) -> _Codes:
+    return _Codes(store.start.ctypes.data, store.length.ctypes.data, store.indices.ctypes.data,
+                  store.values.ctypes.data, store.indices.size, store.used)
+
+
 class Kernel:
     """The kernel's entry points over contiguous float64 and int64 arrays.
 
-    Arrays made per call are handed over by address through
-    ``_address``, which needs them writable, contiguous and not empty;
-    the atoms' address is looked up once per atom matrix.
+    Sample matrices ``X`` are Fortran-ordered, as ``DataSet.X`` is.  The
+    per-sample entries hand arrays over by address through ``_address``,
+    which needs them writable, contiguous and not empty, and look the
+    atoms' address up once per atom matrix; the whole-matrix entries take
+    ``ndarray.ctypes.data`` once per call.
     """
 
-    def __init__(self, lib: ctypes.CDLL, ddot) -> None:
-        lib.scc_init.argtypes = [_ptr]
+    def __init__(self, lib: ctypes.CDLL, ddot, dgemv) -> None:
+        lib.scc_init.argtypes = [_ptr, _ptr]
         lib.scc_init.restype = None
-        lib.scc_init(ctypes.cast(ddot, _ptr))
+        lib.scc_init(ctypes.cast(ddot, _ptr), ctypes.cast(dgemv, _ptr))
         self._encode = lib.scc_encode
         self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _i64, _ptr]
         self._encode.restype = _i64
         self._cd_to_tol = lib.scc_cd_to_tol
         self._cd_to_tol.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _f64, _i64]
         self._cd_to_tol.restype = _i64
-        self._sgd = lib.scc_sgd
-        self._sgd.argtypes = [_i64, _ptr, _i64, _ptr, _ptr, _ptr]
-        self._sgd.restype = None
+        self._epoch = lib.scc_epoch
+        self._epoch.argtypes = [ctypes.POINTER(_Epoch)]
+        self._epoch.restype = _i64
+        self._objective = lib.scc_objective
+        self._objective.argtypes = [_i64, _i64, _ptr, _ptr, ctypes.POINTER(_Codes), _f64,
+                                    _ptr, _ptr, _ptr, _ptr]
+        self._objective.restype = None
         self._atoms = (lambda: None, 0)  # (weak reference to an atom matrix, its address)
 
     def _atoms_address(self, atoms: np.ndarray) -> int:
@@ -86,18 +118,41 @@ class Kernel:
         support = np.flatnonzero(z)
         return SparseCode._trusted(support, z[support], D.m)
 
-    def sgd_step(self, atoms: np.ndarray):
-        """``dictionary._sgd_inplace`` on the F-ordered ``atoms``, as a function of
-        (indices, steps, residual)."""
-        p = atoms.shape[0]
-        base = self._atoms_address(atoms)
-        sgd = self._sgd
+    def epoch(self, D, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
+              old: _CodeStore, new: _CodeStore, rate):
+        """``trainer._epoch_py`` in one kernel call, and one more each time ``new`` grows."""
+        p, m = D.p, D.m
+        e = _Epoch(p=p, m=m, n=order.size, steps=steps, lam=lam, atoms=D.atoms.ctypes.data,
+                   x=X.ctypes.data, order=order.ctypes.data, old=_codes(old), new=_codes(new))
+        adaptive = isinstance(rate, HessianDiag)
+        if adaptive:
+            e.h = rate.diag.ctypes.data
+        else:
+            e.a, e.b, e.t = rate.a, rate.b, rate.t
+        work = np.zeros(m), np.empty(p), np.empty(p * m), np.empty(p)
+        support = np.empty(m, dtype=np.int64)
+        e.z, e.r, e.g, e.y = (a.ctypes.data for a in work)
+        e.support = support.ctypes.data
+        while (status := self._epoch(ctypes.byref(e))) > 0:
+            new.used = e.new.used
+            new.reserve(m)
+            e.new = _codes(new)
+        new.used = e.new.used
+        if not adaptive:
+            rate.t = e.t
+        if status < 0:
+            raise _no_curvature(e.bad)
+        return e.time_code, e.time_dict
 
-        def step(indices: np.ndarray, steps: np.ndarray, residual: np.ndarray) -> None:
-            if indices.size:
-                sgd(p, base, indices.size, _address(indices), _address(steps), _address(residual))
-
-        return step
+    def objective(self, D, store: _CodeStore, X: np.ndarray, lam: float) -> np.ndarray:
+        """``metrics._terms_py``: the per-sample terms of the codes in ``store``."""
+        p = D.p
+        terms = np.empty(X.shape[1])
+        g, y, r = np.empty(p * D.m), np.empty(p), np.empty(p)
+        self._objective(p, terms.size, D.atoms.ctypes.data, X.ctypes.data,
+                        ctypes.byref(_codes(store)), lam, g.ctypes.data, y.ctypes.data,
+                        r.ctypes.data, terms.ctypes.data)
+        return terms
 
 
 def _address(a: np.ndarray) -> int:
@@ -165,6 +220,7 @@ def load() -> Optional[Kernel]:
         if found is None or cc is None:
             raise OSError(f"no {DDOT} in numpy's OpenBLAS" if found is None else "no cc on PATH")
         blas, ddot = found
+        dgemv = getattr(ctypes.CDLL(blas), DGEMV)
         path = cache_path(cc, blas)
         if not path.exists():
             _build(cc, path)
@@ -173,7 +229,7 @@ def load() -> Optional[Kernel]:
         except OSError:  # a damaged cache entry: build it again
             _build(cc, path)
             lib = ctypes.CDLL(str(path))
-        k = Kernel(lib, ddot)
+        k = Kernel(lib, ddot, dgemv)
         if not _self_test(k):
             raise ArithmeticError(f"{path} computes other bits than the Python loops")
         return k
@@ -186,19 +242,24 @@ def load() -> Optional[Kernel]:
 
 
 def _self_test(k: Kernel) -> bool:
-    """True if the kernel's bytes equal the Python loops' on fixed instances."""
-    m = 12
-    for p in SELF_TEST_P:
+    """True if the kernel's bytes equal the Python loops' on fixed instances.
+
+    At every p: a few oracle passes; an epoch over two samples, from a
+    one-entry code and from zero, alternately under the adaptive rule in
+    sequential order and under the natural rule in reverse order; and the
+    objective of codes with every entry, one entry and none.
+    """
+    m = 8
+    for q, p in enumerate(SELF_TEST_P):
         atoms = _values(p * m, 0.1).reshape(p, m)
         atoms /= np.sqrt((atoms * atoms).sum(axis=0))
         atoms[:, ::3] *= 0.6  # atoms inside the ball as well as on the sphere
         D = Dictionary(atoms)
         x = D.atoms[:, :3] @ np.array([1.0, -0.5, 0.25]) + 0.01 * _values(p, 0.3)
-        z0 = SparseCode.from_dense(np.where(_values(m, 0.5) > 0.4, _values(m, 0.7), 0.0),
-                                   prune_tol=0.0)
-        idx = np.flatnonzero(_values(m, 0.9) > 0.0)
-        steps = 2.0 * _values(idx.size, 0.2)  # some atoms leave the ball
-        if _outputs(k, D, x, z0, idx, steps) != _outputs(None, D, x, z0, idx, steps):
+        X = np.asfortranarray(np.column_stack([x, 3.0 * x, -x]))  # 3x: atoms leave the ball
+        codes = [SparseCode.from_dense(_values(m, 0.7), prune_tol=0.0),
+                 SparseCode(np.array([4]), np.array([-0.8]), m), SparseCode.zero(m)]
+        if _outputs(k, D, X, codes, q % 2) != _outputs(None, D, X, codes, q % 2):
             return False
     return True
 
@@ -208,26 +269,26 @@ def _values(n: int, shift: float) -> np.ndarray:
     return 2.0 * ((0.7548776662466927 * np.arange(1, n + 1) + shift) % 1.0) - 1.0
 
 
-def _outputs(k: Optional[Kernel], D, x, z0, idx, steps) -> list:
-    """Bytes of an encode from zero and from ``z0``, of up to 30 oracle passes and
-    of a dictionary step, through the kernel ``k`` or (None) the Python loops."""
-    out = []
-    for start in (SparseCode.zero(D.m), z0):
-        r = _residual(D, start, x)
-        code = _encode_py(D, start, r, 0.02, 3) if k is None else k.encode(D, start, r, 0.02, 3)
-        out += [code.indices.tobytes(), code.values.tobytes(), r.tobytes()]
-    r = np.array(x)
+def _outputs(k: Optional[Kernel], D, X, codes, natural: bool) -> list:
+    """Bytes of up to 4 oracle passes on ``X[:, 0]`` (p >= 16 needs more), of an
+    epoch over the other samples from the other ``codes``, and of the objective
+    of ``codes`` after it, through the kernel ``k`` or (None) the Python loops."""
+    r = np.array(X[:, 0])
     if k is None:
         z = [0.0] * D.m
-        code = _finish(D.columns, z, r, 0.2, 1e-6, 30)
+        code = _finish(D.columns, z, r, 0.2, 1e-6, 4)
     else:
         z = np.zeros(D.m)
-        code = k.cd_to_tol(D, z, r, 0.2, 1e-6, 30)
-    out += [code is None, np.array(z).tobytes(), r.tobytes()]
-    atoms = D.atoms.copy(order="F")
-    residual = x - D.atoms @ z0.to_dense()
-    if k is None:
-        _sgd_inplace(list(atoms.T), idx, steps, residual)
-    else:
-        k.sgd_step(atoms)(idx, steps, residual)
-    return out + [atoms.tobytes()]
+        code = k.cd_to_tol(D, z, r, 0.2, 1e-6, 4)
+    out = [code is None, np.array(z).tobytes(), r.tobytes()]
+    W = Dictionary(D.atoms)
+    new = _CodeStore(D.m, 2, D.m)  # room for one code: it has to grow
+    rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(D.m)
+    order = np.array([1, 0]) if natural else np.arange(2)
+    run_epoch = _epoch_py if k is None else k.epoch
+    run_epoch(W, X[:, 1:], order, 0.02, 3, _CodeStore.of(codes[1:], D.m), new, rate)
+    store = _CodeStore.of(codes, D.m)
+    terms = _terms_py(W, store, X, 0.3) if k is None else k.objective(W, store, X, 0.3)
+    return out + [W.atoms.tobytes(), new.start.tobytes(), new.length.tobytes(),
+                  new.indices[:new.used].tobytes(), new.values[:new.used].tobytes(),
+                  rate.t if natural else rate.diag.tobytes(), terms.tobytes()]

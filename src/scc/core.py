@@ -394,6 +394,67 @@ class HessianDiag:
         return self.diag.size
 
 
+class _CodeStore:
+    """The codes of one pass over ``n`` samples, packed into two flat buffers.
+
+    Code i is ``indices[s:s + length[i]]`` with its ``values``, where
+    ``s = start[i]``: codes lie in the order they were put, and the first
+    ``used`` entries of the buffers are taken.  The store holds O(nnz)
+    memory, never an m x n matrix.
+    """
+
+    def __init__(self, m: int, n: int, capacity: int) -> None:
+        self.m = m
+        self.start = np.zeros(n, dtype=np.int64)
+        self.length = np.zeros(n, dtype=np.int64)
+        self.indices = np.empty(capacity, dtype=np.int64)
+        self.values = np.empty(capacity)
+        self.used = 0
+
+    @classmethod
+    def of(cls, codes: Sequence[SparseCode], m: int) -> "_CodeStore":
+        """A store holding ``codes`` in order."""
+        store = cls(m, len(codes), 0)
+        store.length[:] = [c.indices.size for c in codes]
+        np.cumsum(store.length[:-1], out=store.start[1:])
+        if codes:
+            store.indices = np.concatenate([c.indices for c in codes])
+            store.values = np.concatenate([c.values for c in codes])
+        store.used = store.indices.size
+        return store
+
+    def code(self, i: int) -> SparseCode:
+        s = int(self.start[i])
+        e = s + int(self.length[i])
+        return SparseCode._trusted(self.indices[s:e], self.values[s:e], self.m)
+
+    def codes(self) -> list:
+        """Every code, as views of the buffers."""
+        return [
+            SparseCode._trusted(self.indices[s:s + k], self.values[s:s + k], self.m)
+            for s, k in zip(self.start.tolist(), self.length.tolist())
+        ]
+
+    def reserve(self, k: int) -> None:
+        """Make room for ``k`` more entries, growing the buffers by half as much again."""
+        if self.used + k > self.indices.size:
+            capacity = self.used + k + (self.used + k) // 2
+            for name in ("indices", "values"):
+                old = getattr(self, name)
+                new = np.empty(capacity, dtype=old.dtype)
+                new[:self.used] = old[:self.used]
+                setattr(self, name, new)
+
+    def put(self, i: int, code: SparseCode) -> None:
+        k = code.indices.size
+        self.reserve(k)
+        self.start[i] = self.used
+        self.length[i] = k
+        self.indices[self.used:self.used + k] = code.indices
+        self.values[self.used:self.used + k] = code.values
+        self.used += k
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """All knobs of a training run.

@@ -8,11 +8,12 @@ projected back onto the unit ball.  A full-batch averaged gradient step
 is provided as the classical baseline.
 
 The public update functions are pure (they return a fresh Dictionary
-and never touch their input); trainers reach for the in-place kernel
-so that the cost of one stochastic update stays proportional to the
-support size, not to the dictionary size.  The kernel takes one step
-per supported atom, so both rate schedules share it: the adaptive rule
-passes z_j / h_jj and the natural rule a/(t+b) * z_j.
+and never touch their input); the trainers' Python epoch reaches for
+the in-place ``_sgd_inplace`` so that the cost of one stochastic update
+stays proportional to the support size, not to the dictionary size.  It
+takes one step per supported atom, so both rate schedules share it: the
+adaptive rule passes z_j / h_jj and the natural rule a/(t+b) * z_j.
+The native kernel's epoch makes the same step (see ``_native``).
 """
 
 from __future__ import annotations
@@ -52,13 +53,17 @@ def hessian_accumulate(H: HessianDiag, z: SparseCode) -> HessianDiag:
     return H
 
 
+def _no_curvature(j: int) -> ZeroCurvature:
+    return ZeroCurvature(f"column {j} has no accumulated curvature")
+
+
 def learning_rate(H: HessianDiag, j: int) -> float:
     """Adaptive rate 1 / h_jj; the cell must have been accumulated first."""
     if not 0 <= j < H.m:
         raise DimensionMismatch(f"column {j} out of range for {H.m} atoms")
     h = float(H.diag[j])
     if h <= 0.0:
-        raise ZeroCurvature(f"column {j} has no accumulated curvature")
+        raise _no_curvature(j)
     return 1.0 / h
 
 
@@ -70,8 +75,7 @@ def _adaptive_steps(H: HessianDiag, z: SparseCode) -> np.ndarray:
     """
     h = H.diag[z.indices]
     if min(h.tolist(), default=1.0) <= 0.0:
-        j = int(z.indices[np.argmax(h <= 0.0)])
-        raise ZeroCurvature(f"column {j} has no accumulated curvature")
+        raise _no_curvature(int(z.indices[np.argmax(h <= 0.0)]))
     return z.values / h
 
 

@@ -3,6 +3,12 @@
 The per-sample cost is  0.5 ||D z - x||^2 + lambda ||z||_1  and the
 dataset objective is its average over samples, accumulated with
 pairwise summation so large n does not erode precision.
+
+Every dataset objective, ``objective``'s and the trainers' per-epoch
+one, goes through ``_objective`` over a code store: its per-sample
+terms come from one native kernel call (``_native``) when the kernel
+loads, otherwise from the Python loop ``_terms_py``; both give the same
+bits.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
+from . import _native
 from .core import (
     DataSet,
     Dictionary,
@@ -18,6 +25,8 @@ from .core import (
     Empty,
     Sample,
     SparseCode,
+    _CodeStore,
+    _fit_sample,
     _residual,
 )
 
@@ -37,20 +46,33 @@ def objective(
     ds: DataSet,
     lam: float,
 ) -> float:
-    """Dataset-average objective.
+    """Dataset-average objective of ``codes``, one per sample of ``ds``.
 
-    Per-sample terms are summed pairwise.  The loop is serial, because
-    its per-sample Python work holds the interpreter lock.
-    ``SCC_THREADS`` is not read here; the ``scc`` command validates it
-    once at start-up.
+    The codes and samples are checked against ``D`` once, then packed
+    into a code store for ``_objective``.  ``SCC_THREADS`` is not read
+    here; the ``scc`` command validates it once at start-up.
     """
     if len(codes) != ds.n:
         raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")
-    n = ds.n
-    terms = np.empty(n)
-    for i in range(n):
-        terms[i] = sample_objective(D, codes[i], ds.column(i), lam)
-    return float(np.sum(terms) / n)
+    # one check for all: every sample has the shape of np.empty(ds.p)
+    _fit_sample(D, np.empty(ds.p), next((c for c in codes if c.m != D.m), None))
+    return _objective(D, _CodeStore.of(codes, D.m), ds.X, lam)
+
+
+def _objective(D: Dictionary, store: _CodeStore, X: np.ndarray, lam: float) -> float:
+    """The average of the per-sample terms of the codes in ``store`` for the
+    samples (columns) of ``X``, summed pairwise by numpy."""
+    kernel = _native.kernel()
+    terms = _terms_py(D, store, X, lam) if kernel is None else kernel.objective(D, store, X, lam)
+    return float(np.sum(terms) / X.shape[1])
+
+
+def _terms_py(D: Dictionary, store: _CodeStore, X: np.ndarray, lam: float) -> np.ndarray:
+    """Each sample's ``sample_objective`` under its code in ``store``."""
+    terms = np.empty(X.shape[1])
+    for i in range(terms.size):
+        terms[i] = sample_objective(D, store.code(i), X[:, i], lam)
+    return terms
 
 
 class SparsityStats(NamedTuple):

@@ -17,10 +17,14 @@ from the config seed, and the recorded wall times are the one exception
 to bit-reproducibility.  Those times cover the code and dictionary
 phases only; the end-of-epoch objective evaluation falls outside both.
 
-The stochastic loops' code refresh and dictionary step, and
-``batch_train``'s code phase, run in the native kernel when it loads
-(see ``_native``), with the same bits as the Python loops that run
-otherwise.
+A stochastic epoch is one call of ``_epoch_py`` or, when the native
+kernel loads (see ``_native``), of the kernel's ``epoch``, which gives
+the same bits in one foreign call.  Either reads the previous epoch's
+codes from one compact ``core._CodeStore`` and writes the new codes to
+another, so memory grows with the number of nonzeros, never with m x n;
+``TrainResult.codes`` are views of the last store.  ``batch_train``'s
+code phase runs in the kernel too, and every trainer's per-epoch
+objective comes from ``metrics._objective``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +50,8 @@ from .core import (
     TrainConfig,
     rng_from_seed,
     validate_dataset,
+    _CodeStore,
+    _residual,
     _SHUFFLE_STREAM,
 )
 from .data import init_dictionary
@@ -58,8 +63,8 @@ from .dictionary import (
     _sgd_inplace,
     hessian_accumulate,
 )
-from .lasso import encode_scc, lasso_oracle_cd_batch
-from .metrics import objective, sparsity_stats
+from .lasso import _encode_py, lasso_oracle_cd_batch
+from .metrics import _objective
 
 BATCH_CODE_TOL = 1e-10
 BATCH_MAX_STEPS = 20  # gradient-step attempts (accepts plus halvings) per epoch
@@ -96,25 +101,60 @@ class TrainResult:
     stats: List[EpochStats]
 
 
-def _visit_order(cfg: TrainConfig, n: int, epoch: int):
+def _visit_order(cfg: TrainConfig, n: int, epoch: int) -> np.ndarray:
     if cfg.ordering == ORDER_SHUFFLED:
-        return rng_from_seed(cfg.seed, _SHUFFLE_STREAM, epoch).permutation(n).tolist()
-    return range(n)
+        return rng_from_seed(cfg.seed, _SHUFFLE_STREAM, epoch).permutation(n)
+    return np.arange(n, dtype=np.int64)
 
 
 def _epoch_stats(
-    epoch: int, D: Dictionary, codes: List[SparseCode], ds: DataSet, lam: float,
+    epoch: int, D: Dictionary, codes: _CodeStore, X: np.ndarray, lam: float,
     t_code: float, t_dict: float,
 ) -> EpochStats:
-    spars = sparsity_stats(codes)
     return EpochStats(
         epoch=epoch,
-        objective=objective(D, codes, ds, lam),
+        objective=_objective(D, codes, X, lam),
         time_code_update=t_code,
         time_dict_update=t_dict,
-        mean_support=spars.mean_support,
-        max_support=spars.max_support,
+        mean_support=float(codes.length.mean()),
+        max_support=int(codes.length.max()),
     )
+
+
+def _epoch_py(
+    D: Dictionary, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
+    old: _CodeStore, new: _CodeStore, rate: Union[HessianDiag, NaturalRateSchedule],
+) -> Tuple[float, float]:
+    """One stochastic epoch in Python; returns the code and dictionary phase times.
+
+    Visits the samples (columns of ``X``) in ``order``.  Each visit
+    encodes the sample with ``encode_scc``'s passes, warm-started from its
+    code in ``old``, puts the code into ``new``, and moves the supported
+    atoms of ``D`` in place by the steps of ``rate``: z_j / h_jj after
+    folding the code into the curvature ``HessianDiag``, or a/(t+b) * z_j
+    from the ``NaturalRateSchedule``, whose t counts every visit, empty
+    codes too.  Raises ZeroCurvature before a step with a cell that is
+    not positive.  The kernel's ``epoch`` gives the same bits.
+    """
+    t_code = 0.0
+    t_dict = 0.0
+    cols = D.columns
+    adaptive = isinstance(rate, HessianDiag)
+    for i in order.tolist():
+        t0 = time.perf_counter()
+        z_init = old.code(i)
+        r = _residual(D, z_init, X[:, i])
+        code = _encode_py(D, z_init, r, lam, steps)
+        new.put(i, code)
+        t1 = time.perf_counter()
+        t_code += t1 - t0
+        if adaptive:
+            step = _adaptive_steps(hessian_accumulate(rate, code), code)
+        else:
+            step = rate.next_rate() * code.values
+        _sgd_inplace(cols, code.indices, step, r)
+        t_dict += time.perf_counter() - t1
+    return t_code, t_dict
 
 
 def _sgd_train(
@@ -127,38 +167,22 @@ def _sgd_train(
     lam = cfg.effective_lambda(ds.p)
     D = init_dictionary(ds, m, cfg.init, cfg.seed)
     kernel = _native.kernel()
-    # the atoms advance in place: through the kernel, or through the column views
-    sgd_step = partial(_sgd_inplace, D.columns) if kernel is None else kernel.sgd_step(D.atoms)
-    zero = SparseCode.zero(m)
-    codes: List[SparseCode] = [zero] * n
+    run_epoch = _epoch_py if kernel is None else kernel.epoch
     if cfg.rate_schedule == RATE_ADAPTIVE:
-        H = HessianDiag.zeros(m)
-
-        def steps(code: SparseCode) -> np.ndarray:
-            return _adaptive_steps(hessian_accumulate(H, code), code)
+        rate = HessianDiag.zeros(m)
     else:
-        schedule = NaturalRateSchedule(cfg.rate_a, cfg.rate_b)
-
-        def steps(code: SparseCode) -> np.ndarray:
-            return schedule.next_rate() * code.values  # t counts visits, empty codes too
+        rate = NaturalRateSchedule(cfg.rate_a, cfg.rate_b)
+    codes = _CodeStore(m, n, 0)  # every code starts at zero
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
-        t_code = 0.0
-        t_dict = 0.0
-        for i in _visit_order(cfg, n, epoch):
-            x = ds.column(i)
-            t0 = time.perf_counter()
-            result = encode_scc(D, codes[i], x, lam, cfg.cd_steps)
-            code = result.code
-            codes[i] = code
-            t1 = time.perf_counter()
-            t_code += t1 - t0
-            sgd_step(code.indices, steps(code), result.residual)
-            t_dict += time.perf_counter() - t1
-        stats.append(_epoch_stats(epoch, D, codes, ds, lam, t_code, t_dict))
+        # room for as many entries as last epoch, or one per sample at first
+        new = _CodeStore(m, n, max(codes.used, n) + m)
+        times = run_epoch(D, ds.X, _visit_order(cfg, n, epoch), lam, cfg.cd_steps, codes, new, rate)
+        codes = new
+        stats.append(_epoch_stats(epoch, D, codes, ds.X, lam, *times))
         if progress is not None:
             progress(stats[-1])
-    return TrainResult(dictionary=Dictionary(D.atoms), codes=codes, stats=stats)
+    return TrainResult(dictionary=Dictionary(D.atoms), codes=codes.codes(), stats=stats)
 
 
 def scc_train(
@@ -216,7 +240,7 @@ def batch_train(
             else:
                 eta *= 0.5
         t2 = time.perf_counter()
-        stats.append(_epoch_stats(epoch, D, codes, ds, lam, t1 - t0, t2 - t1))
+        stats.append(_epoch_stats(epoch, D, _CodeStore.of(codes, m), ds.X, lam, t1 - t0, t2 - t1))
         if progress is not None:
             progress(stats[-1])
     return TrainResult(dictionary=Dictionary(atoms), codes=codes, stats=stats)

@@ -11,23 +11,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scc import (
     DataSet,
+    HessianDiag,
+    SCCError,
     SparseCode,
     TrainConfig,
+    ZeroCurvature,
     _native,
     _native_lib,
     batch_train,
     cli,
     encode_scc,
     generate_planted,
+    init_dictionary,
     lasso_oracle_cd_batch,
     natural_rate_train,
+    objective,
     scc_train,
 )
+from scc.core import _CodeStore
+from scc.metrics import _terms_py
+from scc.trainer import _epoch_py
 
-from conftest import cd_path, random_instance
+from conftest import CD_PATHS, cd_path, random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -164,20 +174,144 @@ _TRAININGS = {
 }
 
 
-@pytest.mark.parametrize("p,m,n", [(1, 4, 30), (16, 32, 120), (17, 40, 60), (64, 256, 40)])
-@pytest.mark.parametrize("training", sorted(_TRAININGS))
-def test_trainers_give_the_same_bits_on_each_path(training, p, m, n):
+def _training_case(training, p, m, n):
     train, extra = _TRAININGS[training]
     if p > 1:
         ds, _, _ = generate_planted(p, m, n, 3, 0.01, seed=7100 + p)
     else:  # planted data need p > 1
         ds = DataSet(np.random.default_rng(7100).standard_normal((p, n)))
-    cfg = TrainConfig(dict_size=m, lam=1.2 / np.sqrt(p), epochs=2, seed=3, **extra)
+    return train, ds, TrainConfig(dict_size=m, lam=1.2 / np.sqrt(p), epochs=2, seed=3, **extra)
+
+
+@pytest.mark.parametrize("p,m,n", [(1, 4, 30), (16, 32, 120), (17, 40, 60), (64, 256, 40)])
+@pytest.mark.parametrize("training", sorted(_TRAININGS))
+def test_trainers_give_the_same_bits_on_each_path(training, p, m, n):
+    train, ds, cfg = _training_case(training, p, m, n)
     digests = {}
     for path in ("python", "kernel"):
         with cd_path(path):
             digests[path] = _train_digest(train, ds, cfg)
     assert digests["kernel"] == digests["python"]
+
+
+# _train_digest of the stochastic trainers as the per-sample Python loop
+# computed them before the epoch moved into one kernel call; a change that
+# moved both paths alike would still pass the comparison above
+_PINNED_DIGESTS = {
+    ("scc_train", 1, 4, 30): "028519ff84c55938fa5fab75d5d6bad284223a3ca09be21b7a168311dcbb5eea",
+    ("scc_train", 16, 32, 120): "21ddecb5cb093c37989d808d3b40eda57a826db0d1eae2434c625f2a4e99cbed",
+    ("scc_train", 64, 256, 40): "35379211756b5baab17c29124b2dbabba79480e8324e7cdb96e45f65f0125d8f",
+    ("scc_train_shuffled", 1, 4, 30):
+        "028519ff84c55938fa5fab75d5d6bad284223a3ca09be21b7a168311dcbb5eea",
+    ("scc_train_shuffled", 16, 32, 120):
+        "99cfe4adeaa62473c723fd40821c3c1f24bd01c352d6a94ff53de8fa983cf36c",
+    ("scc_train_shuffled", 64, 256, 40):
+        "f85f41595670323f79c23e81b67ab2b05df6d2b639a56892544d8af8d21835b5",
+    ("natural_rate_train", 1, 4, 30):
+        "028519ff84c55938fa5fab75d5d6bad284223a3ca09be21b7a168311dcbb5eea",
+    ("natural_rate_train", 16, 32, 120):
+        "1e5086599097aa4cf70c955e0649a31171cf15c51c1589ed9994ec93f82e40d6",
+    ("natural_rate_train", 64, 256, 40):
+        "4878eb0e7e7854cc0463493b31ba4f3e185bd121d232128186e03f8ac98124b5",
+}
+
+
+@pytest.mark.parametrize("path", CD_PATHS)
+@pytest.mark.parametrize("training,p,m,n", sorted(_PINNED_DIGESTS))
+def test_trainers_reproduce_the_pinned_digests(training, p, m, n, path):
+    train, ds, cfg = _training_case(training, p, m, n)
+    with cd_path(path):
+        assert _train_digest(train, ds, cfg) == _PINNED_DIGESTS[training, p, m, n]
+
+
+def _underflow_case():
+    """A raw one-row dataset whose first visit gives z_0 = 1e-163: its square is 0."""
+    ds = DataSet(np.array([[2e-163, 0.5, -0.7]]))
+    return ds, TrainConfig(dict_size=2, lam=1e-163, epochs=1, init="random_gaussian", seed=0)
+
+
+@pytest.mark.parametrize("path", CD_PATHS)
+def test_underflowing_curvature_raises_the_same_on_each_path(path):
+    ds, cfg = _underflow_case()
+    with cd_path(path), pytest.raises(ZeroCurvature) as info:
+        scc_train(ds, cfg)
+    assert str(info.value) == "column 0 has no accumulated curvature"
+
+
+@pytest.mark.parametrize("path", CD_PATHS)
+def test_zero_curvature_stops_before_the_step(path):
+    ds, cfg = _underflow_case()
+    D = init_dictionary(ds, 2, cfg.init, cfg.seed)
+    before = D.atoms.tobytes()
+    H = HessianDiag.zeros(2)
+    with cd_path(path):
+        kernel = _native.kernel()
+        run_epoch = _epoch_py if kernel is None else kernel.epoch
+        with pytest.raises(ZeroCurvature, match="^column 0 has no accumulated curvature$"):
+            run_epoch(D, ds.X, np.arange(3), 1e-163, 3, _CodeStore(2, 3, 0),
+                      _CodeStore(2, 3, 4), H)
+    assert D.atoms.tobytes() == before
+    assert H.diag.tolist() == [0.0, 0.0]  # 1e-163 squared
+
+
+@st.composite
+def _small_trainings(draw):
+    p = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    X = draw(arrays(np.float64, (p, n), elements=st.floats(-4.0, 4.0)))
+    natural = draw(st.booleans())
+    cfg = TrainConfig(
+        dict_size=draw(st.integers(1, 6)),
+        lam=draw(st.floats(0.01, 1.0)),
+        epochs=draw(st.integers(1, 3)),
+        cd_steps=draw(st.integers(1, 4)),
+        init=draw(st.sampled_from(["random_patches", "random_gaussian"])),
+        ordering=draw(st.sampled_from(["sequential", "shuffled"])),
+        seed=draw(st.integers(0, 2**16)),
+        rate_schedule="natural" if natural else "adaptive_hessian",
+        rate_a=draw(st.floats(0.01, 2.0)),
+        rate_b=draw(st.floats(0.0, 20.0)),
+    )
+    return DataSet(X), cfg
+
+
+@pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+@settings(max_examples=40, deadline=None)
+@given(case=_small_trainings())
+def test_kernel_epochs_match_the_python_loops(case):
+    ds, cfg = case
+    train = natural_rate_train if cfg.rate_schedule == "natural" else scc_train
+    outcomes = {}
+    for path in CD_PATHS:
+        with cd_path(path):
+            try:
+                result = train(ds, cfg)
+            except SCCError as exc:  # an underflowing curvature cell, on both paths alike
+                outcomes[path] = repr(exc)
+                continue
+        atoms = result.dictionary.atoms
+        assert np.isfinite(atoms).all()
+        assert np.sqrt((atoms * atoms).sum(axis=0)).max() <= 1.0 + 1e-12
+        outcomes[path] = (atoms.tobytes(), _codes_bytes(result.codes),
+                          np.array([s.objective for s in result.stats]).tobytes())
+    assert outcomes["kernel"] == outcomes["python"]
+
+
+def test_objective_gives_the_same_bits_on_each_path():
+    # support sizes 0 to 300 take every branch of the pairwise penalty sum
+    rng = np.random.default_rng(7500)
+    p, m, n = 5, 300, 301
+    D, _ = random_instance(seed=7501, p=p, m=m)
+    codes = [SparseCode(np.sort(rng.choice(m, k, replace=False)), rng.standard_normal(k), m)
+             for k in range(n)]
+    ds = DataSet(rng.standard_normal((p, n)))
+    store = _CodeStore.of(codes, m)
+    want = _terms_py(D, store, ds.X, 0.3)
+    with cd_path("python"):
+        assert objective(D, codes, ds, 0.3) == float(np.sum(want) / n)
+    with cd_path("kernel"):
+        assert _native.kernel().objective(D, store, ds.X, 0.3).tobytes() == want.tobytes()
+        assert objective(D, codes, ds, 0.3) == float(np.sum(want) / n)
 
 
 @pytest.mark.parametrize("path", ["python", "kernel"])

@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scc import (
     HessianDiag,
     SparseCode,
     TrainConfig,
+    _native,
     batch_train,
     encode_scc,
     generate_planted,
@@ -145,6 +147,20 @@ class TestSccTrain:
         for s in result.stats:
             assert s.time_code_update >= 0 and s.time_dict_update >= 0
             assert 0 <= s.mean_support <= s.max_support <= 10
+
+    def test_memory_stays_below_a_quarter_of_dense_codes(self):
+        # the codes live in compact stores: a dense m x n code matrix here is 16 MB
+        ds, _, _ = generate_planted(16, 512, 4000, 3, 0.01, seed=30)
+        cfg = TrainConfig(dict_size=512, epochs=2, seed=5)
+        _native.kernel()  # loaded and self-tested outside the measurement
+        tracemalloc.start()
+        try:
+            result = scc_train(ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.codes) == 4000
+        assert peak < 512 * 4000 * 8 / 4, peak
 
     def test_requires_adaptive_schedule(self):
         ds, _, _ = generate_planted(6, 8, 10, 2, 0.05, seed=3)
