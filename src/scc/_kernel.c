@@ -1,6 +1,7 @@
 /* Native form of the hot paths: the whole stochastic epoch of the SCC
- * trainers, the dataset objective, and the per-sample coordinate-descent
- * passes of the cheap encoder and of the CD oracle.
+ * trainers, the cold codes of a whole dataset, the dataset objective, and
+ * the per-sample coordinate-descent passes of the cheap encoder and of
+ * the CD oracle.
  *
  * Built by scc._native with -O2 -ffp-contract=off and loaded through
  * ctypes.  The results are bit-identical to the Python loops in
@@ -290,4 +291,33 @@ int64_t scc_epoch(struct epoch *e)
         e->time_dict += now() - t1;
     }
     return 0;
+}
+
+/* The codes of the n samples x from zero, in sample order, into c: each
+ * sample starts from the zero code, whose residual is x itself, and is
+ * encoded with scc_encode.  z (m zeros), r (p) and support (m) are work
+ * space.  Starts at sample i and returns the first sample not coded: n
+ * once every sample is, or earlier, when c has no room for a code of m
+ * entries (grow it and call again).  Mirrors lasso._codes_py. */
+int64_t scc_codes(int64_t p, int64_t m, int64_t n, const double *atoms, const double *x,
+                  double lam, int64_t steps, int64_t i, struct codes *c, double *z, double *r,
+                  int64_t *support)
+{
+    for (; i < n; i++) {
+        if (c->capacity - c->used < m)
+            return i;
+        memcpy(r, x + i * p, p * sizeof *r);
+        int64_t nnz = scc_encode(p, m, atoms, z, r, lam, steps, support);
+        int64_t *idx = c->indices + c->used;
+        double *val = c->values + c->used;
+        for (int64_t q = 0; q < nnz; q++) {
+            idx[q] = support[q];
+            val[q] = z[support[q]];
+            z[support[q]] = 0.0; /* only the support is nonzero after a full pass */
+        }
+        c->start[i] = c->used;
+        c->length[i] = nnz;
+        c->used += nnz;
+    }
+    return n;
 }

@@ -8,14 +8,17 @@ and ``cblas_dgemv`` of the OpenBLAS that numpy loaded, compiles
 there, loads it with ctypes and compares it byte for byte with the
 Python loops before handing it out.  Any failure makes ``load()``
 return None.
+
+The cache key is hashed by the interpreter's built-in SHA-256 unless
+hashlib is loaded already: importing hashlib loads OpenSSL.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shutil
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -25,7 +28,7 @@ import numpy as np
 
 from .core import Dictionary, HessianDiag, SparseCode, _CodeStore
 from .dictionary import _no_curvature
-from .lasso import _finish
+from .lasso import _codes_py, _finish
 from .metrics import _terms_py
 from .trainer import NaturalRateSchedule, _epoch_py
 
@@ -34,6 +37,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"  # the ILP64 cblas_ddot of numpy's OpenBLAS wheels
 DGEMV = "scipy_cblas_dgemv64_"  # and its cblas_dgemv
 SELF_TEST_P = (1, 2, 3, 16, 17, 256)  # covers the ddot kernel's remainder paths
+CODES_TEST_P = 17  # scc_codes adds no arithmetic to scc_encode's, which every p covers
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -89,6 +93,10 @@ class Kernel:
         self._objective.argtypes = [_i64, _i64, _ptr, _ptr, ctypes.POINTER(_Codes), _f64,
                                     _ptr, _ptr, _ptr, _ptr]
         self._objective.restype = None
+        self._codes = lib.scc_codes
+        self._codes.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _f64, _i64, _i64,
+                                ctypes.POINTER(_Codes), _ptr, _ptr, _ptr]
+        self._codes.restype = _i64
         self._atoms = (lambda: None, 0)  # (weak reference to an atom matrix, its address)
 
     def _atoms_address(self, atoms: np.ndarray) -> int:
@@ -144,6 +152,20 @@ class Kernel:
             raise _no_curvature(e.bad)
         return e.time_code, e.time_dict
 
+    def codes(self, D, X: np.ndarray, lam: float, steps: int, store: _CodeStore) -> None:
+        """``lasso._codes_py`` in one kernel call, and one more each time ``store`` grows."""
+        p, m, n = D.p, D.m, X.shape[1]
+        z, r, support = np.zeros(m), np.empty(p), np.empty(m, dtype=np.int64)
+        c = _codes(store)
+        i = 0
+        while (i := self._codes(p, m, n, D.atoms.ctypes.data, X.ctypes.data, lam, steps, i,
+                                ctypes.byref(c), z.ctypes.data, r.ctypes.data,
+                                support.ctypes.data)) < n:
+            store.used = c.used
+            store.reserve(m)
+            c = _codes(store)
+        store.used = c.used
+
     def objective(self, D, store: _CodeStore, X: np.ndarray, lam: float) -> np.ndarray:
         """``metrics._terms_py``: the per-sample terms of the codes in ``store``."""
         p = D.p
@@ -171,7 +193,8 @@ def _numpy_ddot():
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {f[5].strip() for f in (line.split(maxsplit=5) for line in fh) if len(f) == 6}
+            lines = (line.split(maxsplit=5) for line in fh if "openblas" in line)
+            paths = {f[5].strip() for f in lines if len(f) == 6}
     except OSError:
         return None
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
@@ -182,9 +205,22 @@ def _numpy_ddot():
     return None
 
 
+def _sha256():
+    """``hashlib.sha256``, or the interpreter's built-in twin while hashlib is not loaded."""
+    if "hashlib" not in sys.modules:
+        for name in ("_sha2", "_sha256"):  # Python 3.12 and later; 3.10 and 3.11
+            try:
+                return __import__(name).sha256
+            except ImportError:
+                pass
+    import hashlib
+
+    return hashlib.sha256
+
+
 def cache_path(cc: str, blas: str) -> Path:
     """Where the kernel built by ``cc`` for ``blas`` is cached."""
-    key = hashlib.sha256(
+    key = _sha256()(
         b"\0".join([SOURCE.read_bytes(), cc.encode(), " ".join(FLAGS).encode(), blas.encode()])
     ).hexdigest()[:16]
     root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
@@ -247,7 +283,9 @@ def _self_test(k: Kernel) -> bool:
     At every p: a few oracle passes; an epoch over two samples, from a
     one-entry code and from zero, alternately under the adaptive rule in
     sequential order and under the natural rule in reverse order; and the
-    objective of codes with every entry, one entry and none.
+    objective of codes with every entry, one entry and none.  At
+    ``CODES_TEST_P``: the cold codes of a sample and of zero, into a store
+    that has to grow.
     """
     m = 8
     for q, p in enumerate(SELF_TEST_P):
@@ -261,12 +299,28 @@ def _self_test(k: Kernel) -> bool:
                  SparseCode(np.array([4]), np.array([-0.8]), m), SparseCode.zero(m)]
         if _outputs(k, D, X, codes, q % 2) != _outputs(None, D, X, codes, q % 2):
             return False
+        if p == CODES_TEST_P:
+            X = np.asfortranarray(np.column_stack([x, np.zeros(p)]))  # the second code is empty
+            if _cold_codes(k, D, X) != _cold_codes(None, D, X):
+                return False
     return True
 
 
 def _values(n: int, shift: float) -> np.ndarray:
     """``n`` fixed, irregularly spread values in [-1, 1), from an additive recurrence."""
     return 2.0 * ((0.7548776662466927 * np.arange(1, n + 1) + shift) % 1.0) - 1.0
+
+
+def _cold_codes(k: Optional[Kernel], D, X) -> list:
+    """Bytes of the cold codes of ``X`` through the kernel ``k`` or (None) the Python loops."""
+    store = _CodeStore(D.m, X.shape[1], D.m)  # room for one code: it has to grow
+    (_codes_py if k is None else k.codes)(D, X, 0.02, 3, store)
+    return _store_bytes(store)
+
+
+def _store_bytes(store: _CodeStore) -> list:
+    return [store.start.tobytes(), store.length.tobytes(), store.indices[:store.used].tobytes(),
+            store.values[:store.used].tobytes()]
 
 
 def _outputs(k: Optional[Kernel], D, X, codes, natural: bool) -> list:
@@ -289,6 +343,5 @@ def _outputs(k: Optional[Kernel], D, X, codes, natural: bool) -> list:
     run_epoch(W, X[:, 1:], order, 0.02, 3, _CodeStore.of(codes[1:], D.m), new, rate)
     store = _CodeStore.of(codes, D.m)
     terms = _terms_py(W, store, X, 0.3) if k is None else k.objective(W, store, X, 0.3)
-    return out + [W.atoms.tobytes(), new.start.tobytes(), new.length.tobytes(),
-                  new.indices[:new.used].tobytes(), new.values[:new.used].tobytes(),
+    return out + [W.atoms.tobytes(), *_store_bytes(new),
                   rate.t if natural else rate.diag.tobytes(), terms.tobytes()]

@@ -28,12 +28,11 @@ from .core import (
     RATE_ADAPTIVE,
     RATE_NATURAL,
     SCCError,
-    SparseCode,
     TrainConfig,
     thread_cap,
 )
 from .data import generate_planted, preprocess_dataset
-from .lasso import encode_scc, lasso_oracle_cd
+from .lasso import _encode_cold, lasso_oracle_cd_batch
 from .serialize import (
     read_dataset,
     read_dictionary,
@@ -205,10 +204,9 @@ def _cmd_encode(args) -> int:
     cfg.validate()  # the one lambda rule: finite and > 0, or the default
     lam = cfg.effective_lambda(ds.p)
     if steps is None:
-        codes = [lasso_oracle_cd(D, ds.column(i), lam, ENCODE_ORACLE_TOL) for i in range(ds.n)]
+        codes = lasso_oracle_cd_batch(D, ds.X, lam, ENCODE_ORACLE_TOL)
     else:
-        zero = SparseCode.zero(D.m)
-        codes = [encode_scc(D, zero, ds.column(i), lam, steps).code for i in range(ds.n)]
+        codes = _encode_cold(D, ds.X, lam, steps)
     write_codes(args.out, codes)
     return 0
 

@@ -19,8 +19,10 @@ never increases.
 ``encode_scc`` and the CD oracle solve one sample at a time: in one
 native kernel call (``_native``) when the kernel loads, otherwise in the
 Python reference loops ``_encode_py`` and ``_finish`` over ``_cd_pass``;
-both give the same bits.  ``cd_full_cycle`` and ``cd_support_cycle``
-always run ``_cd_pass``.
+both give the same bits.  ``_encode_cold``, behind ``scc encode``, codes
+every sample of a matrix from zero into one ``core._CodeStore``: in one
+kernel call, or per sample in ``_codes_py``.  ``cd_full_cycle`` and
+``cd_support_cycle`` always run ``_cd_pass``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .core import (
     MaxIterationsExceeded,
     Sample,
     SparseCode,
+    _CodeStore,
     _fit_sample,
     _require_finite,
     _require_int,
@@ -167,9 +170,7 @@ def encode_scc(
     ``_encode_py``; both give the same bits.
     """
     _require_lambda(lam)
-    steps = _require_int("steps", steps)
-    if steps < 1:
-        raise ConfigInvalid(f"steps must be >= 1, got {steps}")
+    steps = _require_steps(steps)
     r = _residual(D, z_init, x)
     kernel = _native.kernel()
     code = _encode_py(D, z_init, r, lam, steps) if kernel is None else kernel.encode(
@@ -189,6 +190,40 @@ def _encode_py(
         _cd_pass(cols, support, z, r, lam)
         support = _nonzero(z, support)  # support passes only ever remove coordinates
     return _code(z, support)
+
+
+def _require_steps(steps: int) -> int:
+    steps = _require_int("steps", steps)
+    if steps < 1:
+        raise ConfigInvalid(f"steps must be >= 1, got {steps}")
+    return steps
+
+
+def _encode_cold(D: Dictionary, X: np.ndarray, lam: float, steps: int) -> _CodeStore:
+    """``encode_scc`` from the zero code for every column of ``X``, into one store.
+
+    The codes lie in sample order and have the bits of per-sample
+    ``encode_scc`` calls.  They come from one native kernel call (and one
+    more each time the store grows) when the kernel is loaded, else from
+    ``_codes_py``.
+    """
+    _require_lambda(lam)
+    steps = _require_steps(steps)
+    X = np.asfortranarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != D.p:
+        raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
+    kernel = _native.kernel()
+    n = X.shape[1]
+    store = _CodeStore(D.m, n, n + D.m)
+    (_codes_py if kernel is None else kernel.codes)(D, X, lam, steps, store)
+    return store
+
+
+def _codes_py(D: Dictionary, X: np.ndarray, lam: float, steps: int, store: _CodeStore) -> None:
+    """``_encode_cold``'s codes in Python: ``_encode_py`` on each column from zero."""
+    zero = SparseCode.zero(D.m)
+    for i in range(X.shape[1]):
+        store.put(i, _encode_py(D, zero, np.array(X[:, i]), lam, steps))
 
 
 def lasso_oracle_cd(

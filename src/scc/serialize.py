@@ -14,6 +14,11 @@ Sparse-code container:
                   value) pairs with strictly increasing indices below m
                   and finite nonzero values
 
+``write_codes`` lays a whole file out in one array: each count and
+each pair's index is one 4-byte word and each value two, so the
+payload is the pairs of all codes as one record array, viewed as words,
+with each code's count inserted before its first pair.
+
 Metrics go to CSV with columns
 ``epoch,objective,time_code_s,time_dict_s,mean_support,max_support``;
 floats are written with repr so they parse back exactly.  Image input
@@ -40,6 +45,7 @@ from .core import (
     NonFinite,
     SparseCode,
     Truncated,
+    _CodeStore,
 )
 
 MAGIC_MATRIX = b"SCCMAT01"
@@ -142,20 +148,30 @@ def read_dictionary(path: PathLike) -> Dictionary:
 # Sparse-code container
 # ---------------------------------------------------------------------------
 
-def write_codes(path: PathLike, codes: Sequence[SparseCode]) -> None:
-    if len(codes) == 0:
+def write_codes(path: PathLike, codes: Union[_CodeStore, Sequence[SparseCode]]) -> None:
+    """Write the codes of a ``core._CodeStore``, or a list of codes, in order."""
+    n = codes.length.size if isinstance(codes, _CodeStore) else len(codes)
+    if n == 0:
         raise DimensionMismatch("cannot serialize zero codes (ambient dimension unknown)")
-    m = codes[0].m
-    parts = [MAGIC_CODES, struct.pack("<II", m, len(codes))]
-    for i, code in enumerate(codes):
-        if code.m != m:
-            raise DimensionMismatch(f"code {i} has ambient {code.m}, expected {m}")
-        rec = np.empty(code.nnz, dtype=_PAIR_DTYPE)
-        rec["index"] = code.indices
-        rec["value"] = code.values
-        parts.append(struct.pack("<I", code.nnz))
-        parts.append(rec.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    if isinstance(codes, _CodeStore):
+        store = codes
+    else:
+        m = codes[0].m
+        for i, code in enumerate(codes):
+            if code.m != m:
+                raise DimensionMismatch(f"code {i} has ambient {code.m}, expected {m}")
+        store = _CodeStore.of(codes, m)
+    start = np.zeros(n, dtype=np.int64)
+    np.cumsum(store.length[:-1], out=start[1:])
+    if not np.array_equal(start, store.start):  # codes out of sample order: pack them in it
+        store = _CodeStore.of(store.codes(), store.m)
+    rec = np.empty(store.used, dtype=_PAIR_DTYPE)
+    rec["index"] = store.indices[:store.used]
+    rec["value"] = store.values[:store.used]
+    words = np.insert(rec.view("<u4"), 3 * start, store.length)
+    with open(path, "wb") as fh:
+        fh.write(MAGIC_CODES + struct.pack("<II", store.m, n))
+        fh.write(words)  # the array's own bytes, without a copy
 
 
 def read_codes(path: PathLike) -> List[SparseCode]:

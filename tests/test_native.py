@@ -11,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scc import (
+    ConfigInvalid,
     DataSet,
+    Dictionary,
+    DimensionMismatch,
     HessianDiag,
     SCCError,
     SparseCode,
@@ -34,10 +37,12 @@ from scc import (
     scc_train,
 )
 from scc.core import _CodeStore
+from scc.lasso import _codes_py, _encode_cold
 from scc.metrics import _terms_py
+from scc.serialize import write_dataset, write_dictionary
 from scc.trainer import _epoch_py
 
-from conftest import CD_PATHS, cd_path, random_instance
+from conftest import CD_PATHS, cd_path, random_ball_atoms, random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -138,6 +143,28 @@ class TestLoading:
             assert _native_lib.load() is None
         assert "computes other bits than the Python loops" in caplog.text
         assert len(list(fresh_cache.iterdir())) == 1  # it built, and then refused to run it
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_cold_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
+        # a sign slip in scc_codes alone: scc_encode and every epoch stay right
+        source = _native_lib.SOURCE.read_text()
+        line = "    idx[q] = support[q];\n            val[q] = z[support[q]];"  # not new_val
+        assert source.count(line) == 1
+        slipped = source.replace(line, line.replace("= z", "= -z"))
+        mutant = tmp_path / "_kernel.c"
+        mutant.write_text(slipped)
+        monkeypatch.setattr(_native_lib, "SOURCE", mutant)
+        with caplog.at_level("DEBUG", logger="scc._native_lib"):
+            assert _native_lib.load() is None
+        assert "computes other bits than the Python loops" in caplog.text
+
+    def test_cache_key_needs_no_openssl(self):
+        # without hashlib loaded, the built-in SHA-256 names the same file as hashlib does here
+        code = "import sys, scc._native_lib as L; print(L.cache_path('cc', 'blas'), 'hashlib' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+        assert "hashlib" in sys.modules
+        assert out.stdout.split() == [str(_native_lib.cache_path("cc", "blas")), "False"]
 
     def test_import_does_not_load_the_kernel(self):
         code = ("import sys, scc, scc._native as n; "
@@ -323,6 +350,68 @@ def test_reference_run_digests(path, tmp_path):
     digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16]
               for f in ("d.sccmat", "z.sccspc")}
     assert digest == {"d.sccmat": "24a1d14c73cbc436", "z.sccspc": "92180bba26df655d"}
+
+
+# SHA-256 of the SCCSPC bytes that ``scc encode`` wrote per mode before the
+# whole file was coded in one kernel call (64x256 planted dictionary, 100
+# samples, default lambda); both paths then gave these bytes
+_ENCODE_DIGESTS = {
+    "scc:1": "dca2beacafa812e6f5906bb37c159ec8f835075c53a56da5a93b341f761ff187",
+    "scc:3": "1a196029ec195259e0c78f1a10df5a9d2e3f3f692e50980bcfc9081a1b8f5170",
+    "oracle": "6ffe147e0932b92e61f106cc446e8802ed7dbc859d3caeddc6b5f4f8a9e27a2e",
+}
+
+
+@pytest.mark.parametrize("path", CD_PATHS)
+def test_encode_reproduces_the_pinned_digests(path, tmp_path):
+    ds, D, _ = generate_planted(64, 256, 100, 5, 0.05, seed=7600)
+    write_dictionary(tmp_path / "d.sccmat", D)
+    write_dataset(tmp_path / "x.sccmat", ds)
+    digest = {}
+    with cd_path(path):
+        for mode in _ENCODE_DIGESTS:
+            out = tmp_path / "z.sccspc"
+            assert cli.main(["encode", "--dict", str(tmp_path / "d.sccmat"), "--data",
+                             str(tmp_path / "x.sccmat"), "--mode", mode, "--out", str(out)]) == 0
+            digest[mode] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _ENCODE_DIGESTS
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(0, 8),
+                        st.integers(0, 2**16), st.floats(0.01, 1.0) | st.just(1e3),
+                        st.integers(1, 4), st.integers(0, 7)))
+@example(params=(1, 1, 5, 0, 0.05, 3, 0))  # p = 1 and m = 1, from an empty store
+@example(params=(4, 6, 5, 1, 1e3, 2, 3))  # every code empty
+def test_cold_codes_match_on_each_path(params):
+    p, m, n, seed, lam, steps, capacity = params
+    rng = np.random.default_rng(seed)
+    D = Dictionary(random_ball_atoms(rng, p, m))
+    X = np.asfortranarray(rng.standard_normal((p, n)))
+    codes = [encode_scc(D, SparseCode.zero(m), x, lam, steps).code for x in X.T]
+    if lam == 1e3:
+        assert not any(c.nnz for c in codes)
+    want = _native_lib._store_bytes(_CodeStore.of(codes, m))
+    for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
+        with cd_path(path):
+            assert _native_lib._store_bytes(_encode_cold(D, X, lam, steps)) == want
+            kernel = _native.kernel()
+            small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
+            (_codes_py if kernel is None else kernel.codes)(D, X, lam, steps, small)
+            assert _native_lib._store_bytes(small) == want
+
+
+def test_cold_codes_reject_what_encode_scc_rejects():
+    D, x = random_instance(seed=7700, p=4, m=6)
+    X = np.zeros((5, 3))
+    with pytest.raises(DimensionMismatch) as cold:
+        _encode_cold(D, X, 0.1, 3)
+    with pytest.raises(DimensionMismatch) as one:
+        encode_scc(D, SparseCode.zero(6), X[:, 0], 0.1, 3)
+    assert str(cold.value) == str(one.value)
+    for lam, steps in [(0.0, 3), (np.inf, 3), (0.1, 0), (0.1, 2.0)]:
+        with pytest.raises(ConfigInvalid):
+            _encode_cold(D, x[:, None], lam, steps)
 
 
 def test_concurrent_encodes_match_serial():

@@ -9,6 +9,7 @@ from scc import (
     BadMagic,
     DataSet,
     Dictionary,
+    DimensionMismatch,
     EpochStats,
     FormatError,
     NonFinite,
@@ -16,6 +17,7 @@ from scc import (
     Truncated,
 )
 from scc import rng_from_seed, validate_dataset
+from scc.core import _CodeStore
 from scc.serialize import (
     MAGIC_CODES,
     MAGIC_MATRIX,
@@ -180,6 +182,42 @@ class TestCodesContainer:
             SparseCode(np.arange(9), rng.standard_normal(9) + 3.0, 9),
         ]
         self.round_trip(tmp_path, codes)
+
+    @staticmethod
+    def packed(codes, m):
+        """The container's bytes, one struct field at a time."""
+        parts = [MAGIC_CODES, struct.pack("<II", m, len(codes))]
+        for c in codes:
+            parts.append(struct.pack("<I", c.nnz))
+            parts += [struct.pack("<Id", j, v) for j, v in zip(c.indices.tolist(), c.values.tolist())]
+        return b"".join(parts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 12), sizes=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+           seed=st.integers(0, 2**16))
+    def test_store_and_list_write_the_same_bytes(self, tmp_path_factory, m, sizes, seed):
+        rng = rng_from_seed(seed)
+        codes = [SparseCode(np.sort(rng.choice(m, min(k, m), replace=False)),
+                            rng.standard_normal(min(k, m)) + 5.0, m) for k in sizes]
+        # the same codes laid out in reverse sample order, as a shuffled epoch may leave them
+        reversed_store = _CodeStore(m, len(codes), 0)
+        for i in reversed(range(len(codes))):
+            reversed_store.put(i, codes[i])
+        want = self.packed(codes, m)
+        path = tmp_path_factory.mktemp("codes") / "z.sccspc"
+        for source in (codes, _CodeStore.of(codes, m), reversed_store):
+            write_codes(path, source)
+            assert path.read_bytes() == want
+        self.round_trip(path.parent, codes)
+
+    def test_zero_codes_and_mixed_ambients_are_rejected(self, tmp_path):
+        path = tmp_path / "z.sccspc"
+        for codes in ([], _CodeStore(4, 0, 0)):
+            with pytest.raises(DimensionMismatch, match="zero codes"):
+                write_codes(path, codes)
+        with pytest.raises(DimensionMismatch, match="code 1 has ambient 5, expected 4"):
+            write_codes(path, [SparseCode.zero(4), SparseCode.zero(5)])
+        assert not path.exists()
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "z.sccspc"
