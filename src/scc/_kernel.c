@@ -1,7 +1,7 @@
 /* Native form of the hot paths: the whole stochastic epoch of the SCC
- * trainers, the cold codes of a whole dataset, the dataset objective, and
- * the per-sample coordinate-descent passes of the cheap encoder and of
- * the CD oracle.
+ * trainers, the cold codes and the CD oracle's codes of a whole dataset,
+ * the dataset objective, and the per-sample coordinate-descent passes of
+ * the cheap encoder.
  *
  * Built by scc._native with -O2 -ffp-contract=off and loaded through
  * ctypes.  The results are bit-identical to the Python loops in
@@ -315,6 +315,40 @@ int64_t scc_codes(int64_t p, int64_t m, int64_t n, const double *atoms, const do
             val[q] = z[support[q]];
             z[support[q]] = 0.0; /* only the support is nonzero after a full pass */
         }
+        c->start[i] = c->used;
+        c->length[i] = nnz;
+        c->used += nnz;
+    }
+    return n;
+}
+
+/* The CD oracle's codes of the n samples x, in sample order, into c: each
+ * sample starts from z = 0 and r = x and makes full passes with
+ * scc_cd_to_tol.  z (m) and r (p) are work space.  Starts at sample i
+ * and returns the first sample not coded: n once every sample is, or
+ * earlier, when c has no room for a code of m entries (grow it and call
+ * again); or -1 - i when sample i does not converge in max_passes
+ * passes, with its z and r left as the passes left them.  Mirrors
+ * lasso._oracle_py. */
+int64_t scc_oracle_codes(int64_t p, int64_t m, int64_t n, const double *atoms, const double *x,
+                         double lam, double tol, int64_t max_passes, int64_t i, struct codes *c,
+                         double *z, double *r)
+{
+    for (; i < n; i++) {
+        if (c->capacity - c->used < m)
+            return i;
+        memset(z, 0, m * sizeof *z);
+        memcpy(r, x + i * p, p * sizeof *r);
+        if (scc_cd_to_tol(p, m, atoms, z, r, lam, tol, max_passes) < 0)
+            return -1 - i;
+        int64_t *idx = c->indices + c->used;
+        double *val = c->values + c->used;
+        int64_t nnz = 0;
+        for (int64_t j = 0; j < m; j++)
+            if (z[j] != 0.0) {
+                idx[nnz] = j;
+                val[nnz++] = z[j];
+            }
         c->start[i] = c->used;
         c->length[i] = nnz;
         c->used += nnz;

@@ -2,8 +2,9 @@
 
 ``_kernel.c``, shipped next to this module, holds the whole stochastic
 epoch of ``trainer._epoch_py``, the per-sample objective terms of
-``metrics._terms_py``, and the coordinate-descent passes of
-``lasso.encode_scc`` and of the CD oracle.  Its results are
+``metrics._terms_py``, the cold codes of ``lasso._codes_py`` and the CD
+oracle codes of ``lasso._oracle_py`` for a whole matrix, and the
+coordinate-descent passes of ``lasso.encode_scc``.  Its results are
 bit-identical to the Python loops: every inner product and every fresh
 residual goes through the ``cblas_ddot`` and ``cblas_dgemv`` of the
 OpenBLAS that numpy loaded, called as numpy calls them, sums follow

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Dictionary, HessianDiag, SparseCode, _CodeStore
 from .dictionary import _no_curvature
-from .lasso import _codes_py, _finish
+from .lasso import _codes_py, _oracle_py
 from .metrics import _terms_py
 from .trainer import NaturalRateSchedule, _epoch_py
 
@@ -62,18 +62,23 @@ class _Epoch(ctypes.Structure):
 
 
 def _codes(store: _CodeStore) -> _Codes:
-    return _Codes(store.start.ctypes.data, store.length.ctypes.data, store.indices.ctypes.data,
-                  store.values.ctypes.data, store.indices.size, store.used)
+    # _address takes a third of the time of ctypes.data, which the self-test
+    # pays about 40 times; it cannot take an empty buffer (a store without room)
+    return _Codes(*(_address(a) if a.size else a.ctypes.data
+                    for a in (store.start, store.length, store.indices, store.values)),
+                  store.indices.size, store.used)
 
 
 class Kernel:
     """The kernel's entry points over contiguous float64 and int64 arrays.
 
-    Sample matrices ``X`` are Fortran-ordered, as ``DataSet.X`` is.  The
-    per-sample entries hand arrays over by address through ``_address``,
-    which needs them writable, contiguous and not empty, and look the
-    atoms' address up once per atom matrix; the whole-matrix entries take
-    ``ndarray.ctypes.data`` once per call.
+    Sample matrices ``X`` are Fortran-ordered, as ``DataSet.X`` is.  Arrays
+    go over by address: through ``_address``, which needs them writable,
+    contiguous and not empty, where a call is short and made often (one
+    sample's ``encode``, the self-test's oracle codes, every code store),
+    else through ``ndarray.ctypes.data``; the atoms' address is looked up
+    once per atom matrix.  The whole-matrix entries write codes into a
+    ``core._CodeStore`` and return to Python only to grow it.
     """
 
     def __init__(self, lib: ctypes.CDLL, ddot, dgemv) -> None:
@@ -83,9 +88,6 @@ class Kernel:
         self._encode = lib.scc_encode
         self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _i64, _ptr]
         self._encode.restype = _i64
-        self._cd_to_tol = lib.scc_cd_to_tol
-        self._cd_to_tol.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _f64, _i64]
-        self._cd_to_tol.restype = _i64
         self._epoch = lib.scc_epoch
         self._epoch.argtypes = [ctypes.POINTER(_Epoch)]
         self._epoch.restype = _i64
@@ -97,6 +99,10 @@ class Kernel:
         self._codes.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _f64, _i64, _i64,
                                 ctypes.POINTER(_Codes), _ptr, _ptr, _ptr]
         self._codes.restype = _i64
+        self._oracle = lib.scc_oracle_codes
+        self._oracle.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _f64, _f64, _i64, _i64,
+                                 ctypes.POINTER(_Codes), _ptr, _ptr]
+        self._oracle.restype = _i64
         self._atoms = (lambda: None, 0)  # (weak reference to an atom matrix, its address)
 
     def _atoms_address(self, atoms: np.ndarray) -> int:
@@ -116,15 +122,6 @@ class Kernel:
                            steps, _address(support))
         support = support[:nnz].copy()
         return SparseCode._trusted(support, z[support], m)
-
-    def cd_to_tol(self, D, z: np.ndarray, r: np.ndarray, lam: float, tol: float, passes: int):
-        """Full passes on ``z`` and ``r`` (in place) until the largest change is below
-        ``tol``: the code, or None if ``passes`` passes do not get there."""
-        if self._cd_to_tol(D.p, D.m, self._atoms_address(D.atoms), _address(z), _address(r), lam,
-                           tol, passes) < 0:
-            return None
-        support = np.flatnonzero(z)
-        return SparseCode._trusted(support, z[support], D.m)
 
     def epoch(self, D, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
               old: _CodeStore, new: _CodeStore, rate):
@@ -165,6 +162,21 @@ class Kernel:
             store.reserve(m)
             c = _codes(store)
         store.used = c.used
+
+    def oracle(self, D, X: np.ndarray, lam: float, tol: float, passes: int, store: _CodeStore):
+        """``lasso._oracle_py`` in one kernel call, and one more each time ``store`` grows."""
+        p, m, n = D.p, D.m, X.shape[1]
+        z, r = np.empty(m), np.empty(p)
+        args = (p, m, n, self._atoms_address(D.atoms), X.ctypes.data, lam, tol, passes)
+        work = (_address(z), _address(r))
+        c = _codes(store)
+        i = 0
+        while 0 <= (i := self._oracle(*args, i, ctypes.byref(c), *work)) < n:
+            store.used = c.used
+            store.reserve(m)
+            c = _codes(store)
+        store.used = c.used
+        return None if i == n else (-1 - i, z, r)
 
     def objective(self, D, store: _CodeStore, X: np.ndarray, lam: float) -> np.ndarray:
         """``metrics._terms_py``: the per-sample terms of the codes in ``store``."""
@@ -280,12 +292,13 @@ def load() -> Optional[Kernel]:
 def _self_test(k: Kernel) -> bool:
     """True if the kernel's bytes equal the Python loops' on fixed instances.
 
-    At every p: a few oracle passes; an epoch over two samples, from a
-    one-entry code and from zero, alternately under the adaptive rule in
-    sequential order and under the natural rule in reverse order; and the
-    objective of codes with every entry, one entry and none.  At
-    ``CODES_TEST_P``: the cold codes of a sample and of zero, into a store
-    that has to grow.
+    At every p: the oracle codes of the samples, up to the state a few
+    passes leave, into a store that has to grow; an epoch over two
+    samples, from a one-entry code and from zero, alternately under the
+    adaptive rule in sequential order and under the natural rule in
+    reverse order; and the objective of codes with every entry, one entry
+    and none.  At ``CODES_TEST_P``: the cold codes of a sample and of zero,
+    into a store that has to grow.
     """
     m = 8
     for q, p in enumerate(SELF_TEST_P):
@@ -324,17 +337,15 @@ def _store_bytes(store: _CodeStore) -> list:
 
 
 def _outputs(k: Optional[Kernel], D, X, codes, natural: bool) -> list:
-    """Bytes of up to 4 oracle passes on ``X[:, 0]`` (p >= 16 needs more), of an
-    epoch over the other samples from the other ``codes``, and of the objective
-    of ``codes`` after it, through the kernel ``k`` or (None) the Python loops."""
-    r = np.array(X[:, 0])
-    if k is None:
-        z = [0.0] * D.m
-        code = _finish(D.columns, z, r, 0.2, 1e-6, 4)
-    else:
-        z = np.zeros(D.m)
-        code = k.cd_to_tol(D, z, r, 0.2, 1e-6, 4)
-    out = [code is None, np.array(z).tobytes(), r.tobytes()]
+    """Bytes of the oracle codes of ``X`` in at most 4 passes each, up to the first
+    sample that needs more (then of its z and r after them: p = 1 codes every
+    sample, p >= 16 none), of an epoch over ``X[:, 1:]`` from the other ``codes``,
+    and of the objective of ``codes`` after it, through the kernel ``k`` or
+    (None) the Python loops."""
+    oracle = _CodeStore(D.m, X.shape[1], 0)  # no room: it has to grow
+    failed = (_oracle_py if k is None else k.oracle)(D, X, 0.2, 1e-6, 4, oracle)
+    out = _store_bytes(oracle) + ([None] if failed is None else
+                                  [failed[0], failed[1].tobytes(), failed[2].tobytes()])
     W = Dictionary(D.atoms)
     new = _CodeStore(D.m, 2, D.m)  # room for one code: it has to grow
     rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(D.m)

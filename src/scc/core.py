@@ -435,6 +435,13 @@ class _CodeStore:
             for s, k in zip(self.start.tolist(), self.length.tolist())
         ]
 
+    def dense(self) -> np.ndarray:
+        """The m x n matrix of the codes, which must lie in sample order."""
+        n = self.length.size
+        Z = np.zeros((self.m, n), order="F")
+        Z[self.indices[:self.used], np.repeat(np.arange(n), self.length)] = self.values[:self.used]
+        return Z
+
     def reserve(self, k: int) -> None:
         """Make room for ``k`` more entries, growing the buffers by half as much again."""
         if self.used + k > self.indices.size:

@@ -31,6 +31,7 @@ from .core import (
     HessianDiag,
     SparseCode,
     ZeroCurvature,
+    _CodeStore,
     _fit_sample,
 )
 
@@ -117,13 +118,10 @@ def sgd_update_support(
 
 
 def _dense_codes(codes: Sequence[SparseCode], m: int) -> np.ndarray:
-    Z = np.zeros((m, len(codes)), order="F")
     for i, c in enumerate(codes):
         if c.m != m:
             raise DimensionMismatch(f"code {i} has ambient {c.m}, expected {m}")
-        if c.nnz:
-            Z[c.indices, i] = c.values
-    return Z
+    return _CodeStore.of(codes, m).dense()
 
 
 def _gradient_step_dense(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray, eta: float) -> np.ndarray:

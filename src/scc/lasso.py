@@ -16,13 +16,14 @@ which is exact minimization over z_j when ||d_j|| = 1 and a valid
 unit-step proximal update whenever ||d_j|| <= 1, so the objective
 never increases.
 
-``encode_scc`` and the CD oracle solve one sample at a time: in one
-native kernel call (``_native``) when the kernel loads, otherwise in the
-Python reference loops ``_encode_py`` and ``_finish`` over ``_cd_pass``;
-both give the same bits.  ``_encode_cold``, behind ``scc encode``, codes
-every sample of a matrix from zero into one ``core._CodeStore``: in one
-kernel call, or per sample in ``_codes_py``.  ``cd_full_cycle`` and
-``cd_support_cycle`` always run ``_cd_pass``.
+``encode_scc`` solves one sample in one native kernel call
+(``_native``) when the kernel loads, otherwise in the Python reference
+loop ``_encode_py`` over ``_cd_pass``; both give the same bits.
+``_encode_cold``, behind ``scc encode``, and ``_oracle_cold``, behind
+the CD oracle and ``batch_train``, code every sample of a matrix from
+zero into one ``core._CodeStore``: in one kernel call, or per sample in
+``_codes_py`` and ``_oracle_py`` (``_finish`` over ``_cd_pass``).
+``cd_full_cycle`` and ``cd_support_cycle`` always run ``_cd_pass``.
 """
 
 from __future__ import annotations
@@ -256,8 +257,19 @@ def lasso_oracle_cd_batch(
     after the first pass whose largest change is below ``tol``; raises
     MaxIterationsExceeded on the first sample still moving after
     ``max_cycles`` passes, and NonFinite if ``X`` holds NaN or Inf.
-    Each sample makes all its passes in one native kernel call when the
-    kernel is loaded, else in ``_finish``; both give the same bits.
+    The codes are views of one ``_oracle_cold`` store.
+    """
+    return _oracle_cold(D, X, lam, tol, max_cycles).codes()
+
+
+def _oracle_cold(
+    D: Dictionary, X: np.ndarray, lam: float, tol: float, max_cycles: int = DEFAULT_MAX_CYCLES
+) -> _CodeStore:
+    """``lasso_oracle_cd_batch``'s codes in sample order, in one store.
+
+    They come from one native kernel call (and one more each time the
+    store grows) when the kernel is loaded, else from ``_oracle_py``;
+    both give the same bits.
     """
     _require_lambda(lam)
     if not tol > 0:
@@ -267,17 +279,30 @@ def lasso_oracle_cd_batch(
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"samples of shape {X.shape} do not have {D.p} rows")
     _require_finite(X)
+    X = np.asfortranarray(X)
     kernel = _native.kernel()
-    codes = []
-    for x in X.T:
-        r = np.array(x)  # the zero code's residual, a fresh copy
-        code = _finish(D.columns, [0.0] * D.m, r, lam, tol, max_cycles) if kernel is None else (
-            kernel.cd_to_tol(D, np.zeros(D.m), r, lam, tol, max_cycles))
+    n = X.shape[1]
+    store = _CodeStore(D.m, n, n + D.m)
+    failed = (_oracle_py if kernel is None else kernel.oracle)(D, X, lam, tol, max_cycles, store)
+    if failed is not None:
+        raise MaxIterationsExceeded(f"coordinate descent did not converge in {max_cycles} cycles")
+    return store
+
+
+def _oracle_py(D: Dictionary, X: np.ndarray, lam: float, tol: float, passes: int,
+               store: _CodeStore):
+    """``_oracle_cold``'s codes in Python: ``_finish`` on each column from zero.
+
+    Returns None once every code is in ``store``, else (i, z, r) of the
+    first sample i that ``passes`` passes do not settle, as they left it.
+    """
+    for i in range(X.shape[1]):
+        z, r = [0.0] * D.m, np.array(X[:, i])  # the zero code and its residual
+        code = _finish(D.columns, z, r, lam, tol, passes)
         if code is None:
-            raise MaxIterationsExceeded(
-                f"coordinate descent did not converge in {max_cycles} cycles")
-        codes.append(code)
-    return codes
+            return i, np.array(z), r
+        store.put(i, code)
+    return None
 
 
 def _finish(cols, z: list, r: np.ndarray, lam: float, tol: float, passes: int):

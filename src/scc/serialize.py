@@ -114,8 +114,12 @@ def read_dataset(path: PathLike, preprocessed: bool = False) -> DataSet:
 
 
 def read_dataset_csv(path: PathLike, preprocessed: bool = False) -> DataSet:
-    """Text fallback: one header row, then one sample per line."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """Text fallback: UTF-8, one header row, then one sample per line."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise FormatError(f"{path}: CSV needs a header row and at least one sample")
     rows = []

@@ -23,8 +23,10 @@ the same bits in one foreign call.  Either reads the previous epoch's
 codes from one compact ``core._CodeStore`` and writes the new codes to
 another, so memory grows with the number of nonzeros, never with m x n;
 ``TrainResult.codes`` are views of the last store.  ``batch_train``'s
-code phase runs in the kernel too, and every trainer's per-epoch
-objective comes from ``metrics._objective``.
+code phase is one ``lasso._oracle_cold`` store per epoch, one kernel
+call when the kernel loads; its dense code matrix and its objective are
+read from that store.  Every trainer's per-epoch objective comes from
+``metrics._objective``.
 """
 
 from __future__ import annotations
@@ -57,13 +59,12 @@ from .core import (
 from .data import init_dictionary
 from .dictionary import (
     _adaptive_steps,
-    _dense_codes,
     _gradient_step_dense,
     _quadratic_term,
     _sgd_inplace,
     hessian_accumulate,
 )
-from .lasso import _encode_py, lasso_oracle_cd_batch
+from .lasso import _encode_py, _oracle_cold
 from .metrics import _objective
 
 BATCH_CODE_TOL = 1e-10
@@ -209,8 +210,8 @@ def batch_train(
     """Alternating baseline: exact codes, then backtracking gradient steps.
 
     Per epoch every code is re-solved from zero to convergence against
-    the fixed dictionary, one sample after another, by
-    ``lasso_oracle_cd_batch`` (the bits of one ``lasso_oracle_cd`` call
+    the fixed dictionary, one sample after another, into one code store
+    by ``lasso._oracle_cold`` (the bits of one ``lasso_oracle_cd`` call
     per sample), then up to ``BATCH_MAX_STEPS`` full-gradient attempts
     run with the step halved whenever the quadratic part of the
     objective would grow.
@@ -224,9 +225,9 @@ def batch_train(
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        codes = lasso_oracle_cd_batch(D, ds.X, lam, BATCH_CODE_TOL)
+        codes = _oracle_cold(D, ds.X, lam, BATCH_CODE_TOL)
         t1 = time.perf_counter()
-        Z = _dense_codes(codes, m)
+        Z = codes.dense()
         eta = 1.0
         quad = _quadratic_term(atoms, Z, ds.X)
         for _ in range(BATCH_MAX_STEPS):
@@ -240,7 +241,7 @@ def batch_train(
             else:
                 eta *= 0.5
         t2 = time.perf_counter()
-        stats.append(_epoch_stats(epoch, D, _CodeStore.of(codes, m), ds.X, lam, t1 - t0, t2 - t1))
+        stats.append(_epoch_stats(epoch, D, codes, ds.X, lam, t1 - t0, t2 - t1))
         if progress is not None:
             progress(stats[-1])
-    return TrainResult(dictionary=Dictionary(atoms), codes=codes, stats=stats)
+    return TrainResult(dictionary=Dictionary(atoms), codes=codes.codes(), stats=stats)

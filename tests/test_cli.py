@@ -105,6 +105,14 @@ class TestTrain:
         code = run(["train", "--data", tmp_path / "missing.sccmat", "--dict-size", "4"])
         assert code == 1
 
+    def test_data_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        # one damaged magic byte sends an SCCMAT file to the CSV fallback
+        path = tmp_path / "x.sccmat"
+        write_matrix(path, np.full((2, 3), 0.5))
+        path.write_bytes(b"\xd3" + path.read_bytes()[1:])
+        assert run(["train", "--data", path, "--dict-size", "2"]) == 1
+        assert capsys.readouterr().err.startswith(f"scc: error: {path}: not UTF-8 text")
+
     def test_csv_input_fallback(self, tmp_path):
         rng = np.random.default_rng(9)
         rows = rng.standard_normal((30, 6))  # one sample per line

@@ -20,6 +20,7 @@ from scc import (
     Dictionary,
     DimensionMismatch,
     HessianDiag,
+    MaxIterationsExceeded,
     SCCError,
     SparseCode,
     TrainConfig,
@@ -31,13 +32,14 @@ from scc import (
     encode_scc,
     generate_planted,
     init_dictionary,
+    lasso_oracle_cd,
     lasso_oracle_cd_batch,
     natural_rate_train,
     objective,
     scc_train,
 )
 from scc.core import _CodeStore
-from scc.lasso import _codes_py, _encode_cold
+from scc.lasso import _codes_py, _encode_cold, _oracle_cold, _oracle_py
 from scc.metrics import _terms_py
 from scc.serialize import write_dataset, write_dictionary
 from scc.trainer import _epoch_py
@@ -133,30 +135,20 @@ class TestLoading:
     def test_self_test_rejects_a_kernel_with_other_bits(self, fresh_cache, tmp_path, monkeypatch,
                                                         caplog):
         # a fused multiply-add in the residual update rounds once instead of twice
-        source = _native_lib.SOURCE.read_text()
-        fused = source.replace("r[i] -= delta * col[i];", "r[i] = fma(-delta, col[i], r[i]);")
-        assert fused != source
-        mutant = tmp_path / "_kernel.c"
-        mutant.write_text(fused)
-        monkeypatch.setattr(_native_lib, "SOURCE", mutant)
-        with caplog.at_level("DEBUG", logger="scc._native_lib"):
-            assert _native_lib.load() is None
-        assert "computes other bits than the Python loops" in caplog.text
+        _refuse_mutant("r[i] -= delta * col[i];", "r[i] = fma(-delta, col[i], r[i]);",
+                       tmp_path, monkeypatch, caplog)
         assert len(list(fresh_cache.iterdir())) == 1  # it built, and then refused to run it
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_cold_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
         # a sign slip in scc_codes alone: scc_encode and every epoch stay right
-        source = _native_lib.SOURCE.read_text()
         line = "    idx[q] = support[q];\n            val[q] = z[support[q]];"  # not new_val
-        assert source.count(line) == 1
-        slipped = source.replace(line, line.replace("= z", "= -z"))
-        mutant = tmp_path / "_kernel.c"
-        mutant.write_text(slipped)
-        monkeypatch.setattr(_native_lib, "SOURCE", mutant)
-        with caplog.at_level("DEBUG", logger="scc._native_lib"):
-            assert _native_lib.load() is None
-        assert "computes other bits than the Python loops" in caplog.text
+        _refuse_mutant(line, line.replace("= z", "= -z"), tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_oracle_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
+        # a sign slip in scc_oracle_codes' store write alone: its passes stay right
+        _refuse_mutant("val[nnz++] = z[j];", "val[nnz++] = -z[j];", tmp_path, monkeypatch, caplog)
 
     def test_cache_key_needs_no_openssl(self):
         # without hashlib loaded, the built-in SHA-256 names the same file as hashlib does here
@@ -172,6 +164,18 @@ class TestLoading:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
         assert out.stdout.split() == ["True", "False"]
+
+
+def _refuse_mutant(line, replacement, tmp_path, monkeypatch, caplog):
+    """Load the kernel with the one ``line`` of its source replaced: it must be refused."""
+    source = _native_lib.SOURCE.read_text()
+    assert source.count(line) == 1
+    mutant = tmp_path / "_kernel.c"
+    mutant.write_text(source.replace(line, replacement))
+    monkeypatch.setattr(_native_lib, "SOURCE", mutant)
+    with caplog.at_level("DEBUG", logger="scc._native_lib"):
+        assert _native_lib.load() is None
+    assert "computes other bits than the Python loops" in caplog.text
 
 
 def test_fallback_gives_the_kernels_bits(fresh_cache, failing_cc, monkeypatch):
@@ -222,9 +226,15 @@ def test_trainers_give_the_same_bits_on_each_path(training, p, m, n):
 
 
 # _train_digest of the stochastic trainers as the per-sample Python loop
-# computed them before the epoch moved into one kernel call; a change that
-# moved both paths alike would still pass the comparison above
+# computed them before the epoch moved into one kernel call, and of
+# batch_train as both paths computed it before its oracle codes went into
+# one kernel call per epoch; a change that moved both paths alike would
+# still pass the comparison above
 _PINNED_DIGESTS = {
+    ("batch_train", 1, 4, 30): "801ec5531fef29ee26b03bb45c00849b4d309456e05ab862c29c5419dad5ec62",
+    ("batch_train", 16, 32, 120): "dcc3c14b6a5792119ee089d6fcff9559d9021aa2282a30dead5558589b0e9091",
+    ("batch_train", 17, 40, 60): "06b7607474a518e94d97ff574c377aea69a7319e7ab6574ff60a3c3f79268e44",
+    ("batch_train", 64, 256, 40): "da4862f57fc29407c85a0606bd96085e830cdaf8a2c515d2b2be88a81062b7c1",
     ("scc_train", 1, 4, 30): "028519ff84c55938fa5fab75d5d6bad284223a3ca09be21b7a168311dcbb5eea",
     ("scc_train", 16, 32, 120): "21ddecb5cb093c37989d808d3b40eda57a826db0d1eae2434c625f2a4e99cbed",
     ("scc_train", 64, 256, 40): "35379211756b5baab17c29124b2dbabba79480e8324e7cdb96e45f65f0125d8f",
@@ -399,6 +409,45 @@ def test_cold_codes_match_on_each_path(params):
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
             (_codes_py if kernel is None else kernel.codes)(D, X, lam, steps, small)
             assert _native_lib._store_bytes(small) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(0, 8),
+                        st.integers(0, 2**16), st.floats(0.01, 1.0) | st.just(1e3),
+                        st.sampled_from([1, 2, 100_000]), st.integers(0, 7)))
+@example(params=(1, 1, 5, 0, 0.05, 100_000, 0))  # p = 1 and m = 1, from an empty store
+@example(params=(4, 6, 5, 1, 1e3, 1, 3))  # every code empty, after one pass
+@example(params=(4, 6, 5, 2, 0.01, 1, 3))  # the first column is still moving after one pass
+def test_oracle_codes_match_on_each_path(params):
+    p, m, n, seed, lam, max_cycles, capacity = params
+    rng = np.random.default_rng(seed)
+    D = Dictionary(random_ball_atoms(rng, p, m))
+    X = np.asfortranarray(rng.standard_normal((p, n)))
+    with cd_path("python"):
+        try:
+            codes = [lasso_oracle_cd(D, x, lam, 1e-10, max_cycles) for x in X.T]
+        except MaxIterationsExceeded:
+            codes = None
+    if lam == 1e3:
+        assert not any(c.nnz for c in codes)
+    outcomes = {}
+    for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
+        with cd_path(path):
+            if codes is None:
+                with pytest.raises(MaxIterationsExceeded,
+                                   match=f"^coordinate descent did not converge in {max_cycles} "):
+                    _oracle_cold(D, X, lam, 1e-10, max_cycles)
+            else:
+                assert (_native_lib._store_bytes(_oracle_cold(D, X, lam, 1e-10, max_cycles))
+                        == _native_lib._store_bytes(_CodeStore.of(codes, m)))
+            kernel = _native.kernel()
+            small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
+            failed = (_oracle_py if kernel is None else kernel.oracle)(D, X, lam, 1e-10,
+                                                                       max_cycles, small)
+            assert (failed is None) == (codes is not None)
+            outcomes[path] = _native_lib._store_bytes(small) + (
+                [] if failed is None else [failed[0], failed[1].tobytes(), failed[2].tobytes()])
+    assert outcomes.get("kernel", outcomes["python"]) == outcomes["python"]
 
 
 def test_cold_codes_reject_what_encode_scc_rejects():

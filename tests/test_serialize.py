@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scc import (
     BadMagic,
@@ -13,6 +13,7 @@ from scc import (
     EpochStats,
     FormatError,
     NonFinite,
+    SCCError,
     SparseCode,
     Truncated,
 )
@@ -23,6 +24,7 @@ from scc.serialize import (
     MAGIC_MATRIX,
     read_codes,
     read_dataset,
+    read_dataset_csv,
     read_dictionary,
     read_matrix,
     read_metrics_csv,
@@ -162,6 +164,37 @@ class TestMatrixContainer:
         path.write_text("a,b\n1,two\n")
         with pytest.raises(FormatError):
             read_dataset(path)
+
+    def test_csv_fallback_rejects_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            read_dataset(path)
+
+
+_DATASET_FILES = {
+    "sccmat": MAGIC_MATRIX + struct.pack("<II", 2, 3)
+    + np.array([1.0, -2.5, 0.0, 3.25, 4.0, -1.0]).tobytes(),
+    "csv": b"f0,f1\n1.0,-2.5\n0.0,3.25\n4.0,-1.0\n",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=st.sampled_from(sorted(_DATASET_FILES)), cut=st.integers(0, 70),
+       edits=st.lists(st.tuples(st.integers(0, 69), st.integers(0, 255)), max_size=4),
+       reader=st.sampled_from([read_dataset, read_dataset_csv]))
+@example(source="sccmat", cut=70, edits=[(0, 0xD3)], reader=read_dataset)  # one damaged magic byte
+def test_damaged_dataset_files_raise_only_scc_errors(tmp_path_factory, source, cut, edits, reader):
+    data = bytearray(_DATASET_FILES[source][:cut])  # truncated
+    for pos, byte in edits:  # and mutated
+        if pos < len(data):
+            data[pos] = byte
+    path = tmp_path_factory.getbasetemp() / "damaged-dataset"
+    path.write_bytes(bytes(data))
+    try:
+        reader(path)
+    except SCCError:
+        pass
 
 
 class TestCodesContainer:
