@@ -1,7 +1,8 @@
 /* Native form of the hot paths: the whole stochastic epoch of the SCC
- * trainers, the cold codes and the CD oracle's codes of a whole dataset,
- * the dataset objective, and the per-sample coordinate-descent passes of
- * the cheap encoder.
+ * trainers (which, with the dictionary held fixed, also gives the cold
+ * codes of a whole dataset), the CD oracle's codes of a whole dataset, the
+ * dataset objective, and the per-sample coordinate-descent passes of the
+ * cheap encoder.
  *
  * Built by scc._native with -O2 -ffp-contract=off and loaded through
  * ctypes.  The results are bit-identical to the Python loops in
@@ -107,8 +108,8 @@ int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double 
 /* Full passes from the given z and r until the largest change of a pass
  * drops below tol.  Returns the number of passes made, or -1 if none of
  * max_passes did.  Mirrors lasso._finish. */
-int64_t scc_cd_to_tol(int64_t p, int64_t m, const double *atoms, double *z, double *r, double lam,
-                      double tol, int64_t max_passes)
+static int64_t scc_cd_to_tol(int64_t p, int64_t m, const double *atoms, double *z, double *r,
+                             double lam, double tol, int64_t max_passes)
 {
     for (int64_t t = 1; t <= max_passes; t++)
         if (cd_pass(p, atoms, NULL, m, z, r, lam) < tol)
@@ -201,7 +202,9 @@ void scc_objective(int64_t p, int64_t n, const double *atoms, const double *x,
 
 /* The state of one stochastic epoch; mirrors the arguments of
  * trainer._epoch_py.  h holds the curvature cells of the adaptive rule,
- * or is NULL for the natural rule a / (t + b). */
+ * or is NULL for the natural rule a / (t + b), whose a is always > 0.
+ * h NULL and a = 0 hold the dictionary fixed: the epoch only codes, moves
+ * no atom and leaves t as it is (trainer._epoch_py with rate None). */
 struct epoch {
     int64_t p, m, n, steps;
     double lam;
@@ -228,12 +231,13 @@ static double now(void)
 
 /* Visits e->order[e->next ..] in turn.  Each visit computes the fresh
  * residual of the sample under its code of the previous epoch, encodes
- * it with scc_encode, appends the code to e->new, advances the rate,
- * and moves each supported atom by its step times the residual onto the
- * unit ball.  Returns 0 once every visit is made; 1, before a visit,
- * when e->new has no room for a code of m entries (grow it and call
- * again); -1 when an adaptive cell is not positive, with the first such
- * cell in e->bad and no atom moved for that sample. */
+ * it with scc_encode and appends the code to e->new; unless the
+ * dictionary is held fixed, it then advances the rate and moves each
+ * supported atom by its step times the residual onto the unit ball.
+ * Returns 0 once every visit is made; 1, before a visit, when e->new has
+ * no room for a code of m entries (grow it and call again); -1 when an
+ * adaptive cell is not positive, with the first such cell in e->bad and
+ * no atom moved for that sample. */
 int64_t scc_epoch(struct epoch *e)
 {
     int64_t p = e->p, m = e->m;
@@ -263,6 +267,8 @@ int64_t scc_epoch(struct epoch *e)
         e->new.used += nnz;
         double t1 = now();
         e->time_code += t1 - t0;
+        if (!e->h && e->a == 0.0)
+            continue; /* the dictionary held fixed: codes only */
         double rate = 0.0;
         if (e->h) {
             for (int64_t q = 0; q < nnz; q++)
@@ -291,35 +297,6 @@ int64_t scc_epoch(struct epoch *e)
         e->time_dict += now() - t1;
     }
     return 0;
-}
-
-/* The codes of the n samples x from zero, in sample order, into c: each
- * sample starts from the zero code, whose residual is x itself, and is
- * encoded with scc_encode.  z (m zeros), r (p) and support (m) are work
- * space.  Starts at sample i and returns the first sample not coded: n
- * once every sample is, or earlier, when c has no room for a code of m
- * entries (grow it and call again).  Mirrors lasso._codes_py. */
-int64_t scc_codes(int64_t p, int64_t m, int64_t n, const double *atoms, const double *x,
-                  double lam, int64_t steps, int64_t i, struct codes *c, double *z, double *r,
-                  int64_t *support)
-{
-    for (; i < n; i++) {
-        if (c->capacity - c->used < m)
-            return i;
-        memcpy(r, x + i * p, p * sizeof *r);
-        int64_t nnz = scc_encode(p, m, atoms, z, r, lam, steps, support);
-        int64_t *idx = c->indices + c->used;
-        double *val = c->values + c->used;
-        for (int64_t q = 0; q < nnz; q++) {
-            idx[q] = support[q];
-            val[q] = z[support[q]];
-            z[support[q]] = 0.0; /* only the support is nonzero after a full pass */
-        }
-        c->start[i] = c->used;
-        c->length[i] = nnz;
-        c->used += nnz;
-    }
-    return n;
 }
 
 /* The CD oracle's codes of the n samples x, in sample order, into c: each

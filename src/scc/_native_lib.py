@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Dictionary, HessianDiag, SparseCode, _CodeStore
 from .dictionary import _no_curvature
-from .lasso import _codes_py, _oracle_py
+from .lasso import _oracle_py
 from .metrics import _terms_py
 from .trainer import NaturalRateSchedule, _epoch_py
 
@@ -37,7 +37,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"  # the ILP64 cblas_ddot of numpy's OpenBLAS wheels
 DGEMV = "scipy_cblas_dgemv64_"  # and its cblas_dgemv
 SELF_TEST_P = (1, 2, 3, 16, 17, 256)  # covers the ddot kernel's remainder paths
-CODES_TEST_P = 17  # scc_codes adds no arithmetic to scc_encode's, which every p covers
+_FROZEN_TEST_P = 17  # holding the atoms adds no arithmetic to an epoch, which every p covers
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -78,7 +78,9 @@ class Kernel:
     sample's ``encode``, the self-test's oracle codes, every code store),
     else through ``ndarray.ctypes.data``; the atoms' address is looked up
     once per atom matrix.  The whole-matrix entries write codes into a
-    ``core._CodeStore`` and return to Python only to grow it.
+    ``core._CodeStore`` and return to Python only to grow it.  ``epoch``
+    with rate None holds the dictionary fixed and only codes; that is how
+    ``scc encode --mode scc:S`` codes a whole file.
     """
 
     def __init__(self, lib: ctypes.CDLL, ddot, dgemv) -> None:
@@ -95,10 +97,6 @@ class Kernel:
         self._objective.argtypes = [_i64, _i64, _ptr, _ptr, ctypes.POINTER(_Codes), _f64,
                                     _ptr, _ptr, _ptr, _ptr]
         self._objective.restype = None
-        self._codes = lib.scc_codes
-        self._codes.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _f64, _i64, _i64,
-                                ctypes.POINTER(_Codes), _ptr, _ptr, _ptr]
-        self._codes.restype = _i64
         self._oracle = lib.scc_oracle_codes
         self._oracle.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _f64, _f64, _i64, _i64,
                                  ctypes.POINTER(_Codes), _ptr, _ptr]
@@ -125,15 +123,18 @@ class Kernel:
 
     def epoch(self, D, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
               old: _CodeStore, new: _CodeStore, rate):
-        """``trainer._epoch_py`` in one kernel call, and one more each time ``new`` grows."""
+        """``trainer._epoch_py`` in one kernel call, and one more each time ``new`` grows.
+
+        Rate None leaves ``h`` NULL and ``a`` zero, which holds the dictionary fixed.
+        """
         p, m = D.p, D.m
         e = _Epoch(p=p, m=m, n=order.size, steps=steps, lam=lam, atoms=D.atoms.ctypes.data,
                    x=X.ctypes.data, order=order.ctypes.data, old=_codes(old), new=_codes(new))
-        adaptive = isinstance(rate, HessianDiag)
-        if adaptive:
-            e.h = rate.diag.ctypes.data
-        else:
+        natural = isinstance(rate, NaturalRateSchedule)
+        if natural:
             e.a, e.b, e.t = rate.a, rate.b, rate.t
+        elif rate is not None:
+            e.h = rate.diag.ctypes.data
         work = np.zeros(m), np.empty(p), np.empty(p * m), np.empty(p)
         support = np.empty(m, dtype=np.int64)
         e.z, e.r, e.g, e.y = (a.ctypes.data for a in work)
@@ -143,25 +144,11 @@ class Kernel:
             new.reserve(m)
             e.new = _codes(new)
         new.used = e.new.used
-        if not adaptive:
+        if natural:
             rate.t = e.t
         if status < 0:
             raise _no_curvature(e.bad)
         return e.time_code, e.time_dict
-
-    def codes(self, D, X: np.ndarray, lam: float, steps: int, store: _CodeStore) -> None:
-        """``lasso._codes_py`` in one kernel call, and one more each time ``store`` grows."""
-        p, m, n = D.p, D.m, X.shape[1]
-        z, r, support = np.zeros(m), np.empty(p), np.empty(m, dtype=np.int64)
-        c = _codes(store)
-        i = 0
-        while (i := self._codes(p, m, n, D.atoms.ctypes.data, X.ctypes.data, lam, steps, i,
-                                ctypes.byref(c), z.ctypes.data, r.ctypes.data,
-                                support.ctypes.data)) < n:
-            store.used = c.used
-            store.reserve(m)
-            c = _codes(store)
-        store.used = c.used
 
     def oracle(self, D, X: np.ndarray, lam: float, tol: float, passes: int, store: _CodeStore):
         """``lasso._oracle_py`` in one kernel call, and one more each time ``store`` grows."""
@@ -297,8 +284,8 @@ def _self_test(k: Kernel) -> bool:
     samples, from a one-entry code and from zero, alternately under the
     adaptive rule in sequential order and under the natural rule in
     reverse order; and the objective of codes with every entry, one entry
-    and none.  At ``CODES_TEST_P``: the cold codes of a sample and of zero,
-    into a store that has to grow.
+    and none.  At ``_FROZEN_TEST_P``: the same epoch with the dictionary
+    held fixed (rate None), whose atoms must come out unmoved.
     """
     m = 8
     for q, p in enumerate(SELF_TEST_P):
@@ -312,9 +299,8 @@ def _self_test(k: Kernel) -> bool:
                  SparseCode(np.array([4]), np.array([-0.8]), m), SparseCode.zero(m)]
         if _outputs(k, D, X, codes, q % 2) != _outputs(None, D, X, codes, q % 2):
             return False
-        if p == CODES_TEST_P:
-            X = np.asfortranarray(np.column_stack([x, np.zeros(p)]))  # the second code is empty
-            if _cold_codes(k, D, X) != _cold_codes(None, D, X):
+        if p == _FROZEN_TEST_P:
+            if _epoch(k, D, X, codes, None)[1] != _epoch(None, D, X, codes, None)[1]:
                 return False
     return True
 
@@ -322,13 +308,6 @@ def _self_test(k: Kernel) -> bool:
 def _values(n: int, shift: float) -> np.ndarray:
     """``n`` fixed, irregularly spread values in [-1, 1), from an additive recurrence."""
     return 2.0 * ((0.7548776662466927 * np.arange(1, n + 1) + shift) % 1.0) - 1.0
-
-
-def _cold_codes(k: Optional[Kernel], D, X) -> list:
-    """Bytes of the cold codes of ``X`` through the kernel ``k`` or (None) the Python loops."""
-    store = _CodeStore(D.m, X.shape[1], D.m)  # room for one code: it has to grow
-    (_codes_py if k is None else k.codes)(D, X, 0.02, 3, store)
-    return _store_bytes(store)
 
 
 def _store_bytes(store: _CodeStore) -> list:
@@ -339,20 +318,27 @@ def _store_bytes(store: _CodeStore) -> list:
 def _outputs(k: Optional[Kernel], D, X, codes, natural: bool) -> list:
     """Bytes of the oracle codes of ``X`` in at most 4 passes each, up to the first
     sample that needs more (then of its z and r after them: p = 1 codes every
-    sample, p >= 16 none), of an epoch over ``X[:, 1:]`` from the other ``codes``,
+    sample, p >= 16 none), of an ``_epoch`` under the rule that ``natural`` picks,
     and of the objective of ``codes`` after it, through the kernel ``k`` or
     (None) the Python loops."""
     oracle = _CodeStore(D.m, X.shape[1], 0)  # no room: it has to grow
     failed = (_oracle_py if k is None else k.oracle)(D, X, 0.2, 1e-6, 4, oracle)
     out = _store_bytes(oracle) + ([None] if failed is None else
                                   [failed[0], failed[1].tobytes(), failed[2].tobytes()])
-    W = Dictionary(D.atoms)
-    new = _CodeStore(D.m, 2, D.m)  # room for one code: it has to grow
     rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(D.m)
-    order = np.array([1, 0]) if natural else np.arange(2)
-    run_epoch = _epoch_py if k is None else k.epoch
-    run_epoch(W, X[:, 1:], order, 0.02, 3, _CodeStore.of(codes[1:], D.m), new, rate)
+    W, epoch = _epoch(k, D, X, codes, rate)
     store = _CodeStore.of(codes, D.m)
     terms = _terms_py(W, store, X, 0.3) if k is None else k.objective(W, store, X, 0.3)
-    return out + [W.atoms.tobytes(), *_store_bytes(new),
-                  rate.t if natural else rate.diag.tobytes(), terms.tobytes()]
+    return out + epoch + [rate.t if natural else rate.diag.tobytes(), terms.tobytes()]
+
+
+def _epoch(k: Optional[Kernel], D, X, codes, rate):
+    """The dictionary after an epoch over ``X[:, 1:]`` from the other ``codes`` under
+    ``rate`` (in reverse order under the natural rule), and the bytes of its atoms and
+    of the new codes, through the kernel ``k`` or (None) the Python loops."""
+    W = Dictionary(D.atoms)
+    new = _CodeStore(D.m, 2, D.m)  # room for one code: it has to grow
+    order = np.array([1, 0]) if isinstance(rate, NaturalRateSchedule) else np.arange(2)
+    run_epoch = _epoch_py if k is None else k.epoch
+    run_epoch(W, X[:, 1:], order, 0.02, 3, _CodeStore.of(codes[1:], D.m), new, rate)
+    return W, [W.atoms.tobytes(), *_store_bytes(new)]

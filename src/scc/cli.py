@@ -32,7 +32,7 @@ from .core import (
     thread_cap,
 )
 from .data import generate_planted, preprocess_dataset
-from .lasso import _encode_cold, _oracle_cold
+from .lasso import _oracle_cold
 from .serialize import (
     read_dataset,
     read_dictionary,
@@ -40,7 +40,7 @@ from .serialize import (
     write_dictionary,
     write_metrics_csv,
 )
-from .trainer import batch_train, natural_rate_train, scc_train
+from .trainer import _encode_cold, batch_train, natural_rate_train, scc_train
 
 ENCODE_ORACLE_TOL = 1e-10
 

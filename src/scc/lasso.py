@@ -19,11 +19,13 @@ never increases.
 ``encode_scc`` solves one sample in one native kernel call
 (``_native``) when the kernel loads, otherwise in the Python reference
 loop ``_encode_py`` over ``_cd_pass``; both give the same bits.
-``_encode_cold``, behind ``scc encode``, and ``_oracle_cold``, behind
-the CD oracle and ``batch_train``, code every sample of a matrix from
-zero into one ``core._CodeStore``: in one kernel call, or per sample in
-``_codes_py`` and ``_oracle_py`` (``_finish`` over ``_cd_pass``).
-``cd_full_cycle`` and ``cd_support_cycle`` always run ``_cd_pass``.
+``_oracle_cold``, behind the CD oracle, ``batch_train`` and
+``scc encode --mode oracle``, codes every sample of a matrix from zero
+into one ``core._CodeStore``: in one kernel call, or per sample in
+``_oracle_py`` (``_finish`` over ``_cd_pass``).  The cheap codes of a
+whole matrix, behind ``scc encode --mode scc:S``, are a training epoch
+that moves no atom (``trainer._encode_cold``).  ``cd_full_cycle`` and
+``cd_support_cycle`` always run ``_cd_pass``.
 """
 
 from __future__ import annotations
@@ -198,33 +200,6 @@ def _require_steps(steps: int) -> int:
     if steps < 1:
         raise ConfigInvalid(f"steps must be >= 1, got {steps}")
     return steps
-
-
-def _encode_cold(D: Dictionary, X: np.ndarray, lam: float, steps: int) -> _CodeStore:
-    """``encode_scc`` from the zero code for every column of ``X``, into one store.
-
-    The codes lie in sample order and have the bits of per-sample
-    ``encode_scc`` calls.  They come from one native kernel call (and one
-    more each time the store grows) when the kernel is loaded, else from
-    ``_codes_py``.
-    """
-    _require_lambda(lam)
-    steps = _require_steps(steps)
-    X = np.asfortranarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != D.p:
-        raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
-    kernel = _native.kernel()
-    n = X.shape[1]
-    store = _CodeStore(D.m, n, n + D.m)
-    (_codes_py if kernel is None else kernel.codes)(D, X, lam, steps, store)
-    return store
-
-
-def _codes_py(D: Dictionary, X: np.ndarray, lam: float, steps: int, store: _CodeStore) -> None:
-    """``_encode_cold``'s codes in Python: ``_encode_py`` on each column from zero."""
-    zero = SparseCode.zero(D.m)
-    for i in range(X.shape[1]):
-        store.put(i, _encode_py(D, zero, np.array(X[:, i]), lam, steps))
 
 
 def lasso_oracle_cd(

@@ -227,17 +227,20 @@ def write_metrics_csv(path: PathLike, stats: Sequence[EpochStats]) -> None:
 
 
 def read_metrics_csv(path: PathLike) -> List[EpochStats]:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != METRICS_HEADER:
         raise FormatError(f"{path}: missing metrics header")
     out = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         fields = ln.split(",")
         if len(fields) != 6:
             raise FormatError(f"{path}: expected 6 columns, got {len(fields)}")
-        out.append(
-            EpochStats(
+        try:
+            stats = EpochStats(
                 epoch=int(fields[0]),
                 objective=float(fields[1]),
                 time_code_update=float(fields[2]),
@@ -245,7 +248,9 @@ def read_metrics_csv(path: PathLike) -> List[EpochStats]:
                 mean_support=float(fields[4]),
                 max_support=int(fields[5]),
             )
-        )
+        except ValueError:
+            raise FormatError(f"{path}: row {row} is not numeric") from None
+        out.append(stats)
     return out
 
 

@@ -22,7 +22,9 @@ kernel loads (see ``_native``), of the kernel's ``epoch``, which gives
 the same bits in one foreign call.  Either reads the previous epoch's
 codes from one compact ``core._CodeStore`` and writes the new codes to
 another, so memory grows with the number of nonzeros, never with m x n;
-``TrainResult.codes`` are views of the last store.  ``batch_train``'s
+``TrainResult.codes`` are views of the last store.  ``_encode_cold``,
+behind ``scc encode --mode scc:S``, is one such epoch in sample order
+from the zero codes, with the dictionary held fixed.  ``batch_train``'s
 code phase is one ``lasso._oracle_cold`` store per epoch, one kernel
 call when the kernel loads; its dense code matrix and its objective are
 read from that store.  Every trainer's per-epoch objective comes from
@@ -43,6 +45,7 @@ from .core import (
     ConfigInvalid,
     DataSet,
     Dictionary,
+    DimensionMismatch,
     EpochStats,
     HessianDiag,
     ORDER_SHUFFLED,
@@ -53,6 +56,7 @@ from .core import (
     rng_from_seed,
     validate_dataset,
     _CodeStore,
+    _require_lambda,
     _residual,
     _SHUFFLE_STREAM,
 )
@@ -64,7 +68,7 @@ from .dictionary import (
     _sgd_inplace,
     hessian_accumulate,
 )
-from .lasso import _encode_py, _oracle_cold
+from .lasso import _encode_py, _oracle_cold, _require_steps
 from .metrics import _objective
 
 BATCH_CODE_TOL = 1e-10
@@ -124,7 +128,8 @@ def _epoch_stats(
 
 def _epoch_py(
     D: Dictionary, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
-    old: _CodeStore, new: _CodeStore, rate: Union[HessianDiag, NaturalRateSchedule],
+    old: _CodeStore, new: _CodeStore,
+    rate: Union[HessianDiag, NaturalRateSchedule, None],
 ) -> Tuple[float, float]:
     """One stochastic epoch in Python; returns the code and dictionary phase times.
 
@@ -135,7 +140,8 @@ def _epoch_py(
     folding the code into the curvature ``HessianDiag``, or a/(t+b) * z_j
     from the ``NaturalRateSchedule``, whose t counts every visit, empty
     codes too.  Raises ZeroCurvature before a step with a cell that is
-    not positive.  The kernel's ``epoch`` gives the same bits.
+    not positive.  With ``rate`` None the dictionary is held fixed: the
+    epoch only codes.  The kernel's ``epoch`` gives the same bits.
     """
     t_code = 0.0
     t_dict = 0.0
@@ -149,6 +155,8 @@ def _epoch_py(
         new.put(i, code)
         t1 = time.perf_counter()
         t_code += t1 - t0
+        if rate is None:
+            continue
         if adaptive:
             step = _adaptive_steps(hessian_accumulate(rate, code), code)
         else:
@@ -156,6 +164,27 @@ def _epoch_py(
         _sgd_inplace(cols, code.indices, step, r)
         t_dict += time.perf_counter() - t1
     return t_code, t_dict
+
+
+def _encode_cold(D: Dictionary, X: np.ndarray, lam: float, steps: int) -> _CodeStore:
+    """``encode_scc`` from the zero code for every column of ``X``, into one store.
+
+    The codes lie in sample order and have the bits of per-sample
+    ``encode_scc`` calls: they are one epoch in sample order from the zero
+    codes that moves no atom, through the kernel's ``epoch`` when it loads,
+    else through ``_epoch_py``.
+    """
+    _require_lambda(lam)
+    steps = _require_steps(steps)
+    X = np.asfortranarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != D.p:
+        raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
+    kernel = _native.kernel()
+    m, n = D.m, X.shape[1]
+    store = _CodeStore(m, n, n + m)
+    (_epoch_py if kernel is None else kernel.epoch)(
+        D, X, np.arange(n, dtype=np.int64), lam, steps, _CodeStore(m, n, 0), store, None)
+    return store
 
 
 def _sgd_train(

@@ -39,10 +39,10 @@ from scc import (
     scc_train,
 )
 from scc.core import _CodeStore
-from scc.lasso import _codes_py, _encode_cold, _oracle_cold, _oracle_py
+from scc.lasso import _oracle_cold, _oracle_py
 from scc.metrics import _terms_py
 from scc.serialize import write_dataset, write_dictionary
-from scc.trainer import _epoch_py
+from scc.trainer import _encode_cold, _epoch_py
 
 from conftest import CD_PATHS, cd_path, random_ball_atoms, random_instance
 
@@ -141,9 +141,9 @@ class TestLoading:
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_cold_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
-        # a sign slip in scc_codes alone: scc_encode and every epoch stay right
-        line = "    idx[q] = support[q];\n            val[q] = z[support[q]];"  # not new_val
-        _refuse_mutant(line, line.replace("= z", "= -z"), tmp_path, monkeypatch, caplog)
+        # an epoch with the dictionary held fixed that steps the atoms all the same: its
+        # codes stay right, and every training epoch does too
+        _refuse_mutant("if (!e->h && e->a == 0.0)", "if (0)", tmp_path, monkeypatch, caplog)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_oracle_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
@@ -407,7 +407,8 @@ def test_cold_codes_match_on_each_path(params):
             assert _native_lib._store_bytes(_encode_cold(D, X, lam, steps)) == want
             kernel = _native.kernel()
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
-            (_codes_py if kernel is None else kernel.codes)(D, X, lam, steps, small)
+            (_epoch_py if kernel is None else kernel.epoch)(
+                D, X, np.arange(n), lam, steps, _CodeStore(m, n, 0), small, None)
             assert _native_lib._store_bytes(small) == want
 
 
@@ -498,11 +499,19 @@ def test_concurrent_encodes_match_serial():
 def test_read_only_atoms_encode(path):
     # holders other than a trainer may lock the atom matrix; encoding only reads it
     D, x = random_instance(seed=7300, p=16, m=32)
+    X = np.column_stack([x, -0.5 * x, np.zeros(16)])
+    atoms = D.atoms.tobytes()
     with cd_path(path):
         want = encode_scc(D, SparseCode.zero(32), x, 0.05, 3)
+        cold_want = [encode_scc(D, SparseCode.zero(32), c, 0.05, 3).code for c in X.T]
         D.atoms.flags.writeable = False
         got = encode_scc(D, SparseCode.zero(32), x, 0.05, 3)
         codes = lasso_oracle_cd_batch(D, x[:, None], 0.05, 1e-10)
+        # the kernel writes through a pointer whatever numpy's flag says: only the
+        # bytes show that an epoch with the dictionary held fixed moved no atom
+        cold = _encode_cold(D, X, 0.05, 3)
+    assert D.atoms.tobytes() == atoms
+    assert _codes_bytes(cold.codes()) == _codes_bytes(cold_want)
     assert _codes_bytes([got.code]) == _codes_bytes([want.code])
     assert got.residual.tobytes() == want.residual.tobytes()
     assert _codes_bytes(codes) == _codes_bytes(lasso_oracle_cd_batch(D, x[:, None], 0.05, 1e-10))

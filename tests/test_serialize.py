@@ -22,6 +22,7 @@ from scc.core import _CodeStore
 from scc.serialize import (
     MAGIC_CODES,
     MAGIC_MATRIX,
+    METRICS_HEADER,
     read_codes,
     read_dataset,
     read_dataset_csv,
@@ -185,16 +186,43 @@ _DATASET_FILES = {
        reader=st.sampled_from([read_dataset, read_dataset_csv]))
 @example(source="sccmat", cut=70, edits=[(0, 0xD3)], reader=read_dataset)  # one damaged magic byte
 def test_damaged_dataset_files_raise_only_scc_errors(tmp_path_factory, source, cut, edits, reader):
-    data = bytearray(_DATASET_FILES[source][:cut])  # truncated
+    _read_damaged(tmp_path_factory, _DATASET_FILES[source], cut, edits, reader)
+
+
+def _read_damaged(tmp_path_factory, original, cut, edits, reader):
+    """``reader`` on ``original`` cut to ``cut`` bytes and mutated by ``edits``: it
+    may raise only ``SCCError``s."""
+    data = bytearray(original[:cut])  # truncated
     for pos, byte in edits:  # and mutated
         if pos < len(data):
             data[pos] = byte
-    path = tmp_path_factory.getbasetemp() / "damaged-dataset"
+    path = tmp_path_factory.getbasetemp() / "damaged-file"
     path.write_bytes(bytes(data))
     try:
         reader(path)
     except SCCError:
         pass
+
+
+_OTHER_FILES = {
+    "metrics": (read_metrics_csv, (METRICS_HEADER + "\n1,0.5,0.125,0.0625,3.5,7\n"
+                                   "2,0.25,0.25,0.125,3.0,6\n").encode()),
+    "sccspc": (read_codes, MAGIC_CODES + struct.pack("<IIIIdIdI", 5, 2, 2, 0, 0.5, 3, -1.25, 0)),
+    "dictionary": (read_dictionary, MAGIC_MATRIX + struct.pack("<II", 2, 2)
+                   + np.array([0.6, 0.8, -1.0, 0.0]).tobytes()),
+    "pgm": (read_pgm, b"P5\n3 2\n255\n" + bytes(range(0, 240, 40))),
+}
+_FIRST_ROW = len(METRICS_HEADER) + 1  # where the metrics file's first epoch number is
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_OTHER_FILES)), cut=st.integers(0, 120),
+       edits=st.lists(st.tuples(st.integers(0, 119), st.integers(0, 255)), max_size=4))
+@example(kind="metrics", cut=120, edits=[(_FIRST_ROW, ord("x"))])  # a letter in the epoch column
+@example(kind="metrics", cut=120, edits=[(_FIRST_ROW, 0xFF)])  # a byte that is not UTF-8
+def test_damaged_files_raise_only_scc_errors(tmp_path_factory, kind, cut, edits):
+    reader, original = _OTHER_FILES[kind]
+    _read_damaged(tmp_path_factory, original, cut, edits, reader)
 
 
 class TestCodesContainer:
