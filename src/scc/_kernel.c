@@ -1,12 +1,12 @@
 /* Native form of the hot paths: the whole stochastic epoch of the SCC
  * trainers (which, with the dictionary held fixed, also gives the cold
- * codes of a whole dataset), the CD oracle's codes of a whole dataset, the
- * dataset objective, and the per-sample coordinate-descent passes of the
- * cheap encoder.
+ * codes of a whole dataset, cheap or run to a tolerance as the CD oracle
+ * runs them), the dataset objective, and the per-sample coordinate-descent
+ * passes of the cheap encoder.
  *
- * Built by scc._native with -O2 -ffp-contract=off and loaded through
- * ctypes.  The results are bit-identical to the Python loops in
- * scc.trainer._epoch_py, scc.metrics._terms_py and scc.lasso._cd_pass:
+ * Built by scc._native_lib with -O2 -ffp-contract=off -falign-loops=64 and
+ * loaded through ctypes.  The results are bit-identical to the Python loops
+ * in scc.lasso._epoch_py, scc.metrics._terms_py and scc.lasso._cd_pass:
  *
  *   - every inner product goes through the cblas_ddot that numpy calls
  *     (the pointer is handed in by scc_init), and is taken as
@@ -82,15 +82,24 @@ static double cd_pass(int64_t p, const double *atoms, const int64_t *coords, int
     return max_delta;
 }
 
-/* The cheap encoder: one full pass, then steps - 1 passes over the
+/* The per-sample encoder: full passes until one changes no coordinate by
+ * tol or more, at most full of them, then steps - 1 passes over the
  * support, which only ever shrinks.  z (length m) holds the warm start on
  * entry and the code on exit; support receives the final support in
- * ascending order.  Returns its length.  Mirrors lasso._encode_py. */
+ * ascending order.  Returns its length, or -1 when tol > 0 and the last
+ * full pass still moved a coordinate by tol or more (not settled).  The
+ * cheap encoder is tol 0, full 1: exactly one full pass, never unsettled.
+ * Mirrors lasso._encode_py. */
 int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double *r, double lam,
-                   int64_t steps, int64_t *support)
+                   double tol, int64_t full, int64_t steps, int64_t *support)
 {
+    int64_t pass;
+    for (pass = 1; pass <= full; pass++)
+        if (cd_pass(p, atoms, NULL, m, z, r, lam) < tol)
+            break;
+    if (pass > full && tol > 0.0)
+        return -1;
     int64_t nnz = 0;
-    cd_pass(p, atoms, NULL, m, z, r, lam);
     for (int64_t j = 0; j < m; j++)
         if (z[j] != 0.0)
             support[nnz++] = j;
@@ -103,18 +112,6 @@ int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double 
         nnz = kept;
     }
     return nnz;
-}
-
-/* Full passes from the given z and r until the largest change of a pass
- * drops below tol.  Returns the number of passes made, or -1 if none of
- * max_passes did.  Mirrors lasso._finish. */
-static int64_t scc_cd_to_tol(int64_t p, int64_t m, const double *atoms, double *z, double *r,
-                             double lam, double tol, int64_t max_passes)
-{
-    for (int64_t t = 1; t <= max_passes; t++)
-        if (cd_pass(p, atoms, NULL, m, z, r, lam) < tol)
-            return t;
-    return -1;
 }
 
 /* Codes of one pass over a dataset: code i is indices[start[i] ..
@@ -201,13 +198,15 @@ void scc_objective(int64_t p, int64_t n, const double *atoms, const double *x,
 }
 
 /* The state of one stochastic epoch; mirrors the arguments of
- * trainer._epoch_py.  h holds the curvature cells of the adaptive rule,
- * or is NULL for the natural rule a / (t + b), whose a is always > 0.
- * h NULL and a = 0 hold the dictionary fixed: the epoch only codes, moves
- * no atom and leaves t as it is (trainer._epoch_py with rate None). */
+ * lasso._epoch_py.  lam, tol, full and steps are scc_encode's.  h holds
+ * the curvature cells of the adaptive rule, or is NULL for the natural
+ * rule a / (t + b), whose a is always > 0.  h NULL and a = 0 hold the
+ * dictionary fixed: the epoch only codes, moves no atom and leaves t as it
+ * is (lasso._epoch_py with rate None). */
 struct epoch {
     int64_t p, m, n, steps;
-    double lam;
+    double lam, tol;
+    int64_t full;
     double *atoms;        /* p x m, updated in place */
     const double *x;      /* p x n samples */
     const int64_t *order; /* the n visits */
@@ -237,24 +236,33 @@ static double now(void)
  * Returns 0 once every visit is made; 1, before a visit, when e->new has
  * no room for a code of m entries (grow it and call again); -1 when an
  * adaptive cell is not positive, with the first such cell in e->bad and
- * no atom moved for that sample. */
+ * no atom moved for that sample; -2 when a visit's full passes do not
+ * settle, with e->next at that visit, nothing stored for it and its z
+ * left as the passes left it.  Each phase is timed from the end of the
+ * one before it, so that a training visit reads the clock once per phase;
+ * with the dictionary held fixed every visit is code phase, and only the
+ * call as a whole is timed. */
 int64_t scc_epoch(struct epoch *e)
 {
     int64_t p = e->p, m = e->m;
     double *z = e->z, *r = e->r;
     int64_t *support = e->support;
+    double t0 = now();
     for (; e->next < e->n; e->next++) {
-        if (e->new.capacity - e->new.used < m)
+        if (e->new.capacity - e->new.used < m) {
+            e->time_code += now() - t0;
             return 1;
+        }
         int64_t i = e->order[e->next];
-        double t0 = now();
         const int64_t *idx = e->old.indices + e->old.start[i];
         const double *val = e->old.values + e->old.start[i];
         int64_t k = e->old.length[i];
         residual(p, e->atoms, e->x + i * p, k, idx, val, e->g, e->y, r);
         for (int64_t q = 0; q < k; q++)
             z[idx[q]] = val[q];
-        int64_t nnz = scc_encode(p, m, e->atoms, z, r, e->lam, e->steps, support);
+        int64_t nnz = scc_encode(p, m, e->atoms, z, r, e->lam, e->tol, e->full, e->steps, support);
+        if (nnz < 0)
+            return -2;
         int64_t *new_idx = e->new.indices + e->new.used;
         double *new_val = e->new.values + e->new.used;
         for (int64_t q = 0; q < nnz; q++) {
@@ -265,10 +273,10 @@ int64_t scc_epoch(struct epoch *e)
         e->new.start[i] = e->new.used;
         e->new.length[i] = nnz;
         e->new.used += nnz;
-        double t1 = now();
-        e->time_code += t1 - t0;
         if (!e->h && e->a == 0.0)
             continue; /* the dictionary held fixed: codes only */
+        double t1 = now();
+        e->time_code += t1 - t0;
         double rate = 0.0;
         if (e->h) {
             for (int64_t q = 0; q < nnz; q++)
@@ -294,41 +302,9 @@ int64_t scc_epoch(struct epoch *e)
                     col[s] /= norm;
             }
         }
-        e->time_dict += now() - t1;
+        t0 = now();
+        e->time_dict += t0 - t1;
     }
+    e->time_code += now() - t0;
     return 0;
-}
-
-/* The CD oracle's codes of the n samples x, in sample order, into c: each
- * sample starts from z = 0 and r = x and makes full passes with
- * scc_cd_to_tol.  z (m) and r (p) are work space.  Starts at sample i
- * and returns the first sample not coded: n once every sample is, or
- * earlier, when c has no room for a code of m entries (grow it and call
- * again); or -1 - i when sample i does not converge in max_passes
- * passes, with its z and r left as the passes left them.  Mirrors
- * lasso._oracle_py. */
-int64_t scc_oracle_codes(int64_t p, int64_t m, int64_t n, const double *atoms, const double *x,
-                         double lam, double tol, int64_t max_passes, int64_t i, struct codes *c,
-                         double *z, double *r)
-{
-    for (; i < n; i++) {
-        if (c->capacity - c->used < m)
-            return i;
-        memset(z, 0, m * sizeof *z);
-        memcpy(r, x + i * p, p * sizeof *r);
-        if (scc_cd_to_tol(p, m, atoms, z, r, lam, tol, max_passes) < 0)
-            return -1 - i;
-        int64_t *idx = c->indices + c->used;
-        double *val = c->values + c->used;
-        int64_t nnz = 0;
-        for (int64_t j = 0; j < m; j++)
-            if (z[j] != 0.0) {
-                idx[nnz] = j;
-                val[nnz++] = z[j];
-            }
-        c->start[i] = c->used;
-        c->length[i] = nnz;
-        c->used += nnz;
-    }
-    return n;
 }

@@ -1,10 +1,11 @@
 """Native kernel for the hot paths, with the Python loops as fallback.
 
 ``_kernel.c``, shipped next to this module, holds the whole stochastic
-epoch of ``trainer._epoch_py`` (with the dictionary held fixed, the cold
-codes of ``trainer._encode_cold``), the per-sample objective terms of
-``metrics._terms_py``, the CD oracle codes of ``lasso._oracle_py`` for a
-whole matrix, and the coordinate-descent passes of ``lasso.encode_scc``.
+epoch of ``lasso._epoch_py`` (with the dictionary held fixed, the cold
+codes of ``lasso._encode_cold`` and, with its passes run to a tolerance,
+the CD oracle codes of ``lasso._oracle_cold``), the per-sample objective
+terms of ``metrics._terms_py``, and the coordinate-descent passes of
+``lasso.encode_scc``.
 Its results are bit-identical to the Python loops: every inner product
 and every fresh residual goes through the ``cblas_ddot`` and
 ``cblas_dgemv`` of the OpenBLAS that numpy loaded, called as numpy calls

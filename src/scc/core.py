@@ -256,6 +256,9 @@ class Dictionary:
             )
         if not np.isfinite(arr).all():
             raise NonFinite("dictionary contains NaN or Inf")
+        big = float(np.abs(arr).max())
+        if big > 1.0 + FEASIBILITY_TOL:  # its atom lies outside; the squares below could overflow
+            raise InvariantViolation(f"atom entry {big} exceeds the unit ball")
         norms = np.sqrt((arr * arr).sum(axis=0))
         worst = float(norms.max(initial=0.0))
         if worst > 1.0 + FEASIBILITY_TOL:

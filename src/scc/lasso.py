@@ -16,24 +16,30 @@ which is exact minimization over z_j when ||d_j|| = 1 and a valid
 unit-step proximal update whenever ||d_j|| <= 1, so the objective
 never increases.
 
-``encode_scc`` solves one sample in one native kernel call
+One encoder codes every sample: full passes until one changes no
+coordinate by ``tol`` or more, at most ``full`` of them, then
+``steps - 1`` support passes.  The cheap encoder is ``tol`` 0, ``full``
+1; the CD oracle a positive ``tol``, ``full`` ``max_cycles``, ``steps``
+1.  ``encode_scc`` solves one sample in one native kernel call
 (``_native``) when the kernel loads, otherwise in the Python reference
 loop ``_encode_py`` over ``_cd_pass``; both give the same bits.
-``_oracle_cold``, behind the CD oracle, ``batch_train`` and
-``scc encode --mode oracle``, codes every sample of a matrix from zero
-into one ``core._CodeStore``: in one kernel call, or per sample in
-``_oracle_py`` (``_finish`` over ``_cd_pass``).  The cheap codes of a
-whole matrix, behind ``scc encode --mode scc:S``, are a training epoch
-that moves no atom (``trainer._encode_cold``).  ``cd_full_cycle`` and
-``cd_support_cycle`` always run ``_cd_pass``.
+
+A stochastic epoch of the trainers is one call of ``_epoch_py`` or of
+the kernel's ``epoch``, which gives the same bits.  ``_encode_cold``
+codes a whole matrix from zero into one ``core._CodeStore`` as such an
+epoch that moves no atom: cheaply for ``scc encode --mode scc:S``, or
+to a tolerance in ``_oracle_cold``, behind the CD oracle, ``batch_train``
+and ``scc encode --mode oracle``.
+``cd_full_cycle`` and ``cd_support_cycle`` always run ``_cd_pass``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +50,7 @@ from .core import (
     DEFAULT_PRUNE_TOL,
     Dictionary,
     DimensionMismatch,
+    HessianDiag,
     MaxIterationsExceeded,
     Sample,
     SparseCode,
@@ -54,10 +61,11 @@ from .core import (
     _require_lambda,
     _residual,
 )
+from .dictionary import _adaptive_steps, _sgd_inplace, hessian_accumulate
 
 DEFAULT_MAX_CYCLES = 100_000
 _TINY = 1e-300
-_finish_lock = threading.Lock()
+_passes_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,17 +190,110 @@ def encode_scc(
 
 
 def _encode_py(
-    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, steps: int
-) -> SparseCode:
-    """``encode_scc``'s passes in Python; ``r`` = x - D z_init, updated in place."""
+    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, steps: int,
+    tol: float = 0.0, full: int = 1,
+):
+    """The encoder's passes in Python; ``r`` = x - D z_init, updated in place.
+
+    Full passes until one changes no coordinate by ``tol`` or more, at
+    most ``full`` of them, then ``steps - 1`` support passes.  Returns the
+    code, or None when ``tol`` > 0 and the last full pass still moved a
+    coordinate by ``tol`` or more; with ``tol`` 0 and ``full`` 1 (the
+    cheap encoder) it makes exactly one full pass and never returns None.
+
+    The passes run in one thread at a time.  Each ``r.dot`` releases the
+    GIL, and threads that handed it over on every coordinate visit took
+    twice the serial time (four threads, p=32, m=64, 2-vCPU x86-64
+    guest).  The passes need the GIL between those calls anyway, so
+    running them one at a time costs no parallelism.
+    """
     z = _as_list(z_init)
     cols = D.columns
-    _cd_pass(cols, range(D.m), z, r, lam)
-    support = _nonzero(z, range(D.m))
-    for _ in range(steps - 1):
-        _cd_pass(cols, support, z, r, lam)
-        support = _nonzero(z, support)  # support passes only ever remove coordinates
+    coords = range(D.m)
+    with _passes_lock:
+        for _ in range(full):
+            if _cd_pass(cols, coords, z, r, lam) < tol:
+                break
+        else:
+            if tol > 0:
+                return None
+        support = _nonzero(z, coords)
+        for _ in range(steps - 1):
+            _cd_pass(cols, support, z, r, lam)
+            support = _nonzero(z, support)  # support passes only ever remove coordinates
     return _code(z, support)
+
+
+def _not_converged(full: int) -> MaxIterationsExceeded:
+    return MaxIterationsExceeded(f"coordinate descent did not converge in {full} cycles")
+
+
+def _epoch_py(
+    D: Dictionary, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
+    old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0, full: int = 1,
+) -> Tuple[float, float]:
+    """One stochastic epoch in Python; returns the code and dictionary phase times.
+
+    Visits the samples (columns of ``X``) in ``order``.  Each visit
+    encodes the sample with ``_encode_py``'s passes (``tol``, ``full``,
+    ``steps``), warm-started from its code in ``old``, puts the code into
+    ``new``, and moves the supported atoms of ``D`` in place by the steps
+    of ``rate``: z_j / h_jj after folding the code into the curvature
+    ``HessianDiag``, or a/(t+b) * z_j from the
+    ``trainer.NaturalRateSchedule``, whose t counts every visit, empty
+    codes too.  Raises ZeroCurvature before a step with a cell that is
+    not positive, and MaxIterationsExceeded at a visit whose full passes
+    do not settle.  With ``rate`` None the dictionary is held fixed: the
+    epoch only codes.  The kernel's ``epoch`` gives the same bits.
+    """
+    t_code = 0.0
+    t_dict = 0.0
+    cols = D.columns
+    adaptive = isinstance(rate, HessianDiag)
+    for i in order.tolist():
+        t0 = time.perf_counter()
+        z_init = old.code(i)
+        r = _residual(D, z_init, X[:, i])
+        code = _encode_py(D, z_init, r, lam, steps, tol, full)
+        if code is None:
+            raise _not_converged(full)
+        new.put(i, code)
+        t1 = time.perf_counter()
+        t_code += t1 - t0
+        if rate is None:
+            continue
+        if adaptive:
+            step = _adaptive_steps(hessian_accumulate(rate, code), code)
+        else:
+            step = rate.next_rate() * code.values
+        _sgd_inplace(cols, code.indices, step, r)
+        t_dict += time.perf_counter() - t1
+    return t_code, t_dict
+
+
+def _encode_cold(
+    D: Dictionary, X: np.ndarray, lam: float, steps: int, tol: float = 0.0, full: int = 1
+) -> _CodeStore:
+    """The codes of every column of ``X`` from the zero code, into one store in sample order.
+
+    They are one epoch in sample order from the zero codes that moves no
+    atom, through the kernel's ``epoch`` when it loads, else through
+    ``_epoch_py``.  With the default ``tol`` and ``full`` they have the
+    bits of per-sample ``encode_scc`` calls; ``_oracle_cold`` passes its
+    tolerance and cap.
+    """
+    _require_lambda(lam)
+    steps = _require_steps(steps)
+    X = np.asfortranarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != D.p:
+        raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
+    kernel = _native.kernel()
+    m, n = D.m, X.shape[1]
+    store = _CodeStore(m, n, n + m)
+    (_epoch_py if kernel is None else kernel.epoch)(
+        D, X, np.arange(n, dtype=np.int64), lam, steps, _CodeStore(m, n, 0), store, None,
+        tol, full)
+    return store
 
 
 def _require_steps(steps: int) -> int:
@@ -242,9 +343,8 @@ def _oracle_cold(
 ) -> _CodeStore:
     """``lasso_oracle_cd_batch``'s codes in sample order, in one store.
 
-    They come from one native kernel call (and one more each time the
-    store grows) when the kernel is loaded, else from ``_oracle_py``;
-    both give the same bits.
+    They are ``_encode_cold``'s, with full passes to ``tol``, at most
+    ``max_cycles`` of them, and no support pass.
     """
     _require_lambda(lam)
     if not tol > 0:
@@ -254,48 +354,7 @@ def _oracle_cold(
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"samples of shape {X.shape} do not have {D.p} rows")
     _require_finite(X)
-    X = np.asfortranarray(X)
-    kernel = _native.kernel()
-    n = X.shape[1]
-    store = _CodeStore(D.m, n, n + D.m)
-    failed = (_oracle_py if kernel is None else kernel.oracle)(D, X, lam, tol, max_cycles, store)
-    if failed is not None:
-        raise MaxIterationsExceeded(f"coordinate descent did not converge in {max_cycles} cycles")
-    return store
-
-
-def _oracle_py(D: Dictionary, X: np.ndarray, lam: float, tol: float, passes: int,
-               store: _CodeStore):
-    """``_oracle_cold``'s codes in Python: ``_finish`` on each column from zero.
-
-    Returns None once every code is in ``store``, else (i, z, r) of the
-    first sample i that ``passes`` passes do not settle, as they left it.
-    """
-    for i in range(X.shape[1]):
-        z, r = [0.0] * D.m, np.array(X[:, i])  # the zero code and its residual
-        code = _finish(D.columns, z, r, lam, tol, passes)
-        if code is None:
-            return i, np.array(z), r
-        store.put(i, code)
-    return None
-
-
-def _finish(cols, z: list, r: np.ndarray, lam: float, tol: float, passes: int):
-    """Full passes on ``z`` and ``r`` (in place) until the largest change is below
-    ``tol``: the code, or None if ``passes`` passes do not get there.
-
-    Runs in one thread at a time.  Each ``r.dot`` releases the GIL, and
-    threads that handed it over on every coordinate visit took twice the
-    serial time (four threads, p=32, m=64, 2-vCPU x86-64 guest).  The
-    passes need the GIL between those calls anyway, so running them one
-    at a time costs no parallelism.
-    """
-    coords = range(len(z))
-    with _finish_lock:
-        for _ in range(passes):
-            if _cd_pass(cols, coords, z, r, lam) < tol:
-                return _code(z, _nonzero(z, coords))
-    return None
+    return _encode_cold(D, X, lam, 1, tol, max_cycles)
 
 
 def lasso_oracle_prox(

@@ -31,6 +31,7 @@ from scc import (
     sgd_update_support,
 )
 from scc.core import CDWorkspace, thread_cap
+from scc.serialize import read_dictionary, write_matrix
 
 
 class TestValidateDataset:
@@ -120,6 +121,16 @@ class TestDictionary:
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFinite):
             Dictionary(np.array([[np.nan], [0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_huge_atoms_without_overflow(self, tmp_path):
+        # squaring 1e300 overflows: the atom must be refused before any square is taken
+        atoms = np.array([[1e300], [1e300]])
+        with pytest.raises(InvariantViolation, match="exceeds the unit ball"):
+            Dictionary(atoms)
+        write_matrix(tmp_path / "d.sccmat", atoms)
+        with pytest.raises(InvariantViolation, match="exceeds the unit ball"):
+            read_dictionary(tmp_path / "d.sccmat")
 
     def test_accepts_interior_atoms_and_copies(self):
         atoms = 0.5 * np.eye(2)

@@ -39,10 +39,9 @@ from scc import (
     scc_train,
 )
 from scc.core import _CodeStore
-from scc.lasso import _oracle_cold, _oracle_py
+from scc.lasso import _encode_cold, _epoch_py, _oracle_cold
 from scc.metrics import _terms_py
 from scc.serialize import write_dataset, write_dictionary
-from scc.trainer import _encode_cold, _epoch_py
 
 from conftest import CD_PATHS, cd_path, random_ball_atoms, random_instance
 
@@ -147,8 +146,9 @@ class TestLoading:
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_oracle_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
-        # a sign slip in scc_oracle_codes' store write alone: its passes stay right
-        _refuse_mutant("val[nnz++] = z[j];", "val[nnz++] = -z[j];", tmp_path, monkeypatch, caplog)
+        # full passes that ignore the tolerance and stop after the first: the cheap
+        # encoder, which makes exactly one, stays right
+        _refuse_mutant("< tol)", "< INFINITY)", tmp_path, monkeypatch, caplog)
 
     def test_cache_key_needs_no_openssl(self):
         # without hashlib loaded, the built-in SHA-256 names the same file as hashlib does here
@@ -443,11 +443,15 @@ def test_oracle_codes_match_on_each_path(params):
                         == _native_lib._store_bytes(_CodeStore.of(codes, m)))
             kernel = _native.kernel()
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
-            failed = (_oracle_py if kernel is None else kernel.oracle)(D, X, lam, 1e-10,
-                                                                       max_cycles, small)
-            assert (failed is None) == (codes is not None)
-            outcomes[path] = _native_lib._store_bytes(small) + (
-                [] if failed is None else [failed[0], failed[1].tobytes(), failed[2].tobytes()])
+            try:
+                (_epoch_py if kernel is None else kernel.epoch)(
+                    D, X, np.arange(n), lam, 1, _CodeStore(m, n, 0), small, None, 1e-10,
+                    max_cycles)
+                raised = False
+            except MaxIterationsExceeded:
+                raised = True
+            assert raised == (codes is None)
+            outcomes[path] = _native_lib._store_bytes(small) + [raised]
     assert outcomes.get("kernel", outcomes["python"]) == outcomes["python"]
 
 
