@@ -1,4 +1,4 @@
-"""Native kernel for the hot paths, with the Python loops as fallback.
+"""The engine of the hot paths: the native kernel, or the Python loops.
 
 ``_kernel.c``, shipped next to this module, holds the whole stochastic
 epoch of ``lasso._epoch_py`` (with the dictionary held fixed, the cold
@@ -13,28 +13,28 @@ them, sums follow numpy's order, and every other operation is the same
 correctly rounded IEEE operation (the source is built without
 floating-point contraction).
 
-The kernel is built and loaded on the first call of ``kernel()``, not at
-import (see ``_native_lib``).  ``kernel()`` returns None, and the callers
-run their Python loops, if anything fails: no compiler, an unwritable
-cache, no such BLAS symbol, a library that does not load, or a self-test
-mismatch.  Tests choose the path by assigning ``_kernel`` (None forces
-the Python loops).
+``kernel()`` returns the engine that every caller runs: the loaded
+``_native_lib.Kernel``, or ``_native_lib.LOOPS``, the Python loops
+behind the same interface, if anything fails: no compiler, an
+unwritable cache, no such BLAS symbol, a library that does not load, or
+a self-test mismatch.  The kernel is built and loaded on the first call,
+not at import (see ``_native_lib``); until then ``_kernel`` is None.
+Tests choose the path by assigning ``_kernel`` an engine.
 """
 
 import threading
 
-_UNLOADED = object()
-_kernel = _UNLOADED
+_kernel = None  # the engine, once loaded (both engines are true)
 _lock = threading.Lock()
 
 
 def kernel():
-    """The loaded ``_native_lib.Kernel``, or None if it cannot be used; loads on first call."""
+    """The engine: the loaded ``_native_lib.Kernel``, else ``_native_lib.LOOPS``; loads on first call."""
     global _kernel
-    if _kernel is _UNLOADED:
+    if not _kernel:
         with _lock:
-            if _kernel is _UNLOADED:
-                from ._native_lib import load
+            if not _kernel:
+                from ._native_lib import LOOPS, load
 
-                _kernel = load()
+                _kernel = load() or LOOPS
     return _kernel

@@ -6,8 +6,8 @@ and ``cblas_dgemv`` of the OpenBLAS that numpy loaded, compiles
 ``_kernel.c`` with the system C compiler (``cc``) into
 ``${XDG_CACHE_HOME:-~/.cache}/scc/<hash>.so`` unless it is cached
 there, loads it with ctypes and compares it byte for byte with the
-Python loops before handing it out.  Any failure makes ``load()``
-return None.
+Python loops, ``LOOPS``, before handing it out.  Any failure makes
+``load()`` return None, and ``_native.kernel()`` hand out ``LOOPS``.
 
 The cache key is hashed by the interpreter's built-in SHA-256 unless
 hashlib is loaded already: importing hashlib loads OpenSSL.
@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Dictionary, HessianDiag, MaxIterationsExceeded, SparseCode, _CodeStore
 from .dictionary import _no_curvature
-from .lasso import _epoch_py, _not_converged
+from .lasso import _encode_py, _epoch_py, _not_converged
 from .metrics import _terms_py
 from .trainer import NaturalRateSchedule
 
@@ -85,7 +85,8 @@ class Kernel:
     dictionary fixed and only codes: that is how ``lasso._encode_cold``
     (``scc encode --mode scc:S``) and, with its passes run to a tolerance,
     ``lasso._oracle_cold`` (the CD oracle, ``batch_train`` and
-    ``scc encode --mode oracle``) code a whole matrix.
+    ``scc encode --mode oracle``) code a whole matrix.  ``LOOPS`` has
+    the same entry points, and gives the same bits.
     """
 
     def __init__(self, lib: ctypes.CDLL, ddot, dgemv) -> None:
@@ -162,6 +163,17 @@ class Kernel:
                         ctypes.byref(_codes(store)), lam, g.ctypes.data, y.ctypes.data,
                         r.ctypes.data, terms.ctypes.data)
         return terms
+
+
+class _Loops:
+    """The Python reference loops behind ``Kernel``'s entry points."""
+
+    encode = staticmethod(_encode_py)
+    epoch = staticmethod(_epoch_py)
+    objective = staticmethod(_terms_py)
+
+
+LOOPS = _Loops()
 
 
 def _address(a: np.ndarray) -> int:
@@ -265,7 +277,7 @@ def load() -> Optional[Kernel]:
 
 
 def _self_test(k: Kernel) -> bool:
-    """True if the kernel's bytes equal the Python loops' on fixed instances.
+    """True if the kernel's bytes equal those of ``LOOPS`` on fixed instances.
 
     At every p: the oracle codes of the samples, into a store that has to
     grow, from an epoch that holds its own copy of the atoms fixed and
@@ -286,7 +298,7 @@ def _self_test(k: Kernel) -> bool:
         X = np.asfortranarray(np.column_stack([x, 3.0 * x, -x]))  # 3x: atoms leave the ball
         codes = [SparseCode.from_dense(_values(m, 0.7), prune_tol=0.0),
                  SparseCode(np.array([4]), np.array([-0.8]), m), SparseCode.zero(m)]
-        if _outputs(k, D, X, codes, q % 2) != _outputs(None, D, X, codes, q % 2):
+        if _outputs(k, D, X, codes, q % 2) != _outputs(LOOPS, D, X, codes, q % 2):
             return False
     return True
 
@@ -301,42 +313,29 @@ def _store_bytes(store: _CodeStore) -> list:
             store.values[:store.used].tobytes()]
 
 
-def _outputs(k: Optional[Kernel], D, X, codes, natural: bool) -> list:
-    """Bytes of the oracle codes of ``X`` (``_oracle``), of an ``_epoch`` under the
-    rule that ``natural`` picks, and of the objective of ``codes`` after it, through
-    the kernel ``k`` or (None) the Python loops."""
-    out = _oracle(k, D, X)
-    rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(D.m)
-    W, epoch = _epoch(k, D, X, codes, rate)
-    store = _CodeStore.of(codes, D.m)
-    terms = _terms_py(W, store, X, 0.3) if k is None else k.objective(W, store, X, 0.3)
+def _outputs(k, D, X, codes, natural: bool) -> list:
+    """Bytes of what the engine ``k`` computes: the oracle codes of ``X``, an epoch
+    under the rule that ``natural`` picks, and the objective of ``codes`` after it."""
+    m, n = D.m, X.shape[1]
+    # the oracle: full passes to tol 0.1, at most 2, into a store that has to grow
+    _, out = _epoch(k, D, X, np.arange(n), 0.2, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
+                    None, 0.1, 2)
+    # a training epoch from the other codes, into a store with room for one
+    rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(m)
+    order = np.array([1, 0]) if natural else np.arange(2)
+    W, epoch = _epoch(k, D, X[:, 1:], order, 0.02, 3, _CodeStore.of(codes[1:], m),
+                      _CodeStore(m, 2, m), rate)
+    terms = k.objective(W, _CodeStore.of(codes, m), X, 0.3)
     return out + epoch + [rate.t if natural else rate.diag.tobytes(), terms.tobytes()]
 
 
-def _oracle(k: Optional[Kernel], D, X) -> list:
-    """Bytes of a copy of the atoms after the oracle's frozen epoch over ``X`` (full
-    passes to tol 0.1, at most 2: p <= 3 settles every sample, p >= 16 not the
-    second), of its codes, and whether it settled them all, through the kernel
-    ``k`` or (None) the Python loops."""
-    W = Dictionary(D.atoms)  # its own atoms: a frozen epoch that moves them spoils no other arm
-    m, n = D.m, X.shape[1]
-    store = _CodeStore(m, n, 0)  # no room: it has to grow
+def _epoch(k, D, X, order, lam, steps, old, new, rate, tol=0.0, full=1):
+    """``k.epoch`` on a copy of the atoms of ``D``, so that moving them spoils no other
+    run: the copy, and the bytes of its atoms, of ``new`` and whether every visit settled."""
+    W = Dictionary(D.atoms)
     try:
-        (_epoch_py if k is None else k.epoch)(W, X, np.arange(n), 0.2, 1, _CodeStore(m, n, 0),
-                                              store, None, 0.1, 2)
+        k.epoch(W, X, order, lam, steps, old, new, rate, tol, full)
         settled = True
     except MaxIterationsExceeded:
         settled = False
-    return [W.atoms.tobytes(), *_store_bytes(store), settled]
-
-
-def _epoch(k: Optional[Kernel], D, X, codes, rate):
-    """The dictionary after an epoch over ``X[:, 1:]`` from the other ``codes`` under
-    ``rate`` (in reverse order under the natural rule), and the bytes of its atoms and
-    of the new codes, through the kernel ``k`` or (None) the Python loops."""
-    W = Dictionary(D.atoms)
-    new = _CodeStore(D.m, 2, D.m)  # room for one code: it has to grow
-    order = np.array([1, 0]) if isinstance(rate, NaturalRateSchedule) else np.arange(2)
-    run_epoch = _epoch_py if k is None else k.epoch
-    run_epoch(W, X[:, 1:], order, 0.02, 3, _CodeStore.of(codes[1:], D.m), new, rate)
-    return W, [W.atoms.tobytes(), *_store_bytes(new)]
+    return W, [W.atoms.tobytes(), *_store_bytes(new), settled]

@@ -28,6 +28,7 @@ from .core import (
     DataSet,
     Dictionary,
     DimensionMismatch,
+    Empty,
     HessianDiag,
     SparseCode,
     ZeroCurvature,
@@ -145,9 +146,11 @@ def _quadratic_term(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray) -> float:
 def full_gradient_step(
     D: Dictionary, codes: Sequence[SparseCode], ds: DataSet, eta: float
 ) -> Dictionary:
-    """One full-batch gradient step at rate ``eta``, columns projected."""
+    """One full-batch gradient step at rate ``eta``, columns projected; Empty for no samples."""
     if not eta > 0:
         raise ConfigInvalid(f"eta must be > 0, got {eta}")
+    if ds.n == 0:
+        raise Empty("no samples")
     if len(codes) != ds.n:
         raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")
     if ds.p != D.p:

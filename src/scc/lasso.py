@@ -20,16 +20,17 @@ One encoder codes every sample: full passes until one changes no
 coordinate by ``tol`` or more, at most ``full`` of them, then
 ``steps - 1`` support passes.  The cheap encoder is ``tol`` 0, ``full``
 1; the CD oracle a positive ``tol``, ``full`` ``max_cycles``, ``steps``
-1.  ``encode_scc`` solves one sample in one native kernel call
-(``_native``) when the kernel loads, otherwise in the Python reference
-loop ``_encode_py`` over ``_cd_pass``; both give the same bits.
+1.  ``encode_scc`` solves one sample in one ``encode`` call of the
+engine that ``_native.kernel()`` returns: the native kernel when it
+loads, otherwise the Python reference loop ``_encode_py`` over
+``_cd_pass``; both give the same bits.
 
-A stochastic epoch of the trainers is one call of ``_epoch_py`` or of
-the kernel's ``epoch``, which gives the same bits.  ``_encode_cold``
-codes a whole matrix from zero into one ``core._CodeStore`` as such an
-epoch that moves no atom: cheaply for ``scc encode --mode scc:S``, or
-to a tolerance in ``_oracle_cold``, behind the CD oracle, ``batch_train``
-and ``scc encode --mode oracle``.
+A stochastic epoch of the trainers is one ``epoch`` call of that engine:
+the kernel's, or ``_epoch_py``, which gives the same bits.
+``_encode_cold`` codes a whole matrix from zero into one
+``core._CodeStore`` as such an epoch that moves no atom: cheaply for
+``scc encode --mode scc:S``, or to a tolerance in ``_oracle_cold``,
+behind the CD oracle, ``batch_train`` and ``scc encode --mode oracle``.
 ``cd_full_cycle`` and ``cd_support_cycle`` always run ``_cd_pass``.
 """
 
@@ -177,16 +178,13 @@ def encode_scc(
     The full pass discovers the support from the warm start ``z_init``;
     the remaining passes refine values on that (possibly shrinking)
     support.  The residual is computed fresh from the inputs.  The
-    passes run in the native kernel when it is loaded, else in
-    ``_encode_py``; both give the same bits.
+    passes run in the engine of ``_native.kernel()``: the native kernel
+    when it is loaded, else ``_encode_py``; both give the same bits.
     """
     _require_lambda(lam)
-    steps = _require_steps(steps)
+    steps = _require_count("steps", steps)
     r = _residual(D, z_init, x)
-    kernel = _native.kernel()
-    code = _encode_py(D, z_init, r, lam, steps) if kernel is None else kernel.encode(
-        D, z_init, r, lam, steps)
-    return CDResult(code, r, steps)
+    return CDResult(_native.kernel().encode(D, z_init, r, lam, steps), r, steps)
 
 
 def _encode_py(
@@ -277,30 +275,28 @@ def _encode_cold(
     """The codes of every column of ``X`` from the zero code, into one store in sample order.
 
     They are one epoch in sample order from the zero codes that moves no
-    atom, through the kernel's ``epoch`` when it loads, else through
-    ``_epoch_py``.  With the default ``tol`` and ``full`` they have the
-    bits of per-sample ``encode_scc`` calls; ``_oracle_cold`` passes its
-    tolerance and cap.
+    atom, one ``epoch`` call of the engine of ``_native.kernel()``.  With
+    the default ``tol`` and ``full`` they have the bits of per-sample
+    ``encode_scc`` calls; ``_oracle_cold`` passes its tolerance and cap.
     """
     _require_lambda(lam)
-    steps = _require_steps(steps)
+    steps = _require_count("steps", steps)
     X = np.asfortranarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
-    kernel = _native.kernel()
     m, n = D.m, X.shape[1]
     store = _CodeStore(m, n, n + m)
-    (_epoch_py if kernel is None else kernel.epoch)(
-        D, X, np.arange(n, dtype=np.int64), lam, steps, _CodeStore(m, n, 0), store, None,
-        tol, full)
+    _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, _CodeStore(m, n, 0),
+                           store, None, tol, full)
     return store
 
 
-def _require_steps(steps: int) -> int:
-    steps = _require_int("steps", steps)
-    if steps < 1:
-        raise ConfigInvalid(f"steps must be >= 1, got {steps}")
-    return steps
+def _require_count(name: str, value) -> int:
+    """``value`` as an int >= 1: a number of passes or an iteration cap."""
+    value = _require_int(name, value)
+    if value < 1:
+        raise ConfigInvalid(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def lasso_oracle_cd(
@@ -349,7 +345,7 @@ def _oracle_cold(
     _require_lambda(lam)
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
-    max_cycles = _require_int("max_cycles", max_cycles)
+    max_cycles = _require_count("max_cycles", max_cycles)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"samples of shape {X.shape} do not have {D.p} rows")
@@ -375,6 +371,7 @@ def lasso_oracle_prox(
     _require_lambda(lam)
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
+    max_iters = _require_count("max_iters", max_iters)
     xv = _fit_sample(D, x)
     _require_finite(xv[:, None])
     atoms = D.atoms

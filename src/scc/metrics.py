@@ -6,9 +6,8 @@ pairwise summation so large n does not erode precision.
 
 Every dataset objective, ``objective``'s and the trainers' per-epoch
 one, goes through ``_objective`` over a code store: its per-sample
-terms come from one native kernel call (``_native``) when the kernel
-loads, otherwise from the Python loop ``_terms_py``; both give the same
-bits.
+terms come from the ``objective`` of the engine ``_native.kernel()``,
+the native kernel's or the Python loop ``_terms_py``, with the same bits.
 """
 
 from __future__ import annotations
@@ -50,8 +49,11 @@ def objective(
 
     The codes and samples are checked against ``D`` once, then packed
     into a code store for ``_objective``.  ``SCC_THREADS`` is not read
-    here; the ``scc`` command validates it once at start-up.
+    here; the ``scc`` command validates it once at start-up.  Raises
+    Empty for a dataset without samples.
     """
+    if ds.n == 0:
+        raise Empty("no samples")
     if len(codes) != ds.n:
         raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")
     # one check for all: every sample has the shape of np.empty(ds.p)
@@ -62,9 +64,7 @@ def objective(
 def _objective(D: Dictionary, store: _CodeStore, X: np.ndarray, lam: float) -> float:
     """The average of the per-sample terms of the codes in ``store`` for the
     samples (columns) of ``X``, summed pairwise by numpy."""
-    kernel = _native.kernel()
-    terms = _terms_py(D, store, X, lam) if kernel is None else kernel.objective(D, store, X, lam)
-    return float(np.sum(terms) / X.shape[1])
+    return float(np.sum(_native.kernel().objective(D, store, X, lam)) / X.shape[1])
 
 
 def _terms_py(D: Dictionary, store: _CodeStore, X: np.ndarray, lam: float) -> np.ndarray:

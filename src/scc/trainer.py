@@ -17,12 +17,12 @@ from the config seed, and the recorded wall times are the one exception
 to bit-reproducibility.  Those times cover the code and dictionary
 phases only; the end-of-epoch objective evaluation falls outside both.
 
-A stochastic epoch is one call of ``lasso._epoch_py`` or, when the
-native kernel loads (see ``_native``), of the kernel's ``epoch``, which
-gives the same bits in one foreign call.  Either reads the previous
-epoch's codes from one compact ``core._CodeStore`` and writes the new
-codes to another, so memory grows with the number of nonzeros, never
-with m x n; ``TrainResult.codes`` are views of the last store.
+A stochastic epoch is one ``epoch`` call of the engine that
+``_native.kernel()`` returns: the native kernel's, one foreign call, when
+it loads, else ``lasso._epoch_py``, which gives the same bits.  Either
+reads the previous epoch's codes from one compact ``core._CodeStore``
+and writes the new codes to another, so memory grows with the number of
+nonzeros, never with m x n; ``TrainResult.codes`` are views of the last store.
 ``batch_train``'s code phase is one ``lasso._oracle_cold`` store per
 epoch: the same epoch in sample order from the zero codes, with the
 dictionary held fixed and each code run to a tolerance.  Its dense code
@@ -58,7 +58,7 @@ from .core import (
 )
 from .data import init_dictionary
 from .dictionary import _gradient_step_dense, _quadratic_term
-from .lasso import _epoch_py, _oracle_cold
+from .lasso import _oracle_cold
 from .metrics import _objective
 
 BATCH_CODE_TOL = 1e-10
@@ -125,8 +125,7 @@ def _sgd_train(
     m = cfg.dict_size
     lam = cfg.effective_lambda(ds.p)
     D = init_dictionary(ds, m, cfg.init, cfg.seed)
-    kernel = _native.kernel()
-    run_epoch = _epoch_py if kernel is None else kernel.epoch
+    run_epoch = _native.kernel().epoch
     if cfg.rate_schedule == RATE_ADAPTIVE:
         rate = HessianDiag.zeros(m)
     else:

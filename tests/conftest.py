@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from scc import Dictionary, _native, rng_from_seed
+from scc import Dictionary, _native, _native_lib, rng_from_seed
 
 
 def random_unit_atoms(rng: np.random.Generator, p: int, m: int) -> np.ndarray:
@@ -37,15 +37,16 @@ def rng():
 def cd_path(name: str):
     """Run the block on one coordinate-descent path: "python" or "kernel".
 
-    "python" forces the Python loops; "kernel" skips the test where the
-    native kernel cannot be loaded (tests/test_native.py asserts that it
-    loads wherever a C compiler and numpy's OpenBLAS ddot exist).
+    "python" assigns the Python loops (``_native_lib.LOOPS``) as the
+    engine; "kernel" skips the test where the native kernel cannot be
+    loaded (tests/test_native.py asserts that it loads wherever a C
+    compiler and numpy's OpenBLAS ddot exist).
     """
-    if name == "kernel" and _native.kernel() is None:
+    if name == "kernel" and _native.kernel() is _native_lib.LOOPS:
         pytest.skip("the native kernel is not available here")
     saved = _native._kernel
     if name == "python":
-        _native._kernel = None
+        _native._kernel = _native_lib.LOOPS
     try:
         yield
     finally:

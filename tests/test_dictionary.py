@@ -6,6 +6,7 @@ from scc import (
     DataSet,
     Dictionary,
     DimensionMismatch,
+    Empty,
     HessianDiag,
     SparseCode,
     ZeroCurvature,
@@ -159,6 +160,12 @@ class TestSgdUpdateSupport:
 
 
 class TestFullGradientStep:
+    @pytest.mark.filterwarnings("error")
+    def test_zero_samples_raise_empty(self):
+        # extract_patches may return a dataset without samples; no mean of nothing is taken
+        with pytest.raises(Empty):
+            full_gradient_step(Dictionary(np.eye(3)), [], DataSet(np.empty((3, 0))), 0.1)
+
     def test_zero_codes_leave_dictionary_unchanged(self):
         rng = rng_from_seed(11)
         D = Dictionary(random_unit_atoms(rng, 5, 7))

@@ -302,9 +302,11 @@ class TestOracleCDBatch:
 
     def test_rejects_non_integer_cycle_cap(self):
         D = Dictionary(np.eye(2))
-        for cap in (2.5, True, "10"):
+        for cap in (2.5, True, "10", 0, -1):
             with pytest.raises(ConfigInvalid):
                 lasso_oracle_cd_batch(D, np.ones((2, 3)), 0.1, 1e-10, max_cycles=cap)
+            with pytest.raises(ConfigInvalid):
+                lasso_oracle_cd(D, np.ones(2), 0.1, 1e-10, max_cycles=cap)
 
 
 _SOLVERS = {
@@ -360,6 +362,12 @@ class TestOracleProx:
         D = Dictionary(np.zeros((3, 4)))
         z = lasso_oracle_prox(D, np.ones(3), 0.1, 1e-10)
         assert z.nnz == 0
+
+    def test_rejects_non_integer_iteration_cap(self):
+        D = Dictionary(np.eye(2))
+        for cap in (2.5, True, "10", 0, -3):
+            with pytest.raises(ConfigInvalid):
+                lasso_oracle_prox(D, np.ones(2), 0.1, 1e-10, max_iters=cap)
 
 
 class TestCycleInvariants:

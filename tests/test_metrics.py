@@ -75,6 +75,12 @@ class TestObjective:
         ds = DataSet(np.column_stack([x1, x2]))
         assert objective(D, [z1, z2], ds, 0.1) == pytest.approx(0.273125)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_samples_raise_empty(self):
+        # extract_patches may return a dataset without samples; no mean of nothing is taken
+        with pytest.raises(Empty):
+            objective(Dictionary(np.eye(3)), [], DataSet(np.empty((3, 0))), 0.1)
+
 
 class TestSparsityStats:
     def test_mean_and_max(self):

@@ -39,7 +39,7 @@ from scc import (
     scc_train,
 )
 from scc.core import _CodeStore
-from scc.lasso import _encode_cold, _epoch_py, _oracle_cold
+from scc.lasso import _encode_cold, _oracle_cold
 from scc.metrics import _terms_py
 from scc.serialize import write_dataset, write_dictionary
 
@@ -91,7 +91,7 @@ class TestLoading:
     def test_kernel_loads_where_it_can(self, fresh_cache):
         # where a compiler and numpy's ddot exist, the kernel must load, so
         # that a test run cannot quietly exercise only the Python loops
-        assert _native.kernel() is not None
+        assert isinstance(_native.kernel(), _native_lib.Kernel)
         assert _native_lib.load() is not None
         assert [f.suffix for f in fresh_cache.iterdir()] == [".so"]  # no temporary left over
 
@@ -160,10 +160,10 @@ class TestLoading:
 
     def test_import_does_not_load_the_kernel(self):
         code = ("import sys, scc, scc._native as n; "
-                "print(n._kernel is n._UNLOADED, 'scc._native_lib' in sys.modules)")
+                "print(n._kernel, 'scc._native_lib' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
-        assert out.stdout.split() == ["True", "False"]
+        assert out.stdout.split() == ["None", "False"]
 
 
 def _refuse_mutant(line, replacement, tmp_path, monkeypatch, caplog):
@@ -179,13 +179,79 @@ def _refuse_mutant(line, replacement, tmp_path, monkeypatch, caplog):
 
 
 def test_fallback_gives_the_kernels_bits(fresh_cache, failing_cc, monkeypatch):
-    monkeypatch.setattr(_native, "_kernel", _native._UNLOADED)
-    assert _native.kernel() is None  # the failing compiler: the Python loops run
+    monkeypatch.setattr(_native, "_kernel", None)
+    assert _native.kernel() is _native_lib.LOOPS  # the failing compiler: the Python loops run
     fallback = _encode_bytes()
     monkeypatch.undo()
     if NATIVE_POSSIBLE:
         with cd_path("kernel"):
             assert _encode_bytes() == fallback
+
+
+class _Recorder:
+    """An engine that records each call by name and hands it on to the Python loops."""
+
+    def __init__(self):
+        self.calls = []
+        self.depth = 0  # calls of this engine under way
+
+    def _hand_on(name):
+        def call(self, *args, **kwargs):
+            self.calls.append(name)
+            self.depth += 1
+            try:
+                return getattr(_native_lib.LOOPS, name)(*args, **kwargs)
+            finally:
+                self.depth -= 1
+
+        return call
+
+    encode = _hand_on("encode")
+    epoch = _hand_on("epoch")
+    objective = _hand_on("objective")
+    del _hand_on
+
+
+def test_every_call_goes_through_the_engine(monkeypatch, tmp_path):
+    engine = _Recorder()
+    monkeypatch.setattr(_native, "_kernel", engine)
+    direct = []  # the loops that ran outside the engine
+
+    def watched(name, loop):
+        def run(*args, **kwargs):
+            if not engine.depth:
+                direct.append(name)
+            return loop(*args, **kwargs)
+
+        return run
+
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "scc"]
+    for module in modules:
+        for name in ("_encode_py", "_epoch_py", "_terms_py"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
+
+    def calls(run):
+        engine.calls = []
+        run()
+        return engine.calls
+
+    ds, D, _ = generate_planted(8, 12, 20, 2, 0.01, seed=7800)
+    cfg = TrainConfig(dict_size=12, epochs=2, seed=1)
+    natural = TrainConfig(dict_size=12, epochs=2, seed=1, rate_schedule="natural")
+    for train, config in [(scc_train, cfg), (natural_rate_train, natural), (batch_train, cfg)]:
+        assert calls(lambda: train(ds, config)) == ["epoch", "objective"] * 2
+    x = ds.X[:, 0]
+    assert calls(lambda: encode_scc(D, SparseCode.zero(12), x, 0.1, 3)) == ["encode"]
+    codes = [SparseCode.zero(12)] * ds.n
+    assert calls(lambda: objective(D, codes, ds, 0.1)) == ["objective"]
+    write_dictionary(tmp_path / "d.sccmat", D)
+    write_dataset(tmp_path / "x.sccmat", ds)
+    for mode in ("scc:3", "oracle"):
+        argv = ["encode", "--dict", str(tmp_path / "d.sccmat"), "--data",
+                str(tmp_path / "x.sccmat"), "--mode", mode, "--out", str(tmp_path / "z.sccspc")]
+        assert calls(lambda: cli.main(argv)) == ["epoch"]
+    assert direct == []
 
 
 def _train_digest(train, ds, cfg):
@@ -282,10 +348,8 @@ def test_zero_curvature_stops_before_the_step(path):
     before = D.atoms.tobytes()
     H = HessianDiag.zeros(2)
     with cd_path(path):
-        kernel = _native.kernel()
-        run_epoch = _epoch_py if kernel is None else kernel.epoch
         with pytest.raises(ZeroCurvature, match="^column 0 has no accumulated curvature$"):
-            run_epoch(D, ds.X, np.arange(3), 1e-163, 3, _CodeStore(2, 3, 0),
+            _native.kernel().epoch(D, ds.X, np.arange(3), 1e-163, 3, _CodeStore(2, 3, 0),
                       _CodeStore(2, 3, 4), H)
     assert D.atoms.tobytes() == before
     assert H.diag.tolist() == [0.0, 0.0]  # 1e-163 squared
@@ -405,10 +469,9 @@ def test_cold_codes_match_on_each_path(params):
     for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
         with cd_path(path):
             assert _native_lib._store_bytes(_encode_cold(D, X, lam, steps)) == want
-            kernel = _native.kernel()
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
-            (_epoch_py if kernel is None else kernel.epoch)(
-                D, X, np.arange(n), lam, steps, _CodeStore(m, n, 0), small, None)
+            _native.kernel().epoch(D, X, np.arange(n), lam, steps, _CodeStore(m, n, 0), small,
+                                   None)
             assert _native_lib._store_bytes(small) == want
 
 
@@ -441,12 +504,10 @@ def test_oracle_codes_match_on_each_path(params):
             else:
                 assert (_native_lib._store_bytes(_oracle_cold(D, X, lam, 1e-10, max_cycles))
                         == _native_lib._store_bytes(_CodeStore.of(codes, m)))
-            kernel = _native.kernel()
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
             try:
-                (_epoch_py if kernel is None else kernel.epoch)(
-                    D, X, np.arange(n), lam, 1, _CodeStore(m, n, 0), small, None, 1e-10,
-                    max_cycles)
+                _native.kernel().epoch(D, X, np.arange(n), lam, 1, _CodeStore(m, n, 0), small,
+                                       None, 1e-10, max_cycles)
                 raised = False
             except MaxIterationsExceeded:
                 raised = True
