@@ -1,20 +1,26 @@
 /* Native form of the hot paths: the whole stochastic epoch of the SCC
  * trainers (which, with the dictionary held fixed, also gives the cold
  * codes of a whole dataset, cheap or run to a tolerance as the CD oracle
- * runs them), the dataset objective, and the per-sample coordinate-descent
- * passes of the cheap encoder.
+ * runs them), the backtracking dictionary step of batch_train, the dataset
+ * objective, and the per-sample coordinate-descent passes of the cheap
+ * encoder.
  *
  * Built by scc._native_lib with -O2 -ffp-contract=off -falign-loops=64 and
  * loaded through ctypes.  The results are bit-identical to the Python loops
- * in scc.lasso._epoch_py, scc.metrics._terms_py and scc.lasso._cd_pass:
+ * in scc.lasso._epoch_py, scc.dictionary._dense_py, scc.metrics._terms_py
+ * and scc.lasso._cd_pass:
  *
  *   - every inner product goes through the cblas_ddot that numpy calls
  *     (the pointer is handed in by scc_init), and is taken as
  *     0.0 + ddot(...), exactly as numpy's DOUBLE_dot accumulates it;
- *   - a fresh residual x - D z calls numpy's cblas_dgemv on the gathered
- *     atoms with the arguments numpy's matmul passes, or takes numpy's
- *     dot and plain-loop routes where matmul takes them (see residual);
- *   - the penalty sum |z_j| follows numpy's pairwise summation order;
+ *   - every matrix product calls numpy's cblas_dgemm or cblas_dgemv with
+ *     the arguments numpy's matmul passes for operands of that layout, or
+ *     takes numpy's dot and plain-loop routes where matmul takes them (see
+ *     matmul, and residual, which takes them for x - D z on its own);
+ *   - sums over a whole contiguous array (the penalty sum |z_j|, the
+ *     squared residuals of the batch step) follow numpy's pairwise
+ *     summation order, and the column sums of a row-major matrix run down
+ *     each column;
  *   - every other operation is one correctly rounded IEEE operation, in
  *     numpy's order: r[i] - delta * col[i] is a product and then a
  *     difference, never a fused multiply-add, which is why the source
@@ -37,16 +43,21 @@ typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double
 typedef void (*dgemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
                          int64_t lda, const double *x, int64_t incx, double beta, double *y,
                          int64_t incy);
+typedef void (*dgemm_fn)(int order, int transa, int transb, int64_t m, int64_t n, int64_t k,
+                         double alpha, const double *a, int64_t lda, const double *b, int64_t ldb,
+                         double beta, double *c, int64_t ldc);
 
-enum { CBLAS_ROW_MAJOR = 101, CBLAS_TRANS = 112 };
+enum { CBLAS_ROW_MAJOR = 101, CBLAS_COL_MAJOR = 102, CBLAS_NO_TRANS = 111, CBLAS_TRANS = 112 };
 
 static ddot_fn ddot;
 static dgemv_fn dgemv;
+static dgemm_fn dgemm;
 
-void scc_init(ddot_fn f, dgemv_fn g)
+void scc_init(ddot_fn f, dgemv_fn g, dgemm_fn h)
 {
     ddot = f;
     dgemv = g;
+    dgemm = h;
 }
 
 /* One sweep over coords[0..n) (all m atoms in order when coords is NULL);
@@ -307,4 +318,135 @@ int64_t scc_epoch(struct epoch *e)
     }
     e->time_code += now() - t0;
     return 0;
+}
+
+/* out = a @ b, an M x P row-major result, as numpy's matmul computes it for
+ * the M x N matrix a with element strides (am, an) and the N x P matrix b
+ * with (bn, bp), both contiguous (the stride along a dimension of length 1
+ * is never read).  numpy calls dgemm when M, N and P all exceed 1, its dot
+ * for a 1 x 1 result, dgemv for one row or one column of result with N > 1,
+ * and otherwise its plain loop, 0 + a * b summed in order; dgemm and dgemv
+ * get the order, transposes and leading dimensions numpy passes for that
+ * layout: a row-major operand as is, a column-major one transposed. */
+static void matmul(int64_t M, int64_t N, int64_t P, const double *a, int64_t am, int64_t an,
+                   const double *b, int64_t bn, int64_t bp, double *out)
+{
+    if (M > 1 && N > 1 && P > 1) {
+        dgemm(CBLAS_ROW_MAJOR, an == 1 ? CBLAS_NO_TRANS : CBLAS_TRANS,
+              bp == 1 ? CBLAS_NO_TRANS : CBLAS_TRANS, M, P, N, 1.0, a, an == 1 ? am : an, b,
+              bp == 1 ? bn : bp, 0.0, out, P);
+    } else if (M == 1 && P == 1) {
+        out[0] = 0.0 + ddot(N, a, an, b, bn);
+    } else if (N > 1 && M == 1) {
+        dgemv(bn == 1 ? CBLAS_COL_MAJOR : CBLAS_ROW_MAJOR, CBLAS_TRANS, N, P, 1.0, b,
+              bn == 1 ? bp : bn, a, an, 0.0, out, 1);
+    } else if (N > 1 && P == 1) {
+        dgemv(an == 1 ? CBLAS_COL_MAJOR : CBLAS_ROW_MAJOR, CBLAS_TRANS, N, M, 1.0, a,
+              an == 1 ? am : an, b, bn, 0.0, out, 1);
+    } else {
+        for (int64_t i = 0; i < M; i++)
+            for (int64_t j = 0; j < P; j++) {
+                double s = 0.0;
+                for (int64_t k = 0; k < N; k++)
+                    s += a[i * am + k * an] * b[k * bn + j * bp];
+                out[i * P + j] = s;
+            }
+    }
+}
+
+/* r = a @ z - x, p x n row-major, for the p x m matrix a with element
+ * strides (am, an), the column-major m x n codes z and the column-major
+ * p x n samples x, as numpy computes atoms @ Z - X. */
+static void residuals(int64_t p, int64_t m, int64_t n, const double *a, int64_t am, int64_t an,
+                      const double *z, const double *x, double *r)
+{
+    matmul(p, m, n, a, am, an, z, 1, m, r);
+    for (int64_t i = 0; i < p; i++)
+        for (int64_t j = 0; j < n; j++)
+            r[i * n + j] -= x[j * p + i];
+}
+
+/* 0.5 * (r * r).sum() / n of the p x n residuals r, which it squares in
+ * place.  Mirrors dictionary._quadratic_term: the squares are never
+ * negative, so abs_sum sums them in numpy's pairwise order. */
+static double quadratic(double *r, int64_t p, int64_t n)
+{
+    for (int64_t i = 0; i < p * n; i++)
+        r[i] *= r[i];
+    return 0.5 * abs_sum(r, p * n) / (double)n;
+}
+
+/* g = (r @ z.T) / n, p x m row-major, for the residuals r of the atoms. */
+static void gradient(int64_t p, int64_t m, int64_t n, const double *r, const double *z, double *g)
+{
+    matmul(p, n, m, r, n, 1, z, m, 1, g);
+    for (int64_t k = 0; k < p * m; k++)
+        g[k] /= (double)n;
+}
+
+/* batch_train's dictionary step, in place on the column-major p x m atoms,
+ * for the column-major m x n codes z of the column-major p x n samples x.
+ * Each of at most attempts tries the gradient step at rate eta (1 at
+ * first), projects each column of the row-major candidate onto the unit
+ * ball and accepts it when the quadratic term does not grow: unless the
+ * candidate equals the atoms (stationary: stop), it becomes the atoms;
+ * otherwise eta is halved.  The gradient is taken again only after the
+ * atoms move.  work holds p * n + 2 * p * m + m doubles.  Returns the
+ * number of steps accepted.  Mirrors dictionary._dense_py, whose column
+ * sums (out * out).sum(axis=0) of the row-major candidate run down each
+ * column, or pairwise when it is a single column. */
+int64_t scc_dense(int64_t p, int64_t m, int64_t n, double *atoms, const double *z,
+                  const double *x, int64_t attempts, double *work)
+{
+    double *r = work, *g = r + p * n, *cand = g + p * m, *norms = cand + p * m;
+    double eta = 1.0;
+    residuals(p, m, n, atoms, 1, p, z, x, r);
+    gradient(p, m, n, r, z, g);
+    double quad = quadratic(r, p, n);
+    int64_t accepted = 0;
+    int stale = 0; /* the atoms moved since g was taken */
+    for (int64_t t = 0; t < attempts; t++) {
+        if (stale) {
+            residuals(p, m, n, atoms, 1, p, z, x, r);
+            gradient(p, m, n, r, z, g);
+            stale = 0;
+        }
+        for (int64_t i = 0; i < p; i++)
+            for (int64_t j = 0; j < m; j++)
+                cand[i * m + j] = atoms[j * p + i] - eta * g[i * m + j];
+        if (m == 1) {
+            for (int64_t i = 0; i < p; i++)
+                r[i] = cand[i] * cand[i];
+            norms[0] = abs_sum(r, p);
+        } else {
+            memset(norms, 0, m * sizeof *norms);
+            for (int64_t i = 0; i < p; i++)
+                for (int64_t j = 0; j < m; j++)
+                    norms[j] += cand[i * m + j] * cand[i * m + j];
+        }
+        for (int64_t j = 0; j < m; j++) {
+            double norm = sqrt(norms[j]);
+            if (norm > 1.0)
+                for (int64_t i = 0; i < p; i++)
+                    cand[i * m + j] /= norm;
+        }
+        residuals(p, m, n, cand, m, 1, z, x, r);
+        double quad_new = quadratic(r, p, n);
+        if (quad_new <= quad) {
+            int64_t k = 0;
+            while (k < p * m && cand[k] == atoms[k % m * p + k / m])
+                k++;
+            if (k == p * m)
+                break; /* stationary for these codes */
+            for (int64_t i = 0; i < p; i++)
+                for (int64_t j = 0; j < m; j++)
+                    atoms[j * p + i] = cand[i * m + j];
+            quad = quad_new;
+            accepted++;
+            stale = 1;
+        } else {
+            eta *= 0.5;
+        }
+    }
+    return accepted;
 }

@@ -3,15 +3,17 @@
 ``_kernel.c``, shipped next to this module, holds the whole stochastic
 epoch of ``lasso._epoch_py`` (with the dictionary held fixed, the cold
 codes of ``lasso._encode_cold`` and, with its passes run to a tolerance,
-the CD oracle codes of ``lasso._oracle_cold``), the per-sample objective
-terms of ``metrics._terms_py``, and the coordinate-descent passes of
-``lasso.encode_scc``.
+the CD oracle codes of ``lasso._oracle_cold``), ``batch_train``'s
+backtracking dictionary step ``dictionary._dense_py``, the per-sample
+objective terms of ``metrics._terms_py``, and the coordinate-descent
+passes of ``lasso.encode_scc``.
 Its results are bit-identical to the Python loops: every inner product
-and every fresh residual goes through the ``cblas_ddot`` and
-``cblas_dgemv`` of the OpenBLAS that numpy loaded, called as numpy calls
-them, sums follow numpy's order, and every other operation is the same
-correctly rounded IEEE operation (the source is built without
-floating-point contraction).
+and every matrix product goes through the ``cblas_ddot``,
+``cblas_dgemv`` and ``cblas_dgemm`` of the OpenBLAS that numpy loaded,
+called as numpy's matmul calls them (or along its dot and plain-loop
+routes where a dimension is 1), sums follow numpy's order, and every
+other operation is the same correctly rounded IEEE operation (the source
+is built without floating-point contraction).
 
 ``kernel()`` returns the engine that every caller runs: the loaded
 ``_native_lib.Kernel``, or ``_native_lib.LOOPS``, the Python loops

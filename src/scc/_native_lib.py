@@ -1,13 +1,14 @@
-"""The native kernel library: how it is built, cached, checked and called.
+"""The native kernel library: how it is built, cached and called.
 
 ``_native.kernel()`` imports this module on first use, so that
-``import scc`` does not pay for it.  ``load()`` finds the ``cblas_ddot``
-and ``cblas_dgemv`` of the OpenBLAS that numpy loaded, compiles
+``import scc`` does not pay for it.  ``load()`` finds the ``cblas_ddot``,
+``cblas_dgemv`` and ``cblas_dgemm`` of the OpenBLAS that numpy loaded, compiles
 ``_kernel.c`` with the system C compiler (``cc``) into
 ``${XDG_CACHE_HOME:-~/.cache}/scc/<hash>.so`` unless it is cached
 there, loads it with ctypes and compares it byte for byte with the
-Python loops, ``LOOPS``, before handing it out.  Any failure makes
-``load()`` return None, and ``_native.kernel()`` hand out ``LOOPS``.
+Python loops, ``LOOPS``, before handing it out (``_native_check``).  Any
+failure makes ``load()`` return None, and ``_native.kernel()`` hand out
+``LOOPS``.
 
 The cache key is hashed by the interpreter's built-in SHA-256 unless
 hashlib is loaded already: importing hashlib loads OpenSSL.
@@ -26,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dictionary, HessianDiag, MaxIterationsExceeded, SparseCode, _CodeStore
-from .dictionary import _no_curvature
+from .core import SparseCode, _CodeStore
+from .dictionary import _dense_py, _no_curvature
 from .lasso import _encode_py, _epoch_py, _not_converged
 from .metrics import _terms_py
 from .trainer import NaturalRateSchedule
@@ -39,7 +40,7 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=64", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"  # the ILP64 cblas_ddot of numpy's OpenBLAS wheels
 DGEMV = "scipy_cblas_dgemv64_"  # and its cblas_dgemv
-SELF_TEST_P = (1, 2, 3, 16, 17, 256)  # covers the ddot kernel's remainder paths
+DGEMM = "scipy_cblas_dgemm64_"  # and its cblas_dgemm
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -85,14 +86,16 @@ class Kernel:
     dictionary fixed and only codes: that is how ``lasso._encode_cold``
     (``scc encode --mode scc:S``) and, with its passes run to a tolerance,
     ``lasso._oracle_cold`` (the CD oracle, ``batch_train`` and
-    ``scc encode --mode oracle``) code a whole matrix.  ``LOOPS`` has
+    ``scc encode --mode oracle``) code a whole matrix.  ``dense`` runs
+    ``batch_train``'s dictionary step in place on Fortran-ordered atoms,
+    for the Fortran-ordered dense codes ``Z`` of ``X``.  ``LOOPS`` has
     the same entry points, and gives the same bits.
     """
 
-    def __init__(self, lib: ctypes.CDLL, ddot, dgemv) -> None:
-        lib.scc_init.argtypes = [_ptr, _ptr]
+    def __init__(self, lib: ctypes.CDLL, ddot, dgemv, dgemm) -> None:
+        lib.scc_init.argtypes = [_ptr, _ptr, _ptr]
         lib.scc_init.restype = None
-        lib.scc_init(ctypes.cast(ddot, _ptr), ctypes.cast(dgemv, _ptr))
+        lib.scc_init(*(ctypes.cast(f, _ptr) for f in (ddot, dgemv, dgemm)))
         self._encode = lib.scc_encode
         self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _f64, _i64, _i64, _ptr]
         self._encode.restype = _i64
@@ -103,6 +106,9 @@ class Kernel:
         self._objective.argtypes = [_i64, _i64, _ptr, _ptr, ctypes.POINTER(_Codes), _f64,
                                     _ptr, _ptr, _ptr, _ptr]
         self._objective.restype = None
+        self._dense = lib.scc_dense
+        self._dense.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _ptr, _i64, _ptr]
+        self._dense.restype = _i64
         self._atoms = (lambda: None, 0)  # (weak reference to an atom matrix, its address)
 
     def _atoms_address(self, atoms: np.ndarray) -> int:
@@ -164,6 +170,18 @@ class Kernel:
                         r.ctypes.data, terms.ctypes.data)
         return terms
 
+    def dense(self, atoms: np.ndarray, Z: np.ndarray, X: np.ndarray, attempts: int) -> int:
+        """``dictionary._dense_py``: the backtracking steps in place on ``atoms``."""
+        (p, m), n = atoms.shape, Z.shape[1]
+        if not (atoms.dtype == np.float64 and atoms.flags.f_contiguous and atoms.flags.writeable
+                and Z.shape == (m, n) and X.shape == (p, n)):
+            raise ValueError("dense needs writable Fortran-ordered float64 atoms, and Z and X "
+                             "that fit them")
+        Z, X = (np.asfortranarray(a, dtype=np.float64) for a in (Z, X))
+        work = np.empty(p * n + 2 * p * m + m)
+        return self._dense(p, m, n, atoms.ctypes.data, Z.ctypes.data, X.ctypes.data, attempts,
+                           work.ctypes.data)
+
 
 class _Loops:
     """The Python reference loops behind ``Kernel``'s entry points."""
@@ -171,6 +189,7 @@ class _Loops:
     encode = staticmethod(_encode_py)
     epoch = staticmethod(_epoch_py)
     objective = staticmethod(_terms_py)
+    dense = staticmethod(_dense_py)
 
 
 LOOPS = _Loops()
@@ -255,7 +274,8 @@ def load() -> Optional[Kernel]:
         if found is None or cc is None:
             raise OSError(f"no {DDOT} in numpy's OpenBLAS" if found is None else "no cc on PATH")
         blas, ddot = found
-        dgemv = getattr(ctypes.CDLL(blas), DGEMV)
+        openblas = ctypes.CDLL(blas)
+        dgemv, dgemm = getattr(openblas, DGEMV), getattr(openblas, DGEMM)
         path = cache_path(cc, blas)
         if not path.exists():
             _build(cc, path)
@@ -264,7 +284,9 @@ def load() -> Optional[Kernel]:
         except OSError:  # a damaged cache entry: build it again
             _build(cc, path)
             lib = ctypes.CDLL(str(path))
-        k = Kernel(lib, ddot, dgemv)
+        k = Kernel(lib, ddot, dgemv, dgemm)
+        from ._native_check import _self_test
+
         if not _self_test(k):
             raise ArithmeticError(f"{path} computes other bits than the Python loops")
         return k
@@ -274,68 +296,3 @@ def load() -> Optional[Kernel]:
         logging.getLogger(__name__).debug("the Python loops run instead of the kernel",
                                           exc_info=True)
         return None
-
-
-def _self_test(k: Kernel) -> bool:
-    """True if the kernel's bytes equal those of ``LOOPS`` on fixed instances.
-
-    At every p: the oracle codes of the samples, into a store that has to
-    grow, from an epoch that holds its own copy of the atoms fixed and
-    passes to a loose tolerance under a cap that one sample at p >= 16 does
-    not meet (so the atoms, the codes up to that sample and whether it
-    settled are compared); an epoch over two samples, from a one-entry code
-    and from zero, alternately under the adaptive rule in sequential order
-    and under the natural rule in reverse order; and the objective of codes
-    with every entry, one entry and none.
-    """
-    m = 8
-    for q, p in enumerate(SELF_TEST_P):
-        atoms = _values(p * m, 0.1).reshape(p, m)
-        atoms /= np.sqrt((atoms * atoms).sum(axis=0))
-        atoms[:, ::3] *= 0.6  # atoms inside the ball as well as on the sphere
-        D = Dictionary(atoms)
-        x = D.atoms[:, :3] @ np.array([1.0, -0.5, 0.25]) + 0.01 * _values(p, 0.3)
-        X = np.asfortranarray(np.column_stack([x, 3.0 * x, -x]))  # 3x: atoms leave the ball
-        codes = [SparseCode.from_dense(_values(m, 0.7), prune_tol=0.0),
-                 SparseCode(np.array([4]), np.array([-0.8]), m), SparseCode.zero(m)]
-        if _outputs(k, D, X, codes, q % 2) != _outputs(LOOPS, D, X, codes, q % 2):
-            return False
-    return True
-
-
-def _values(n: int, shift: float) -> np.ndarray:
-    """``n`` fixed, irregularly spread values in [-1, 1), from an additive recurrence."""
-    return 2.0 * ((0.7548776662466927 * np.arange(1, n + 1) + shift) % 1.0) - 1.0
-
-
-def _store_bytes(store: _CodeStore) -> list:
-    return [store.start.tobytes(), store.length.tobytes(), store.indices[:store.used].tobytes(),
-            store.values[:store.used].tobytes()]
-
-
-def _outputs(k, D, X, codes, natural: bool) -> list:
-    """Bytes of what the engine ``k`` computes: the oracle codes of ``X``, an epoch
-    under the rule that ``natural`` picks, and the objective of ``codes`` after it."""
-    m, n = D.m, X.shape[1]
-    # the oracle: full passes to tol 0.1, at most 2, into a store that has to grow
-    _, out = _epoch(k, D, X, np.arange(n), 0.2, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
-                    None, 0.1, 2)
-    # a training epoch from the other codes, into a store with room for one
-    rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(m)
-    order = np.array([1, 0]) if natural else np.arange(2)
-    W, epoch = _epoch(k, D, X[:, 1:], order, 0.02, 3, _CodeStore.of(codes[1:], m),
-                      _CodeStore(m, 2, m), rate)
-    terms = k.objective(W, _CodeStore.of(codes, m), X, 0.3)
-    return out + epoch + [rate.t if natural else rate.diag.tobytes(), terms.tobytes()]
-
-
-def _epoch(k, D, X, order, lam, steps, old, new, rate, tol=0.0, full=1):
-    """``k.epoch`` on a copy of the atoms of ``D``, so that moving them spoils no other
-    run: the copy, and the bytes of its atoms, of ``new`` and whether every visit settled."""
-    W = Dictionary(D.atoms)
-    try:
-        k.epoch(W, X, order, lam, steps, old, new, rate, tol, full)
-        settled = True
-    except MaxIterationsExceeded:
-        settled = False
-    return W, [W.atoms.tobytes(), *_store_bytes(new), settled]

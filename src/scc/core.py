@@ -584,9 +584,11 @@ def validate_dataset(ds: Union[DataSet, Sequence[Sample]]) -> None:
 
     Accepts either a DataSet or a raw sequence of Samples (the latter is
     how unequal lengths can be detected at all).  A sample is checked for
-    finite values, then, if flagged preprocessed, for zero mean and unit
-    norm to within ``PREPROCESS_TOL``.  Each check runs on the whole
-    matrix and names the first sample that fails it.
+    finite values, then, unless flagged preprocessed, for a squared norm
+    that does not overflow (NonFinite: training would report an infinite
+    objective), and if flagged, for zero mean and unit norm to within
+    ``PREPROCESS_TOL``.  Each check runs on the whole matrix and names the
+    first sample that fails it.
     """
     if isinstance(ds, DataSet):
         X, flagged = ds.X, np.full(ds.n, ds.preprocessed)
@@ -597,9 +599,14 @@ def validate_dataset(ds: Union[DataSet, Sequence[Sample]]) -> None:
     if X.shape[1] == 0:
         raise Empty("no samples to validate")
     _require_finite(X)
+    with np.errstate(over="ignore"):
+        square = np.einsum("ij,ij->j", X, X)  # no p x n temporary
+    huge = ~flagged & np.isinf(square)
+    if huge.any():
+        raise NonFinite(f"sample {int(np.argmax(huge))} has a squared norm that overflows")
     if flagged.any():
         mean = X.mean(axis=0)
-        norm = np.sqrt(np.einsum("ij,ij->j", X, X))  # no p x n temporary
+        norm = np.sqrt(square)
         bad_mean = np.abs(mean) > PREPROCESS_TOL
         bad = flagged & (bad_mean | (np.abs(norm - 1.0) > PREPROCESS_TOL))
         if bad.any():

@@ -14,6 +14,9 @@ stays proportional to the support size, not to the dictionary size.  It
 takes one step per supported atom, so both rate schedules share it: the
 adaptive rule passes z_j / h_jj and the natural rule a/(t+b) * z_j.
 The native kernel's epoch makes the same step (see ``_native``).
+``batch_train``'s backtracking full-gradient loop is ``_dense_py``, the
+``dense`` entry of the Python loops; the kernel's ``dense`` gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -125,11 +128,14 @@ def _dense_codes(codes: Sequence[SparseCode], m: int) -> np.ndarray:
     return _CodeStore.of(codes, m).dense()
 
 
-def _gradient_step_dense(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray, eta: float) -> np.ndarray:
-    """Averaged-gradient step followed by per-column ball projection."""
-    n = Z.shape[1]
+def _gradient(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The averaged gradient (D Z - X) Z^T / n of the quadratic term."""
     R = atoms @ Z - X
-    G = (R @ Z.T) / n
+    return (R @ Z.T) / Z.shape[1]
+
+
+def _step(atoms: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
+    """``atoms - eta * G``, each column then projected onto the unit ball."""
     out = atoms - eta * G
     norms = np.sqrt((out * out).sum(axis=0))
     mask = norms > 1.0
@@ -138,9 +144,46 @@ def _gradient_step_dense(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray, eta: f
     return out
 
 
+def _gradient_step_dense(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray, eta: float) -> np.ndarray:
+    """Averaged-gradient step followed by per-column ball projection."""
+    return _step(atoms, _gradient(atoms, Z, X), eta)
+
+
 def _quadratic_term(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray) -> float:
     R = atoms @ Z - X
     return 0.5 * float((R * R).sum()) / Z.shape[1]
+
+
+def _dense_py(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray, attempts: int) -> int:
+    """``batch_train``'s backtracking dictionary step, in place on ``atoms``.
+
+    Each of at most ``attempts`` tries ``_gradient_step_dense`` at rate
+    ``eta`` (1 at first) and accepts the candidate when the quadratic
+    term does not grow; an accepted candidate equal to ``atoms`` is
+    stationary for the codes ``Z`` and ends the loop.  A rejected one
+    halves ``eta``; the atoms have not moved, so the gradient is reused.
+    Returns the number of steps accepted.  The kernel's ``dense`` gives
+    the same bits.
+    """
+    eta = 1.0
+    quad = _quadratic_term(atoms, Z, X)
+    G = None  # the gradient at atoms, taken again only once they move
+    accepted = 0
+    for _ in range(attempts):
+        if G is None:
+            G = _gradient(atoms, Z, X)
+        candidate = _step(atoms, G, eta)
+        quad_new = _quadratic_term(candidate, Z, X)
+        if quad_new <= quad:
+            if np.array_equal(candidate, atoms):
+                break  # stationary for these codes
+            atoms[:] = candidate
+            quad = quad_new
+            accepted += 1
+            G = None
+        else:
+            eta *= 0.5
+    return accepted
 
 
 def full_gradient_step(

@@ -40,7 +40,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -270,7 +270,8 @@ def _epoch_py(
 
 
 def _encode_cold(
-    D: Dictionary, X: np.ndarray, lam: float, steps: int, tol: float = 0.0, full: int = 1
+    D: Dictionary, X: np.ndarray, lam: float, steps: int, tol: float = 0.0, full: int = 1,
+    capacity: Optional[int] = None,
 ) -> _CodeStore:
     """The codes of every column of ``X`` from the zero code, into one store in sample order.
 
@@ -278,6 +279,8 @@ def _encode_cold(
     atom, one ``epoch`` call of the engine of ``_native.kernel()``.  With
     the default ``tol`` and ``full`` they have the bits of per-sample
     ``encode_scc`` calls; ``_oracle_cold`` passes its tolerance and cap.
+    The store starts with room for ``capacity`` entries (n + m by
+    default) and grows as needed; the capacity never changes a bit.
     """
     _require_lambda(lam)
     steps = _require_count("steps", steps)
@@ -285,7 +288,7 @@ def _encode_cold(
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
     m, n = D.m, X.shape[1]
-    store = _CodeStore(m, n, n + m)
+    store = _CodeStore(m, n, n + m if capacity is None else capacity)
     _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, _CodeStore(m, n, 0),
                            store, None, tol, full)
     return store
@@ -335,12 +338,14 @@ def lasso_oracle_cd_batch(
 
 
 def _oracle_cold(
-    D: Dictionary, X: np.ndarray, lam: float, tol: float, max_cycles: int = DEFAULT_MAX_CYCLES
+    D: Dictionary, X: np.ndarray, lam: float, tol: float, max_cycles: int = DEFAULT_MAX_CYCLES,
+    capacity: Optional[int] = None,
 ) -> _CodeStore:
     """``lasso_oracle_cd_batch``'s codes in sample order, in one store.
 
     They are ``_encode_cold``'s, with full passes to ``tol``, at most
-    ``max_cycles`` of them, and no support pass.
+    ``max_cycles`` of them, and no support pass, into a store that starts
+    with room for ``capacity`` entries.
     """
     _require_lambda(lam)
     if not tol > 0:
@@ -350,7 +355,7 @@ def _oracle_cold(
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"samples of shape {X.shape} do not have {D.p} rows")
     _require_finite(X)
-    return _encode_cold(D, X, lam, 1, tol, max_cycles)
+    return _encode_cold(D, X, lam, 1, tol, max_cycles, capacity)
 
 
 def lasso_oracle_prox(

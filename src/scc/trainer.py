@@ -26,8 +26,10 @@ nonzeros, never with m x n; ``TrainResult.codes`` are views of the last store.
 ``batch_train``'s code phase is one ``lasso._oracle_cold`` store per
 epoch: the same epoch in sample order from the zero codes, with the
 dictionary held fixed and each code run to a tolerance.  Its dense code
-matrix and its objective are read from that store.  Every trainer's
-per-epoch objective comes from ``metrics._objective``.
+matrix and its objective are read from that store.  Its dictionary phase
+is one ``dense`` call of the same engine: the kernel's, or
+``dictionary._dense_py``.  Every trainer's per-epoch objective comes
+from ``metrics._objective``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .core import (
     _SHUFFLE_STREAM,
 )
 from .data import init_dictionary
-from .dictionary import _gradient_step_dense, _quadratic_term
 from .lasso import _oracle_cold
 from .metrics import _objective
 
@@ -171,34 +172,26 @@ def batch_train(
     by ``lasso._oracle_cold`` (the bits of one ``lasso_oracle_cd`` call
     per sample), then up to ``BATCH_MAX_STEPS`` full-gradient attempts
     run with the step halved whenever the quadratic part of the
-    objective would grow.
+    objective would grow: one ``dense`` call of the engine of
+    ``_native.kernel()``, the kernel's or ``dictionary._dense_py``, with
+    the same bits.  From the second epoch on the code store starts with
+    room for as many entries as the last epoch's codes, plus one code.
     """
     cfg.validate()
     validate_dataset(ds)
     m = cfg.dict_size
     lam = cfg.effective_lambda(ds.p)
     D = init_dictionary(ds, m, cfg.init, cfg.seed)
-    atoms = D.atoms
+    capacity = None  # the oracle's n + m at first, then last epoch's entries plus one code
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        codes = _oracle_cold(D, ds.X, lam, BATCH_CODE_TOL)
+        codes = _oracle_cold(D, ds.X, lam, BATCH_CODE_TOL, capacity=capacity)
         t1 = time.perf_counter()
-        Z = codes.dense()
-        eta = 1.0
-        quad = _quadratic_term(atoms, Z, ds.X)
-        for _ in range(BATCH_MAX_STEPS):
-            candidate = _gradient_step_dense(atoms, Z, ds.X, eta)
-            quad_new = _quadratic_term(candidate, Z, ds.X)
-            if quad_new <= quad:
-                if np.array_equal(candidate, atoms):
-                    break  # stationary for these codes
-                atoms[:] = candidate
-                quad = quad_new
-            else:
-                eta *= 0.5
+        _native.kernel().dense(D.atoms, codes.dense(), ds.X, BATCH_MAX_STEPS)
         t2 = time.perf_counter()
+        capacity = codes.used + m
         stats.append(_epoch_stats(epoch, D, codes, ds.X, lam, t1 - t0, t2 - t1))
         if progress is not None:
             progress(stats[-1])
-    return TrainResult(dictionary=Dictionary(atoms), codes=codes.codes(), stats=stats)
+    return TrainResult(dictionary=Dictionary(D.atoms), codes=codes.codes(), stats=stats)

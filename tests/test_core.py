@@ -83,6 +83,20 @@ class TestValidateDataset:
         with pytest.raises(NonFinite, match="^sample 2 "):
             validate_dataset(DataSet(X))
 
+    @pytest.mark.filterwarnings("error")
+    def test_first_overflowing_sample_named(self):
+        X = np.ones((3, 5))
+        X[:, 3] = 1e150  # a squared norm of 3e300 fits
+        X[2, 1] = -1e155  # finite, but its square is not
+        X[0, 4] = 1e200
+        with pytest.raises(NonFinite, match="^sample 1 has a squared norm that overflows$"):
+            validate_dataset(DataSet(X))
+        X[2, 1] = X[0, 4] = 1e150
+        validate_dataset(DataSet(X))
+        # a flagged sample is held to unit norm instead
+        with pytest.raises(InvariantViolation, match="^sample 0: .* norm is inf"):
+            validate_dataset([Sample(np.array([-1e200, 1e200]), preprocessed=True)])
+
 
 class TestDataSet:
     @pytest.mark.parametrize("order", ["C", "F"])

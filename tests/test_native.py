@@ -26,6 +26,7 @@ from scc import (
     TrainConfig,
     ZeroCurvature,
     _native,
+    _native_check,
     _native_lib,
     batch_train,
     cli,
@@ -38,6 +39,7 @@ from scc import (
     objective,
     scc_train,
 )
+from scc import dictionary
 from scc.core import _CodeStore
 from scc.lasso import _encode_cold, _oracle_cold
 from scc.metrics import _terms_py
@@ -150,6 +152,17 @@ class TestLoading:
         # encoder, which makes exactly one, stays right
         _refuse_mutant("< tol)", "< INFINITY)", tmp_path, monkeypatch, caplog)
 
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_dense_halving(self, fresh_cache, tmp_path, monkeypatch, caplog):
+        # a rejected dense step retried at the same rate, which is rejected again
+        _refuse_mutant("eta *= 0.5;", "eta *= 1.0;", tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_dense_projection(self, fresh_cache, tmp_path, monkeypatch,
+                                                   caplog):
+        # dense candidates whose columns are left outside the unit ball
+        _refuse_mutant("if (norm > 1.0)", "if (norm > INFINITY)", tmp_path, monkeypatch, caplog)
+
     def test_cache_key_needs_no_openssl(self):
         # without hashlib loaded, the built-in SHA-256 names the same file as hashlib does here
         code = "import sys, scc._native_lib as L; print(L.cache_path('cc', 'blas'), 'hashlib' in sys.modules)"
@@ -209,6 +222,7 @@ class _Recorder:
     encode = _hand_on("encode")
     epoch = _hand_on("epoch")
     objective = _hand_on("objective")
+    dense = _hand_on("dense")
     del _hand_on
 
 
@@ -227,7 +241,7 @@ def test_every_call_goes_through_the_engine(monkeypatch, tmp_path):
 
     modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "scc"]
     for module in modules:
-        for name in ("_encode_py", "_epoch_py", "_terms_py"):
+        for name in ("_encode_py", "_epoch_py", "_terms_py", "_dense_py"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
 
@@ -239,8 +253,9 @@ def test_every_call_goes_through_the_engine(monkeypatch, tmp_path):
     ds, D, _ = generate_planted(8, 12, 20, 2, 0.01, seed=7800)
     cfg = TrainConfig(dict_size=12, epochs=2, seed=1)
     natural = TrainConfig(dict_size=12, epochs=2, seed=1, rate_schedule="natural")
-    for train, config in [(scc_train, cfg), (natural_rate_train, natural), (batch_train, cfg)]:
+    for train, config in [(scc_train, cfg), (natural_rate_train, natural)]:
         assert calls(lambda: train(ds, config)) == ["epoch", "objective"] * 2
+    assert calls(lambda: batch_train(ds, cfg)) == ["epoch", "dense", "objective"] * 2
     x = ds.X[:, 0]
     assert calls(lambda: encode_scc(D, SparseCode.zero(12), x, 0.1, 3)) == ["encode"]
     codes = [SparseCode.zero(12)] * ds.n
@@ -415,6 +430,82 @@ def test_objective_gives_the_same_bits_on_each_path():
         assert objective(D, codes, ds, 0.3) == float(np.sum(want) / n)
 
 
+def _dense_outcomes(atoms, Z, X, attempts):
+    """{path: (the atoms' bytes after ``dense``, steps accepted)} on each engine here."""
+    outcomes = {}
+    for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
+        W = atoms.copy(order="F")
+        with cd_path(path):
+            accepted = _native.kernel().dense(W, Z, X, attempts)
+        outcomes[path] = (W.tobytes(), accepted)
+    return outcomes
+
+
+@pytest.mark.parametrize("p,m,n", [(1, 6, 9), (7, 1, 9), (6, 8, 1), (1, 1, 5), (9, 1, 1),
+                                   (16, 32, 40)])
+def test_dense_steps_match_on_each_path(p, m, n, monkeypatch):
+    # p, m or n = 1 take numpy's dot, dgemv and plain-loop routes; codes larger than a
+    # unit step can take make the first attempts overshoot
+    rng = np.random.default_rng(7900 + 100 * p + 10 * m + n)
+    atoms = np.asfortranarray(random_ball_atoms(rng, p, m))
+    Z = np.asfortranarray(3.0 * rng.standard_normal((m, n)))
+    X = np.asfortranarray(rng.standard_normal((p, n)))
+    steps = []  # (rate, columns projected) of each attempt on the Python loops
+    step = dictionary._step
+
+    def watched(a, G, eta):
+        out = a - eta * G
+        steps.append((eta, int((np.sqrt((out * out).sum(axis=0)) > 1.0).sum())))
+        return step(a, G, eta)
+
+    _native.kernel()  # loaded, and self-tested on the Python loops, before the watch
+    monkeypatch.setattr(dictionary, "_step", watched)
+    outcomes = _dense_outcomes(atoms, Z, X, 8)
+    accepted = outcomes["python"][1]
+    assert len(steps) == 8 and 0 < accepted < 8  # no stationary stop; accepts and rejects
+    assert steps[-1][0] < 1.0 and any(k for _, k in steps)  # eta halved; a column projected
+    assert outcomes.get("kernel", outcomes["python"]) == outcomes["python"]
+
+
+def test_dense_steps_stop_on_zero_data():
+    # zero samples and zero codes: the first step moves nothing and is accepted, which ends
+    # the loop without counting it
+    atoms = np.asfortranarray(random_ball_atoms(np.random.default_rng(7950), 5, 7))
+    outcomes = _dense_outcomes(atoms, np.zeros((7, 4), order="F"), np.zeros((5, 4), order="F"),
+                               20)
+    assert set(outcomes.values()) == {(atoms.tobytes(), 0)}
+
+
+def test_kernel_dense_refuses_arrays_it_cannot_step_in_place():
+    # the kernel writes the atoms through a pointer, column by column
+    Z, X = np.zeros((4, 2), order="F"), np.zeros((3, 2), order="F")
+    with cd_path("kernel"):
+        dense = _native.kernel().dense
+        for atoms, z in [(np.zeros((3, 4)), Z), (np.zeros((3, 4), order="F"), Z[:3]),
+                         (np.zeros((3, 4), dtype=np.float32, order="F"), Z)]:
+            with pytest.raises(ValueError, match="^dense needs writable Fortran-ordered"):
+                dense(atoms, z, X, 1)
+        locked = np.zeros((3, 4), order="F")
+        locked.flags.writeable = False
+        with pytest.raises(ValueError):
+            dense(locked, Z, X, 1)
+
+
+@pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+@settings(max_examples=40, deadline=None)
+@given(params=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+                        st.integers(0, 2**16), st.sampled_from([0.0, 0.5, 2.0, 8.0]),
+                        st.integers(1, 6)))
+def test_dense_steps_match_on_random_shapes(params):
+    p, m, n, seed, scale, attempts = params
+    rng = np.random.default_rng(seed)
+    atoms = np.asfortranarray(random_ball_atoms(rng, p, m))
+    Z = np.asfortranarray(scale * rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5))
+    X = np.asfortranarray(rng.standard_normal((p, n)))
+    outcomes = _dense_outcomes(atoms, Z, X, attempts)
+    assert outcomes["kernel"] == outcomes["python"]
+
+
 @pytest.mark.parametrize("path", ["python", "kernel"])
 def test_reference_run_digests(path, tmp_path):
     argv = ["train", "--synthetic", "32,64,300,4,0.05", "--epochs", "3", "--seed", "2",
@@ -465,14 +556,14 @@ def test_cold_codes_match_on_each_path(params):
     codes = [encode_scc(D, SparseCode.zero(m), x, lam, steps).code for x in X.T]
     if lam == 1e3:
         assert not any(c.nnz for c in codes)
-    want = _native_lib._store_bytes(_CodeStore.of(codes, m))
+    want = _native_check._store_bytes(_CodeStore.of(codes, m))
     for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
         with cd_path(path):
-            assert _native_lib._store_bytes(_encode_cold(D, X, lam, steps)) == want
+            assert _native_check._store_bytes(_encode_cold(D, X, lam, steps)) == want
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
             _native.kernel().epoch(D, X, np.arange(n), lam, steps, _CodeStore(m, n, 0), small,
                                    None)
-            assert _native_lib._store_bytes(small) == want
+            assert _native_check._store_bytes(small) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,8 +593,8 @@ def test_oracle_codes_match_on_each_path(params):
                                    match=f"^coordinate descent did not converge in {max_cycles} "):
                     _oracle_cold(D, X, lam, 1e-10, max_cycles)
             else:
-                assert (_native_lib._store_bytes(_oracle_cold(D, X, lam, 1e-10, max_cycles))
-                        == _native_lib._store_bytes(_CodeStore.of(codes, m)))
+                assert (_native_check._store_bytes(_oracle_cold(D, X, lam, 1e-10, max_cycles))
+                        == _native_check._store_bytes(_CodeStore.of(codes, m)))
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
             try:
                 _native.kernel().epoch(D, X, np.arange(n), lam, 1, _CodeStore(m, n, 0), small,
@@ -512,7 +603,7 @@ def test_oracle_codes_match_on_each_path(params):
             except MaxIterationsExceeded:
                 raised = True
             assert raised == (codes is None)
-            outcomes[path] = _native_lib._store_bytes(small) + [raised]
+            outcomes[path] = _native_check._store_bytes(small) + [raised]
     assert outcomes.get("kernel", outcomes["python"]) == outcomes["python"]
 
 

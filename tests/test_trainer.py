@@ -10,6 +10,7 @@ from scc import (
     DataSet,
     Dictionary,
     HessianDiag,
+    NonFinite,
     SparseCode,
     TrainConfig,
     _native,
@@ -25,8 +26,11 @@ from scc import (
     sgd_update_support,
     soft_threshold,
 )
+from scc.core import _CodeStore
 from scc.dictionary import _dense_codes, _gradient_step_dense, _quadratic_term
 from scc.trainer import BATCH_CODE_TOL, BATCH_MAX_STEPS, NaturalRateSchedule
+
+from conftest import CD_PATHS, cd_path
 
 
 def manual_scc(ds, cfg):
@@ -272,6 +276,24 @@ class TestBatchTrain:
         assert result.stats[-1].objective == f_ref
         assert result.dictionary.atoms.tobytes() == D_ref.atoms.tobytes()
 
+    @pytest.mark.parametrize("path", CD_PATHS)
+    def test_later_epochs_size_the_code_store_from_the_last(self, path, monkeypatch):
+        growths = [[]]  # the capacities the stores grew to, one list per epoch
+        reserve = _CodeStore.reserve
+
+        def watched(store, k):
+            before = store.indices.size
+            reserve(store, k)
+            if store.indices.size != before:
+                growths[-1].append(store.indices.size)
+
+        ds, _, _ = generate_planted(16, 32, 125, 3, 0.01, seed=45)
+        cfg = TrainConfig(dict_size=32, epochs=2, seed=45, init="random_gaussian")
+        monkeypatch.setattr(_CodeStore, "reserve", watched)
+        with cd_path(path):
+            batch_train(ds, cfg, progress=lambda stats: growths.append([]))
+        assert growths[0] and growths[1] == []  # the first epoch starts at n + m entries
+
     def test_zero_data_is_a_fixed_point(self):
         ds = DataSet(np.zeros((4, 6)))
         cfg = TrainConfig(dict_size=5, lam=0.1, epochs=2, seed=1)
@@ -304,3 +326,13 @@ class TestBatchTrain:
         a = batch_train(ds, cfg)
         b = batch_train(ds, cfg)
         assert a.dictionary.atoms.tobytes() == b.dictionary.atoms.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("path", CD_PATHS)
+@pytest.mark.parametrize("train", [scc_train, batch_train])
+def test_huge_samples_raise_nonfinite(train, path):
+    # finite, but every squared norm overflows: no trainer may report an infinite objective
+    ds = DataSet(np.random.default_rng(46).standard_normal((4, 10)) * 1e200)
+    with cd_path(path), pytest.raises(NonFinite, match="^sample 0 has a squared norm"):
+        train(ds, TrainConfig(dict_size=3, lam=0.1, epochs=1))
