@@ -1,7 +1,10 @@
 """The self-test that ``_native_lib.load()`` runs before it hands out a kernel.
 
-It lives apart from ``_native_lib`` so that, where no bytecode is cached,
-loading the kernel compiles two small modules instead of one large one.
+It runs once per cache entry: a passing self-test leaves a stamp beside the
+library, and a later process that finds a stamp with its own key neither
+runs the self-test nor imports this module.  It lives apart from
+``_native_lib`` so that, where no bytecode is cached and the self-test
+runs, loading the kernel compiles two small modules instead of one large one.
 Compiling a module holds its whole syntax tree, and the kernel loads
 after a process has read its data, so that transient sets the peak RSS
 of a short run (``scc encode`` and every benchmark workload).
@@ -17,6 +20,7 @@ from .trainer import NaturalRateSchedule
 
 SELF_TEST_P = (1, 2, 3, 16, 17, 256)  # covers the ddot kernel's remainder paths
 DENSE_TEST_P = (1, 16)  # the dense step's dot and its dgemv route
+DGEMM_TEST_P = 16  # and its dgemm route
 
 
 def _self_test(k: Kernel) -> bool:
@@ -32,7 +36,10 @@ def _self_test(k: Kernel) -> bool:
     with every entry, one entry and none.  At ``DENSE_TEST_P`` also: three
     dense steps for the first sample and code, whose first step is
     projected and rejected, and whose next two, at half the rate, are
-    accepted (the second projected too).
+    accepted (at p = 1 the second is projected too); at ``DGEMM_TEST_P``
+    three more for the first two samples, both with the first code, whose
+    first step is projected and rejected, and whose next two, at half the
+    rate, are accepted (the first of them projected).
     """
     m = 8
     for q, p in enumerate(SELF_TEST_P):
@@ -62,7 +69,7 @@ def _store_bytes(store: _CodeStore) -> list:
 def _outputs(k, D, X, codes, natural: bool) -> list:
     """Bytes of what the engine ``k`` computes: the oracle codes of ``X``, an epoch
     under the rule that ``natural`` picks, the objective of ``codes`` after it, and at
-    ``DENSE_TEST_P`` the dense steps for the first sample."""
+    ``DENSE_TEST_P`` the dense steps for the first sample (and two)."""
     m, n = D.m, X.shape[1]
     # the oracle: full passes to tol 0.1, at most 2, into a store that has to grow
     _, out = _epoch(k, D, X, np.arange(n), 0.2, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
@@ -75,10 +82,12 @@ def _outputs(k, D, X, codes, natural: bool) -> list:
     terms = k.objective(W, _CodeStore.of(codes, m), X, 0.3)
     out += epoch + [rate.t if natural else rate.diag.tobytes(), terms.tobytes()]
     if D.p in DENSE_TEST_P:
-        # one sample, so that numpy's matmul takes its dot, dgemv and plain-loop routes but
-        # never dgemm: OpenBLAS's first dgemm touches 256 KiB that every process would keep
-        W = D.atoms.copy(order="F")
-        out += [k.dense(W, _CodeStore.of(codes[:1], m).dense(), X[:, :1], 3), W.tobytes()]
+        # one sample, so that numpy's matmul takes its dot, dgemv and plain-loop routes, and
+        # two, so that it takes dgemm; the same code twice keeps the first step rejected
+        for samples in (1, 2) if D.p == DGEMM_TEST_P else (1,):
+            W = D.atoms.copy(order="F")
+            Z = _CodeStore.of(codes[:1] * samples, m).dense()
+            out += [k.dense(W, Z, X[:, :samples], 3), W.tobytes()]
     return out
 
 

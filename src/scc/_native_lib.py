@@ -10,6 +10,13 @@ Python loops, ``LOOPS``, before handing it out (``_native_check``).  Any
 failure makes ``load()`` return None, and ``_native.kernel()`` hand out
 ``LOOPS``.
 
+A passing self-test leaves a stamp, ``<hash>.stamp``, beside the library:
+its key (``_stamp_key``) covers the library's bytes, the bytes of every
+module of this package, the numpy and Python versions, numpy's OpenBLAS
+and the core that OpenBLAS picked for this CPU.  A process that finds the
+stamp holding its own key hands the kernel out without importing
+``_native_check``; any other stamp, or none, runs the self-test again.
+
 The cache key is hashed by the interpreter's built-in SHA-256 unless
 hashlib is loaded already: importing hashlib loads OpenSSL.
 """
@@ -41,6 +48,8 @@ FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=64", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"  # the ILP64 cblas_ddot of numpy's OpenBLAS wheels
 DGEMV = "scipy_cblas_dgemv64_"  # and its cblas_dgemv
 DGEMM = "scipy_cblas_dgemm64_"  # and its cblas_dgemm
+# the core whose microkernels OpenBLAS picked for this CPU at run time
+CORENAME = "scipy_openblas_get_corename64_"
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -245,27 +254,60 @@ def cache_path(cc: str, blas: str) -> Path:
     return Path(root) / "scc" / f"{key}.so"
 
 
-def _build(cc: str, path: Path) -> None:
-    """Compile the kernel to ``path`` through a temporary file, so readers never see half a file."""
-    # imported here, and logging in load(), so that loading a cached kernel
-    # needs neither (each adds about 0.3 MiB to a process)
-    import subprocess
-
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _replace(path: Path, fill) -> None:
+    """Make ``path`` from a temporary file that ``fill(name)`` writes, so that readers
+    never see half a file."""
     fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
-        subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), "-lm"], check=True,
-                       stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
+        fill(tmp)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
+def _build(cc: str, path: Path) -> None:
+    """Compile the kernel to ``path``."""
+    # imported here, and logging in load(), so that loading a cached kernel
+    # needs neither (each adds about 0.3 MiB to a process)
+    import subprocess
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _replace(path, lambda tmp: subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                                              check=True, stdin=subprocess.DEVNULL,
+                                              capture_output=True, timeout=120))
+
+
+def _stamp_key(lib: Path, blas: str, openblas: ctypes.CDLL) -> Optional[bytes]:
+    """What a passing self-test of the kernel at ``lib`` stands for, or None if
+    OpenBLAS does not name its core or a file cannot be read.
+
+    The library's bytes, those of every module of this package (the reference
+    loops, ``Kernel`` and the self-test's instances), the numpy and Python
+    versions, numpy's OpenBLAS (path, size and mtime) and its core.
+    """
+    try:
+        corename = getattr(openblas, CORENAME)
+        corename.restype = ctypes.c_char_p
+        blas_stat = os.stat(blas)
+        sha256 = _sha256()
+        files = [lib, *sorted(Path(__file__).parent.glob("*.py"))]
+        lines = [f"{f.name} {sha256(f.read_bytes()).hexdigest()}" for f in files]
+    except (AttributeError, OSError):
+        return None
+    lines += [f"numpy {np.__version__}", f"python {sys.version}",
+              f"blas {blas} {blas_stat.st_size} {blas_stat.st_mtime_ns}",
+              f"core {corename()!r}"]
+    return "\n".join(lines).encode() + b"\n"
+
+
 def load() -> Optional[Kernel]:
     """The kernel, built and cached if need be and self-tested, or None.
 
+    The self-test is skipped where the stamp beside the library holds the
+    key of this process (``_stamp_key``), and a passing one writes that
+    stamp; a stamp that cannot be written leaves the kernel handed out.
     Why it is None goes to this module's logger at debug level only.
     """
     try:
@@ -285,10 +327,21 @@ def load() -> Optional[Kernel]:
             _build(cc, path)
             lib = ctypes.CDLL(str(path))
         k = Kernel(lib, ddot, dgemv, dgemm)
-        from ._native_check import _self_test
+        key, stamp = _stamp_key(path, blas, openblas), path.with_suffix(".stamp")
+        try:
+            stamped = key is not None and stamp.read_bytes() == key
+        except OSError:
+            stamped = False
+        if not stamped:
+            from ._native_check import _self_test
 
-        if not _self_test(k):
-            raise ArithmeticError(f"{path} computes other bits than the Python loops")
+            if not _self_test(k):
+                raise ArithmeticError(f"{path} computes other bits than the Python loops")
+            if key is not None:
+                try:
+                    _replace(stamp, lambda tmp: Path(tmp).write_bytes(key))
+                except OSError:
+                    pass  # the next process runs the self-test again
         return k
     except Exception:
         import logging

@@ -72,6 +72,36 @@ def failing_cc(tmp_path, monkeypatch):
     return str(cc)
 
 
+@pytest.fixture
+def self_tests(monkeypatch):
+    """The results of the self-tests that run, in order."""
+    results = []
+    real = _native_check._self_test
+
+    def recorded(k):
+        results.append(real(k))
+        return results[-1]
+
+    monkeypatch.setattr(_native_check, "_self_test", recorded)
+    return results
+
+
+def _stamp():
+    """The stamp of the kernel that ``load()`` builds in this process's cache."""
+    return _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_ddot()[0]).with_suffix(
+        ".stamp")
+
+
+def _new_process(src=SRC):
+    """Whether a new process importing scc from ``src`` gets the kernel, and imports the
+    self-test for it."""
+    code = ("import sys, scc._native as n, scc._native_lib as L; "
+            "print(isinstance(n.kernel(), L.Kernel), 'scc._native_check' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    return out.stdout.split()
+
+
 def _codes_bytes(codes):
     return b"".join(c.indices.tobytes() + c.values.tobytes() + b"|" for c in codes)
 
@@ -88,6 +118,25 @@ def _encode_bytes():
     return b"".join(out)
 
 
+# one line of the kernel's source and a replacement that changes bits the self-test must see
+_MUTANTS = {
+    # a fused multiply-add in the residual update rounds once instead of twice
+    "fma": ("r[i] -= delta * col[i];", "r[i] = fma(-delta, col[i], r[i]);"),
+    # an epoch with the dictionary held fixed that steps the atoms all the same: its
+    # codes stay right, and every training epoch does too
+    "cold": ("if (!e->h && e->a == 0.0)", "if (0)"),
+    # full passes that ignore the tolerance and stop after the first: the cheap
+    # encoder, which makes exactly one, stays right
+    "oracle": ("< tol)", "< INFINITY)"),
+    # a rejected dense step retried at the same rate, which is rejected again
+    "halving": ("eta *= 0.5;", "eta *= 1.0;"),
+    # dense candidates whose columns are left outside the unit ball
+    "projection": ("if (norm > 1.0)", "if (norm > INFINITY)"),
+    # dense products that take the plain loop where numpy's matmul calls dgemm
+    "dgemm": ("if (M > 1 && N > 1 && P > 1) {", "if (0) {"),
+}
+
+
 class TestLoading:
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_kernel_loads_where_it_can(self, fresh_cache):
@@ -95,12 +144,13 @@ class TestLoading:
         # that a test run cannot quietly exercise only the Python loops
         assert isinstance(_native.kernel(), _native_lib.Kernel)
         assert _native_lib.load() is not None
-        assert [f.suffix for f in fresh_cache.iterdir()] == [".so"]  # no temporary left over
+        # the library and its stamp, and no temporary left over
+        assert sorted(f.suffix for f in fresh_cache.iterdir()) == [".so", ".stamp"]
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_cached_library_is_reused(self, fresh_cache):
         assert _native_lib.load() is not None
-        (built,) = fresh_cache.iterdir()
+        (built,) = fresh_cache.glob("*.so")
         stamp = built.stat().st_mtime_ns
         assert _native_lib.load() is not None
         assert built.stat().st_mtime_ns == stamp
@@ -112,6 +162,55 @@ class TestLoading:
         path.write_bytes(b"not a shared library")
         assert _native_lib.load() is not None
         assert path.read_bytes()[:4] == b"\x7fELF"
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_runs_once_per_cache_entry(self, fresh_cache, self_tests):
+        assert _native_lib.load() is not None
+        assert self_tests == [True]
+        assert len(list(fresh_cache.glob("*.stamp"))) == 1
+        assert _native_lib.load() is not None
+        assert self_tests == [True]  # the stamp stood for the second load
+        assert _new_process() == ["True", "False"]
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    @pytest.mark.parametrize("damage", ["contents", "truncated", "library"])
+    def test_a_stamp_of_another_key_runs_the_self_test_again(self, fresh_cache, self_tests,
+                                                              damage):
+        assert _native_lib.load() is not None
+        stamp = _stamp()
+        key = stamp.read_bytes()
+        if damage == "contents":
+            stamp.write_bytes(key.replace(b"numpy", b"nompy"))
+        elif damage == "truncated":
+            stamp.write_bytes(key[:-1])
+        else:  # another library: still loadable, with other bytes
+            with open(stamp.with_suffix(".so"), "ab") as fh:
+                fh.write(b"\0")
+        assert _native_lib.load() is not None
+        assert self_tests == [True, True]
+        assert (stamp.read_bytes() == key) == (damage != "library")  # written again
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_a_stamp_of_other_package_sources_runs_the_self_test_again(self, fresh_cache,
+                                                                      tmp_path):
+        assert _native_lib.load() is not None
+        copy = tmp_path / "src" / "scc"
+        shutil.copytree(SRC / "scc", copy, ignore=shutil.ignore_patterns("__pycache__"))
+        with open(copy / "metrics.py", "a") as fh:
+            fh.write("# another source\n")
+        assert _new_process(copy.parent) == ["True", "True"]
+        assert _new_process(copy.parent) == ["True", "False"]
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_a_stamp_that_cannot_be_written_leaves_the_kernel(self, fresh_cache, self_tests):
+        assert _native_lib.load() is not None
+        stamp = _stamp()
+        stamp.unlink()
+        stamp.mkdir()  # no file can take its place
+        assert isinstance(_native_lib.load(), _native_lib.Kernel)
+        assert isinstance(_native_lib.load(), _native_lib.Kernel)
+        assert self_tests == [True, True, True]
+        assert stamp.is_dir() and len(list(fresh_cache.iterdir())) == 2  # no temporary left
 
     def test_compiler_failure_falls_back_silently(self, fresh_cache, failing_cc):
         assert _native_lib.load() is None
@@ -135,33 +234,38 @@ class TestLoading:
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_rejects_a_kernel_with_other_bits(self, fresh_cache, tmp_path, monkeypatch,
                                                         caplog):
-        # a fused multiply-add in the residual update rounds once instead of twice
-        _refuse_mutant("r[i] -= delta * col[i];", "r[i] = fma(-delta, col[i], r[i]);",
-                       tmp_path, monkeypatch, caplog)
+        _refuse_mutant(*_MUTANTS["fma"], tmp_path, monkeypatch, caplog)
         assert len(list(fresh_cache.iterdir())) == 1  # it built, and then refused to run it
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_cold_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
-        # an epoch with the dictionary held fixed that steps the atoms all the same: its
-        # codes stay right, and every training epoch does too
-        _refuse_mutant("if (!e->h && e->a == 0.0)", "if (0)", tmp_path, monkeypatch, caplog)
+        _refuse_mutant(*_MUTANTS["cold"], tmp_path, monkeypatch, caplog)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_oracle_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
-        # full passes that ignore the tolerance and stop after the first: the cheap
-        # encoder, which makes exactly one, stays right
-        _refuse_mutant("< tol)", "< INFINITY)", tmp_path, monkeypatch, caplog)
+        _refuse_mutant(*_MUTANTS["oracle"], tmp_path, monkeypatch, caplog)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_dense_halving(self, fresh_cache, tmp_path, monkeypatch, caplog):
-        # a rejected dense step retried at the same rate, which is rejected again
-        _refuse_mutant("eta *= 0.5;", "eta *= 1.0;", tmp_path, monkeypatch, caplog)
+        _refuse_mutant(*_MUTANTS["halving"], tmp_path, monkeypatch, caplog)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_dense_projection(self, fresh_cache, tmp_path, monkeypatch,
                                                    caplog):
-        # dense candidates whose columns are left outside the unit ball
-        _refuse_mutant("if (norm > 1.0)", "if (norm > INFINITY)", tmp_path, monkeypatch, caplog)
+        _refuse_mutant(*_MUTANTS["projection"], tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_dense_dgemm_route(self, fresh_cache, tmp_path, monkeypatch,
+                                                    caplog):
+        _refuse_mutant(*_MUTANTS["dgemm"], tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+    def test_a_stamped_kernel_lets_no_mutant_through(self, fresh_cache, tmp_path, monkeypatch,
+                                                     caplog, mutant):
+        assert _native_lib.load() is not None
+        assert _stamp().exists()
+        _refuse_mutant(*_MUTANTS[mutant], tmp_path, monkeypatch, caplog)
 
     def test_cache_key_needs_no_openssl(self):
         # without hashlib loaded, the built-in SHA-256 names the same file as hashlib does here
@@ -180,7 +284,8 @@ class TestLoading:
 
 
 def _refuse_mutant(line, replacement, tmp_path, monkeypatch, caplog):
-    """Load the kernel with the one ``line`` of its source replaced: it must be refused."""
+    """Load the kernel with the one ``line`` of its source replaced: it must be refused,
+    and leave no stamp."""
     source = _native_lib.SOURCE.read_text()
     assert source.count(line) == 1
     mutant = tmp_path / "_kernel.c"
@@ -189,6 +294,7 @@ def _refuse_mutant(line, replacement, tmp_path, monkeypatch, caplog):
     with caplog.at_level("DEBUG", logger="scc._native_lib"):
         assert _native_lib.load() is None
     assert "computes other bits than the Python loops" in caplog.text
+    assert not _stamp().exists()
 
 
 def test_fallback_gives_the_kernels_bits(fresh_cache, failing_cc, monkeypatch):
