@@ -5,10 +5,11 @@
  * objective, and the per-sample coordinate-descent passes of the cheap
  * encoder.
  *
- * Built by scc._native_lib with -O2 -ffp-contract=off -falign-loops=64 and
- * loaded through ctypes.  The results are bit-identical to the Python loops
- * in scc.lasso._epoch_py, scc.dictionary._dense_py, scc.metrics._terms_py
- * and scc.lasso._cd_pass:
+ * Built by scc._native_lib with -O2 -ftree-vectorize
+ * -fvect-cost-model=dynamic -ffp-contract=off -falign-loops=64 and loaded
+ * through ctypes.  The results are bit-identical to the Python loops in
+ * scc.lasso._epoch_py, scc.dictionary._dense_py, scc.metrics._terms_py and
+ * scc.lasso._cd_pass:
  *
  *   - every inner product goes through the cblas_ddot that numpy calls
  *     (the pointer is handed in by scc_init), and is taken as
@@ -25,6 +26,19 @@
  *     numpy's order: r[i] - delta * col[i] is a product and then a
  *     difference, never a fused multiply-add, which is why the source
  *     must not be built with -ffast-math or floating-point contraction.
+ *
+ * Vectorizing keeps these bits.  An element-wise loop such as
+ * r[i] -= delta * col[i] becomes one where each vector lane does the same
+ * single, correctly rounded operation on its own element; a sum stays a sum
+ * in order, because without -ffast-math (-fassociative-math) the compiler
+ * never reorders a reduction; and contraction stays off, so no lane fuses a
+ * multiply-add.  The two entry points that hold the hot loops, scc_epoch and
+ * scc_encode, are also built as AVX-512F, AVX2 and baseline clones, and the
+ * dynamic loader picks one per process from cpuid (scc_isa names it).  The
+ * per-sample encoder and the fresh residual are inlined into them, so that
+ * their loops are built for each clone too.  scc_objective and scc_dense
+ * are not cloned: clones of them bought nothing measurable on the batch
+ * step or at 16 x 32, and made the build several times slower.
  *
  * Atoms are the columns of a column-major p x m matrix: atom j starts at
  * atoms + j * p, and sample i of a p x n matrix at x + i * p.  Every
@@ -60,10 +74,42 @@ void scc_init(ddot_fn f, dgemv_fn g, dgemm_fn h)
     dgemm = h;
 }
 
+/* CLONED builds a function once per vector ISA, behind an ifunc: only on
+ * x86-64 ELF with glibc, whose loader runs ifunc resolvers (musl's does
+ * not), and by a compiler that knows target_clones.  Elsewhere it is empty
+ * and every function is built once, for the baseline. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+
+/* The clone of scc_epoch and scc_encode that runs in this process, by the
+ * test the ifunc resolver makes: the widest ISA this CPU supports. */
+const char *scc_isa(void)
+{
+#ifdef CLONED
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
+
+#ifndef CLONED
+#define CLONED
+#endif
+
+/* Helpers inlined into each caller, so that their loops are built for each
+ * clone of the caller. */
+#define INLINE static inline __attribute__((always_inline))
+
 /* One sweep over coords[0..n) (all m atoms in order when coords is NULL);
  * z and r = x - D z are updated in place.  Returns the largest absolute
  * coordinate change.  Mirrors lasso._cd_pass. */
-static double cd_pass(int64_t p, const double *atoms, const int64_t *coords, int64_t n,
+INLINE double cd_pass(int64_t p, const double *atoms, const int64_t *coords, int64_t n,
                       double *z, double *r, double lam)
 {
     double max_delta = 0.0;
@@ -101,8 +147,8 @@ static double cd_pass(int64_t p, const double *atoms, const int64_t *coords, int
  * full pass still moved a coordinate by tol or more (not settled).  The
  * cheap encoder is tol 0, full 1: exactly one full pass, never unsettled.
  * Mirrors lasso._encode_py. */
-int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double *r, double lam,
-                   double tol, int64_t full, int64_t steps, int64_t *support)
+INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
+                      double lam, double tol, int64_t full, int64_t steps, int64_t *support)
 {
     int64_t pass;
     for (pass = 1; pass <= full; pass++)
@@ -125,6 +171,13 @@ int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double 
     return nnz;
 }
 
+/* encode, for one sample of lasso.encode_scc. */
+CLONED int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
+                          double lam, double tol, int64_t full, int64_t steps, int64_t *support)
+{
+    return encode(p, m, atoms, z, r, lam, tol, full, steps, support);
+}
+
 /* Codes of one pass over a dataset: code i is indices[start[i] ..
  * start[i] + length[i]) with its values; used entries of capacity are
  * taken.  Mirrors core._CodeStore. */
@@ -139,7 +192,7 @@ struct codes {
  * y the product.  numpy's matmul takes its dot for p = 1 and its plain
  * loop, 0 + a * b, for k = 1; otherwise it calls gemv on the p x k
  * Fortran-ordered gather as a row-major k x p matrix, transposed. */
-static void residual(int64_t p, const double *atoms, const double *x, int64_t k,
+INLINE void residual(int64_t p, const double *atoms, const double *x, int64_t k,
                      const int64_t *idx, const double *val, double *g, double *y, double *r)
 {
     memcpy(r, x, p * sizeof *r);
@@ -241,7 +294,7 @@ static double now(void)
 
 /* Visits e->order[e->next ..] in turn.  Each visit computes the fresh
  * residual of the sample under its code of the previous epoch, encodes
- * it with scc_encode and appends the code to e->new; unless the
+ * it as scc_encode does and appends the code to e->new; unless the
  * dictionary is held fixed, it then advances the rate and moves each
  * supported atom by its step times the residual onto the unit ball.
  * Returns 0 once every visit is made; 1, before a visit, when e->new has
@@ -253,7 +306,7 @@ static double now(void)
  * one before it, so that a training visit reads the clock once per phase;
  * with the dictionary held fixed every visit is code phase, and only the
  * call as a whole is timed. */
-int64_t scc_epoch(struct epoch *e)
+CLONED int64_t scc_epoch(struct epoch *e)
 {
     int64_t p = e->p, m = e->m;
     double *z = e->z, *r = e->r;
@@ -271,7 +324,7 @@ int64_t scc_epoch(struct epoch *e)
         residual(p, e->atoms, e->x + i * p, k, idx, val, e->g, e->y, r);
         for (int64_t q = 0; q < k; q++)
             z[idx[q]] = val[q];
-        int64_t nnz = scc_encode(p, m, e->atoms, z, r, e->lam, e->tol, e->full, e->steps, support);
+        int64_t nnz = encode(p, m, e->atoms, z, r, e->lam, e->tol, e->full, e->steps, support);
         if (nnz < 0)
             return -2;
         int64_t *new_idx = e->new.indices + e->new.used;

@@ -18,7 +18,10 @@ from ._native_lib import LOOPS, Kernel
 from .core import Dictionary, HessianDiag, MaxIterationsExceeded, SparseCode, _CodeStore
 from .trainer import NaturalRateSchedule
 
-SELF_TEST_P = (1, 2, 3, 16, 17, 256)  # covers the ddot kernel's remainder paths
+# lengths that take the ddot kernel and the kernel's own vector loops (two, four or eight
+# doubles wide) through their remainder paths: shorter than a vector at 1, 2 and 3, and a
+# remainder of 0 at 16 and 256, 1 at 17 and 7 (every tail of an eight-wide loop) at 23
+SELF_TEST_P = (1, 2, 3, 16, 17, 23, 256)
 DENSE_TEST_P = (1, 16)  # the dense step's dot and its dgemv route
 DGEMM_TEST_P = 16  # and its dgemm route
 

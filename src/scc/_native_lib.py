@@ -12,9 +12,10 @@ failure makes ``load()`` return None, and ``_native.kernel()`` hand out
 
 A passing self-test leaves a stamp, ``<hash>.stamp``, beside the library:
 its key (``_stamp_key``) covers the library's bytes, the bytes of every
-module of this package, the numpy and Python versions, numpy's OpenBLAS
-and the core that OpenBLAS picked for this CPU.  A process that finds the
-stamp holding its own key hands the kernel out without importing
+module of this package, the numpy and Python versions, numpy's OpenBLAS,
+the core that OpenBLAS picked for this CPU and the clone of the kernel's
+hot entry points that runs on it (``Kernel.isa``).  A process that finds
+the stamp holding its own key hands the kernel out without importing
 ``_native_check``; any other stamp, or none, runs the self-test again.
 
 The cache key is hashed by the interpreter's built-in SHA-256 unless
@@ -41,10 +42,16 @@ from .metrics import _terms_py
 from .trainer import NaturalRateSchedule
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-# 64-byte loop alignment, so that an edit elsewhere in the source cannot move
-# the hot loops' speed by where they land (byte-identical code at another
-# address ran 5% slower); it changes no bit
-FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=64", "-fPIC", "-shared")
+# The element-wise loops vectorized (at -O2 alone GCC 12's cheap cost model
+# leaves every one of them scalar): each lane does the scalar loop's one
+# correctly rounded operation, no reduction is reordered without -ffast-math,
+# and contraction stays off, so no bit changes.  64-byte loop alignment, so
+# that an edit elsewhere in the source cannot move the hot loops' speed by
+# where they land (byte-identical code at another address ran 5% slower).
+# The source itself clones its two hot entry points per vector ISA (see its
+# header), which keeps the bits for the same reasons.
+FLAGS = ("-O2", "-ftree-vectorize", "-fvect-cost-model=dynamic", "-ffp-contract=off",
+         "-falign-loops=64", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"  # the ILP64 cblas_ddot of numpy's OpenBLAS wheels
 DGEMV = "scipy_cblas_dgemv64_"  # and its cblas_dgemv
 DGEMM = "scipy_cblas_dgemm64_"  # and its cblas_dgemm
@@ -98,7 +105,9 @@ class Kernel:
     ``scc encode --mode oracle``) code a whole matrix.  ``dense`` runs
     ``batch_train``'s dictionary step in place on Fortran-ordered atoms,
     for the Fortran-ordered dense codes ``Z`` of ``X``.  ``LOOPS`` has
-    the same entry points, and gives the same bits.
+    the same entry points, and gives the same bits.  ``isa`` names the clone
+    of ``scc_epoch`` and ``scc_encode`` that runs here: "avx512f", "avx2" or
+    "default".
     """
 
     def __init__(self, lib: ctypes.CDLL, ddot, dgemv, dgemm) -> None:
@@ -118,6 +127,8 @@ class Kernel:
         self._dense = lib.scc_dense
         self._dense.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _ptr, _i64, _ptr]
         self._dense.restype = _i64
+        lib.scc_isa.restype = ctypes.c_char_p
+        self.isa = lib.scc_isa().decode()
         self._atoms = (lambda: None, 0)  # (weak reference to an atom matrix, its address)
 
     def _atoms_address(self, atoms: np.ndarray) -> int:
@@ -279,17 +290,25 @@ def _build(cc: str, path: Path) -> None:
                                               capture_output=True, timeout=120))
 
 
-def _stamp_key(lib: Path, blas: str, openblas: ctypes.CDLL) -> Optional[bytes]:
-    """What a passing self-test of the kernel at ``lib`` stands for, or None if
-    OpenBLAS does not name its core or a file cannot be read.
+def _corename(openblas: ctypes.CDLL) -> bytes:
+    """The core whose microkernels ``openblas`` picked for this CPU; AttributeError
+    where it does not say."""
+    corename = getattr(openblas, CORENAME)
+    corename.restype = ctypes.c_char_p
+    return corename()
+
+
+def _stamp_key(lib: Path, isa: str, blas: str, openblas: ctypes.CDLL) -> Optional[bytes]:
+    """What a passing self-test of the kernel at ``lib``, running its ``isa``
+    clones, stands for, or None if OpenBLAS does not name its core or a file
+    cannot be read.
 
     The library's bytes, those of every module of this package (the reference
     loops, ``Kernel`` and the self-test's instances), the numpy and Python
-    versions, numpy's OpenBLAS (path, size and mtime) and its core.
+    versions, numpy's OpenBLAS (path, size and mtime), its core and the clone.
     """
     try:
-        corename = getattr(openblas, CORENAME)
-        corename.restype = ctypes.c_char_p
+        core = _corename(openblas)
         blas_stat = os.stat(blas)
         sha256 = _sha256()
         files = [lib, *sorted(Path(__file__).parent.glob("*.py"))]
@@ -298,7 +317,7 @@ def _stamp_key(lib: Path, blas: str, openblas: ctypes.CDLL) -> Optional[bytes]:
         return None
     lines += [f"numpy {np.__version__}", f"python {sys.version}",
               f"blas {blas} {blas_stat.st_size} {blas_stat.st_mtime_ns}",
-              f"core {corename()!r}"]
+              f"core {core!r}", f"isa {isa}"]
     return "\n".join(lines).encode() + b"\n"
 
 
@@ -327,7 +346,7 @@ def load() -> Optional[Kernel]:
             _build(cc, path)
             lib = ctypes.CDLL(str(path))
         k = Kernel(lib, ddot, dgemv, dgemm)
-        key, stamp = _stamp_key(path, blas, openblas), path.with_suffix(".stamp")
+        key, stamp = _stamp_key(path, k.isa, blas, openblas), path.with_suffix(".stamp")
         try:
             stamped = key is not None and stamp.read_bytes() == key
         except OSError:

@@ -3,6 +3,7 @@ cannot, and it never changes a bit of what the trainers compute."""
 
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -51,6 +52,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 NATIVE_POSSIBLE = shutil.which("cc") is not None and _native_lib._numpy_ddot() is not None
+# lengths that leave every remainder 2 to 7 of the kernel's loops eight doubles wide (and of
+# its narrower ones), and both sides of 256
+REMAINDER_P = (10, 11, 12, 13, 14, 15, 255, 257)
 
 
 @pytest.fixture
@@ -173,22 +177,37 @@ class TestLoading:
         assert _new_process() == ["True", "False"]
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    @pytest.mark.parametrize("damage", ["contents", "truncated", "library"])
+    @pytest.mark.parametrize("damage", ["contents", "truncated", "library", "isa"])
     def test_a_stamp_of_another_key_runs_the_self_test_again(self, fresh_cache, self_tests,
                                                               damage):
-        assert _native_lib.load() is not None
+        k = _native_lib.load()
+        assert k is not None
         stamp = _stamp()
         key = stamp.read_bytes()
         if damage == "contents":
             stamp.write_bytes(key.replace(b"numpy", b"nompy"))
         elif damage == "truncated":
             stamp.write_bytes(key[:-1])
+        elif damage == "isa":  # the stamp of a CPU that runs another clone
+            isa = f"\nisa {k.isa}\n".encode()
+            assert key.count(isa) == 1
+            stamp.write_bytes(key.replace(isa, b"\nisa another\n"))
         else:  # another library: still loadable, with other bytes
             with open(stamp.with_suffix(".so"), "ab") as fh:
                 fh.write(b"\0")
         assert _native_lib.load() is not None
         assert self_tests == [True, True]
         assert (stamp.read_bytes() == key) == (damage != "library")  # written again
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_isa_names_the_clone_this_cpu_runs(self, fresh_cache):
+        # the widest ISA that the kernel has clones for and the CPU and OS support
+        flags = set()
+        if platform.machine() == "x86_64":
+            with open("/proc/cpuinfo", encoding="utf-8") as fh:
+                flags = set(next(line for line in fh if line.startswith("flags")).split())
+        want = "avx512f" if "avx512f" in flags else "avx2" if "avx2" in flags else "default"
+        assert _native_lib.load().isa == want
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_a_stamp_of_other_package_sources_runs_the_self_test_again(self, fresh_cache,
@@ -401,7 +420,8 @@ def _training_case(training, p, m, n):
     return train, ds, TrainConfig(dict_size=m, lam=1.2 / np.sqrt(p), epochs=2, seed=3, **extra)
 
 
-@pytest.mark.parametrize("p,m,n", [(1, 4, 30), (16, 32, 120), (17, 40, 60), (64, 256, 40)])
+@pytest.mark.parametrize("p,m,n", [(1, 4, 30), (16, 32, 120), (17, 40, 60), (64, 256, 40),
+                                   *((p, 12, 24) for p in REMAINDER_P)])
 @pytest.mark.parametrize("training", sorted(_TRAININGS))
 def test_trainers_give_the_same_bits_on_each_path(training, p, m, n):
     train, ds, cfg = _training_case(training, p, m, n)
@@ -548,10 +568,11 @@ def _dense_outcomes(atoms, Z, X, attempts):
 
 
 @pytest.mark.parametrize("p,m,n", [(1, 6, 9), (7, 1, 9), (6, 8, 1), (1, 1, 5), (9, 1, 1),
-                                   (16, 32, 40)])
+                                   (16, 32, 40), *zip(REMAINDER_P, range(11, 19), range(9, 1, -1))])
 def test_dense_steps_match_on_each_path(p, m, n, monkeypatch):
     # p, m or n = 1 take numpy's dot, dgemv and plain-loop routes; codes larger than a
-    # unit step can take make the first attempts overshoot
+    # unit step can take make the first attempts overshoot; REMAINDER_P, with m from 11
+    # to 18, leaves every remainder of the vector loops over p and over m
     rng = np.random.default_rng(7900 + 100 * p + 10 * m + n)
     atoms = np.asfortranarray(random_ball_atoms(rng, p, m))
     Z = np.asfortranarray(3.0 * rng.standard_normal((m, n)))
@@ -711,6 +732,22 @@ def test_oracle_codes_match_on_each_path(params):
             assert raised == (codes is None)
             outcomes[path] = _native_check._store_bytes(small) + [raised]
     assert outcomes.get("kernel", outcomes["python"]) == outcomes["python"]
+
+
+@pytest.mark.parametrize("p", REMAINDER_P)
+def test_frozen_epochs_and_objective_match_at_every_vector_remainder(p):
+    # the cheap and the oracle codes of a few samples, and the objective of each
+    rng = np.random.default_rng(8000 + p)
+    m = 12
+    D = Dictionary(random_ball_atoms(rng, p, m))
+    X = np.asfortranarray(rng.standard_normal((p, 5)))
+    outcomes = {}
+    for path in CD_PATHS:
+        with cd_path(path):
+            stores = [_encode_cold(D, X, 0.05, 3), _oracle_cold(D, X, 0.05, 1e-10, 100_000)]
+            outcomes[path] = [_native_check._store_bytes(s) for s in stores] + [
+                _native.kernel().objective(D, s, X, 0.05).tobytes() for s in stores]
+    assert outcomes["kernel"] == outcomes["python"]
 
 
 def test_cold_codes_reject_what_encode_scc_rejects():
