@@ -17,7 +17,7 @@
  *   - every matrix product calls numpy's cblas_dgemm or cblas_dgemv with
  *     the arguments numpy's matmul passes for operands of that layout, or
  *     takes numpy's dot and plain-loop routes where matmul takes them (see
- *     matmul, and residual, which takes them for x - D z on its own);
+ *     matmul, through which residual takes x - D z too);
  *   - sums over a whole contiguous array (the penalty sum |z_j|, the
  *     squared residuals of the batch step) follow numpy's pairwise
  *     summation order, and the column sums of a row-major matrix run down
@@ -35,10 +35,11 @@
  * multiply-add.  The two entry points that hold the hot loops, scc_epoch and
  * scc_encode, are also built as AVX-512F, AVX2 and baseline clones, and the
  * dynamic loader picks one per process from cpuid (scc_isa names it).  The
- * per-sample encoder and the fresh residual are inlined into them, so that
- * their loops are built for each clone too.  scc_objective and scc_dense
- * are not cloned: clones of them bought nothing measurable on the batch
- * step or at 16 x 32, and made the build several times slower.
+ * per-sample encoder and the fresh residual with its matmul are inlined into
+ * them, so that their loops are built for each clone too (an out-of-line
+ * matmul cost a 16 x 32 epoch 2%).  scc_objective and scc_dense are not
+ * cloned: clones of them bought nothing measurable on the batch step or at
+ * 16 x 32, and made the build several times slower.
  *
  * Atoms are the columns of a column-major p x m matrix: atom j starts at
  * atoms + j * p, and sample i of a p x n matrix at x + i * p.  Every
@@ -171,11 +172,11 @@ INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, doub
     return nnz;
 }
 
-/* encode, for one sample of lasso.encode_scc. */
+/* The cheap encoder (tol 0, one full pass), for one sample of lasso.encode_scc. */
 CLONED int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
-                          double lam, double tol, int64_t full, int64_t steps, int64_t *support)
+                          double lam, int64_t steps, int64_t *support)
 {
-    return encode(p, m, atoms, z, r, lam, tol, full, steps, support);
+    return encode(p, m, atoms, z, r, lam, 0.0, 1, steps, support);
 }
 
 /* Codes of one pass over a dataset: code i is indices[start[i] ..
@@ -187,32 +188,59 @@ struct codes {
     int64_t capacity, used;
 };
 
+/* out = a @ b, an M x P row-major result, as numpy's matmul computes it for
+ * the M x N matrix a with element strides (am, an) and the N x P matrix b
+ * with (bn, bp), both contiguous (the stride along a dimension of length 1
+ * is never read).  numpy calls dgemm when M, N and P all exceed 1, its dot
+ * for a 1 x 1 result, dgemv for one row or one column of result with N > 1,
+ * and otherwise its plain loop, 0 + a * b summed in order; dgemm and dgemv
+ * get the order, transposes and leading dimensions numpy passes for that
+ * layout: a row-major operand as is, a column-major one transposed. */
+INLINE void matmul(int64_t M, int64_t N, int64_t P, const double *a, int64_t am, int64_t an,
+                   const double *b, int64_t bn, int64_t bp, double *out)
+{
+    if (M > 1 && N > 1 && P > 1) {
+        dgemm(CBLAS_ROW_MAJOR, an == 1 ? CBLAS_NO_TRANS : CBLAS_TRANS,
+              bp == 1 ? CBLAS_NO_TRANS : CBLAS_TRANS, M, P, N, 1.0, a, an == 1 ? am : an, b,
+              bp == 1 ? bn : bp, 0.0, out, P);
+    } else if (M == 1 && P == 1) {
+        out[0] = 0.0 + ddot(N, a, an, b, bn);
+    } else if (N > 1 && M == 1) {
+        dgemv(bn == 1 ? CBLAS_COL_MAJOR : CBLAS_ROW_MAJOR, CBLAS_TRANS, N, P, 1.0, b,
+              bn == 1 ? bp : bn, a, an, 0.0, out, 1);
+    } else if (N > 1 && P == 1) {
+        dgemv(an == 1 ? CBLAS_COL_MAJOR : CBLAS_ROW_MAJOR, CBLAS_TRANS, N, M, 1.0, a,
+              an == 1 ? am : an, b, bn, 0.0, out, 1);
+    } else {
+        for (int64_t i = 0; i < M; i++)
+            for (int64_t j = 0; j < P; j++) {
+                double s = 0.0;
+                for (int64_t k = 0; k < N; k++)
+                    s += a[i * am + k * an] * b[k * bn + j * bp];
+                out[i * P + j] = s;
+            }
+    }
+}
+
 /* r = x - D z for the code (idx, val) of k entries, as numpy computes
- * x - D.atoms[:, idx] @ val: g receives the gathered atoms (p x k) and
- * y the product.  numpy's matmul takes its dot for p = 1 and its plain
- * loop, 0 + a * b, for k = 1; otherwise it calls gemv on the p x k
- * Fortran-ordered gather as a row-major k x p matrix, transposed. */
+ * x - D.atoms[:, idx] @ val: matmul puts the product into y, from the
+ * atoms gathered into g (p x k, column-major), or for k = 1 from the atom
+ * itself. */
 INLINE void residual(int64_t p, const double *atoms, const double *x, int64_t k,
                      const int64_t *idx, const double *val, double *g, double *y, double *r)
 {
     memcpy(r, x, p * sizeof *r);
     if (k == 0)
         return;
-    if (p == 1) {
-        for (int64_t j = 0; j < k; j++)
-            g[j] = atoms[idx[j]];
-        r[0] -= 0.0 + ddot(k, g, 1, val, 1);
-    } else if (k == 1) {
-        const double *col = atoms + idx[0] * p;
-        for (int64_t i = 0; i < p; i++)
-            r[i] -= 0.0 + col[i] * val[0];
-    } else {
+    const double *a = atoms + idx[0] * p;
+    if (k > 1) {
         for (int64_t j = 0; j < k; j++)
             memcpy(g + j * p, atoms + idx[j] * p, p * sizeof *g);
-        dgemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, k, p, 1.0, g, p, val, 1, 0.0, y, 1);
-        for (int64_t i = 0; i < p; i++)
-            r[i] -= y[i];
+        a = g;
     }
+    matmul(p, k, 1, a, 1, p, val, 1, 1, y);
+    for (int64_t i = 0; i < p; i++)
+        r[i] -= y[i];
 }
 
 /* np.abs(v[0..n)).sum(), in numpy's DOUBLE_pairwise_sum order: eight
@@ -262,7 +290,7 @@ void scc_objective(int64_t p, int64_t n, const double *atoms, const double *x,
 }
 
 /* The state of one stochastic epoch; mirrors the arguments of
- * lasso._epoch_py.  lam, tol, full and steps are scc_encode's.  h holds
+ * lasso._epoch_py.  lam, tol, full and steps are encode's.  h holds
  * the curvature cells of the adaptive rule, or is NULL for the natural
  * rule a / (t + b), whose a is always > 0.  h NULL and a = 0 hold the
  * dictionary fixed: the epoch only codes, moves no atom and leaves t as it
@@ -294,7 +322,7 @@ static double now(void)
 
 /* Visits e->order[e->next ..] in turn.  Each visit computes the fresh
  * residual of the sample under its code of the previous epoch, encodes
- * it as scc_encode does and appends the code to e->new; unless the
+ * it with encode and appends the code to e->new; unless the
  * dictionary is held fixed, it then advances the rate and moves each
  * supported atom by its step times the residual onto the unit ball.
  * Returns 0 once every visit is made; 1, before a visit, when e->new has
@@ -371,40 +399,6 @@ CLONED int64_t scc_epoch(struct epoch *e)
     }
     e->time_code += now() - t0;
     return 0;
-}
-
-/* out = a @ b, an M x P row-major result, as numpy's matmul computes it for
- * the M x N matrix a with element strides (am, an) and the N x P matrix b
- * with (bn, bp), both contiguous (the stride along a dimension of length 1
- * is never read).  numpy calls dgemm when M, N and P all exceed 1, its dot
- * for a 1 x 1 result, dgemv for one row or one column of result with N > 1,
- * and otherwise its plain loop, 0 + a * b summed in order; dgemm and dgemv
- * get the order, transposes and leading dimensions numpy passes for that
- * layout: a row-major operand as is, a column-major one transposed. */
-static void matmul(int64_t M, int64_t N, int64_t P, const double *a, int64_t am, int64_t an,
-                   const double *b, int64_t bn, int64_t bp, double *out)
-{
-    if (M > 1 && N > 1 && P > 1) {
-        dgemm(CBLAS_ROW_MAJOR, an == 1 ? CBLAS_NO_TRANS : CBLAS_TRANS,
-              bp == 1 ? CBLAS_NO_TRANS : CBLAS_TRANS, M, P, N, 1.0, a, an == 1 ? am : an, b,
-              bp == 1 ? bn : bp, 0.0, out, P);
-    } else if (M == 1 && P == 1) {
-        out[0] = 0.0 + ddot(N, a, an, b, bn);
-    } else if (N > 1 && M == 1) {
-        dgemv(bn == 1 ? CBLAS_COL_MAJOR : CBLAS_ROW_MAJOR, CBLAS_TRANS, N, P, 1.0, b,
-              bn == 1 ? bp : bn, a, an, 0.0, out, 1);
-    } else if (N > 1 && P == 1) {
-        dgemv(an == 1 ? CBLAS_COL_MAJOR : CBLAS_ROW_MAJOR, CBLAS_TRANS, N, M, 1.0, a,
-              an == 1 ? am : an, b, bn, 0.0, out, 1);
-    } else {
-        for (int64_t i = 0; i < M; i++)
-            for (int64_t j = 0; j < P; j++) {
-                double s = 0.0;
-                for (int64_t k = 0; k < N; k++)
-                    s += a[i * am + k * an] * b[k * bn + j * bp];
-                out[i * P + j] = s;
-            }
-    }
 }
 
 /* r = a @ z - x, p x n row-major, for the p x m matrix a with element

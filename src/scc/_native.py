@@ -2,8 +2,8 @@
 
 ``_kernel.c``, shipped next to this module, holds the whole stochastic
 epoch of ``lasso._epoch_py`` (with the dictionary held fixed, the cold
-codes of ``lasso._encode_cold`` and, with its passes run to a tolerance,
-the CD oracle codes of ``lasso._oracle_cold``), ``batch_train``'s
+codes of ``lasso._encode_cold``, cheap or, with its passes run to a
+tolerance, the CD oracle's), ``batch_train``'s
 backtracking dictionary step ``dictionary._dense_py``, the per-sample
 objective terms of ``metrics._terms_py``, and the coordinate-descent
 passes of ``lasso.encode_scc``.

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._native_lib import LOOPS, Kernel
-from .core import Dictionary, HessianDiag, MaxIterationsExceeded, SparseCode, _CodeStore
-from .trainer import NaturalRateSchedule
+from .core import (Dictionary, HessianDiag, MaxIterationsExceeded, NaturalRateSchedule,
+                   SparseCode, _CodeStore, _residual)
 
 # lengths that take the ddot kernel and the kernel's own vector loops (two, four or eight
 # doubles wide) through their remainder paths: shorter than a vector at 1, 2 and 3, and a
@@ -29,20 +29,21 @@ DGEMM_TEST_P = 16  # and its dgemm route
 def _self_test(k: Kernel) -> bool:
     """True if the kernel's bytes equal those of ``LOOPS`` on fixed instances.
 
-    At every p: the oracle codes of the samples, into a store that has to
-    grow, from an epoch that holds its own copy of the atoms fixed and
-    passes to a loose tolerance under a cap that one sample at p >= 16 does
-    not meet (so the atoms, the codes up to that sample and whether it
-    settled are compared); an epoch over two samples, from a one-entry code
-    and from zero, alternately under the adaptive rule in sequential order
-    and under the natural rule in reverse order; and the objective of codes
-    with every entry, one entry and none.  At ``DENSE_TEST_P`` also: three
-    dense steps for the first sample and code, whose first step is
-    projected and rejected, and whose next two, at half the rate, are
-    accepted (at p = 1 the second is projected too); at ``DGEMM_TEST_P``
-    three more for the first two samples, both with the first code, whose
-    first step is projected and rejected, and whose next two, at half the
-    rate, are accepted (the first of them projected).
+    At every p: the per-sample encoder's code and residual for the first
+    sample, from zero and from the code with every entry; the oracle codes
+    of the samples, into a store that has to grow, from an epoch that holds
+    its own copy of the atoms fixed and passes to a loose tolerance under a
+    cap that one sample at p >= 16 does not meet (so the atoms, the codes up
+    to that sample and whether it settled are compared); an epoch over two
+    samples, from a one-entry code and from zero, alternately under the
+    adaptive rule in sequential order and under the natural rule in reverse
+    order; and the objective of codes with every entry, one entry and none.
+    At ``DENSE_TEST_P`` also: three dense steps for the first sample and
+    code, whose first step is projected and rejected, and whose next two, at
+    half the rate, are accepted (at p = 1 the second is projected too); at
+    ``DGEMM_TEST_P`` three more for the first two samples, both with the
+    first code, whose first step is projected and rejected, and whose next
+    two, at half the rate, are accepted (the first of them projected).
     """
     m = 8
     for q, p in enumerate(SELF_TEST_P):
@@ -70,20 +71,25 @@ def _store_bytes(store: _CodeStore) -> list:
 
 
 def _outputs(k, D, X, codes, natural: bool) -> list:
-    """Bytes of what the engine ``k`` computes: the oracle codes of ``X``, an epoch
-    under the rule that ``natural`` picks, the objective of ``codes`` after it, and at
-    ``DENSE_TEST_P`` the dense steps for the first sample (and two)."""
+    """Bytes of what the engine ``k`` computes: two encodes of the first sample, the oracle
+    codes of ``X``, an epoch under the rule that ``natural`` picks, the objective of ``codes``
+    after it, and at ``DENSE_TEST_P`` the dense steps for the first sample (and two)."""
     m, n = D.m, X.shape[1]
+    out = []
+    for z in (codes[2], codes[0]):  # cold, and warm from every entry
+        r = _residual(D, z, X[:, 0])
+        code = k.encode(D, z, r, 0.02, 3)
+        out += [code.indices.tobytes(), code.values.tobytes(), r.tobytes()]
     # the oracle: full passes to tol 0.1, at most 2, into a store that has to grow
-    _, out = _epoch(k, D, X, np.arange(n), 0.2, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
-                    None, 0.1, 2)
+    _, oracle = _epoch(k, D, X, np.arange(n), 0.2, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
+                       None, 0.1, 2)
     # a training epoch from the other codes, into a store with room for one
     rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(m)
     order = np.array([1, 0]) if natural else np.arange(2)
     W, epoch = _epoch(k, D, X[:, 1:], order, 0.02, 3, _CodeStore.of(codes[1:], m),
                       _CodeStore(m, 2, m), rate)
     terms = k.objective(W, _CodeStore.of(codes, m), X, 0.3)
-    out += epoch + [rate.t if natural else rate.diag.tobytes(), terms.tobytes()]
+    out += oracle + epoch + [rate.t if natural else rate.diag.tobytes(), terms.tobytes()]
     if D.p in DENSE_TEST_P:
         # one sample, so that numpy's matmul takes its dot, dgemv and plain-loop routes, and
         # two, so that it takes dgemm; the same code twice keeps the first step rejected

@@ -35,11 +35,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SparseCode, _CodeStore
+from .core import NaturalRateSchedule, SparseCode, _CodeStore
 from .dictionary import _dense_py, _no_curvature
 from .lasso import _encode_py, _epoch_py, _not_converged
 from .metrics import _terms_py
-from .trainer import NaturalRateSchedule
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # The element-wise loops vectorized (at -O2 alone GCC 12's cheap cost model
@@ -100,9 +99,9 @@ class Kernel:
     per atom matrix.  ``epoch`` writes codes into a ``core._CodeStore``
     and returns to Python only to grow it.  With rate None it holds the
     dictionary fixed and only codes: that is how ``lasso._encode_cold``
-    (``scc encode --mode scc:S``) and, with its passes run to a tolerance,
-    ``lasso._oracle_cold`` (the CD oracle, ``batch_train`` and
-    ``scc encode --mode oracle``) code a whole matrix.  ``dense`` runs
+    (``scc encode --mode scc:S`` and, with its passes run to a tolerance,
+    the CD oracle, ``batch_train`` and ``scc encode --mode oracle``) codes a
+    whole matrix.  ``dense`` runs
     ``batch_train``'s dictionary step in place on Fortran-ordered atoms,
     for the Fortran-ordered dense codes ``Z`` of ``X``.  ``LOOPS`` has
     the same entry points, and gives the same bits.  ``isa`` names the clone
@@ -115,7 +114,7 @@ class Kernel:
         lib.scc_init.restype = None
         lib.scc_init(*(ctypes.cast(f, _ptr) for f in (ddot, dgemv, dgemm)))
         self._encode = lib.scc_encode
-        self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _f64, _i64, _i64, _ptr]
+        self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _i64, _ptr]
         self._encode.restype = _i64
         self._epoch = lib.scc_epoch
         self._epoch.argtypes = [ctypes.POINTER(_Epoch)]
@@ -146,7 +145,7 @@ class Kernel:
         z[z_init.indices] = z_init.values
         support = np.empty(m, dtype=np.int64)
         nnz = self._encode(D.p, m, self._atoms_address(D.atoms), _address(z), _address(r), lam,
-                           0.0, 1, steps, _address(support))
+                           steps, _address(support))
         support = support[:nnz].copy()
         return SparseCode._trusted(support, z[support], m)
 

@@ -32,7 +32,7 @@ from .core import (
     thread_cap,
 )
 from .data import generate_planted, preprocess_dataset
-from .lasso import _encode_cold, _oracle_cold
+from .lasso import DEFAULT_MAX_CYCLES, _encode_cold
 from .serialize import (
     read_dataset,
     read_dictionary,
@@ -204,7 +204,7 @@ def _cmd_encode(args) -> int:
     cfg.validate()  # the one lambda rule: finite and > 0, or the default
     lam = cfg.effective_lambda(ds.p)
     if steps is None:
-        codes = _oracle_cold(D, ds.X, lam, ENCODE_ORACLE_TOL)
+        codes = _encode_cold(D, ds.X, lam, 1, ENCODE_ORACLE_TOL, DEFAULT_MAX_CYCLES)
     else:
         codes = _encode_cold(D, ds.X, lam, steps)
     write_codes(args.out, codes)

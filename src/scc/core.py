@@ -11,9 +11,10 @@ Numeric conventions used across the package:
   generator (PCG64), so equal seeds give bit-identical streams.
 
 The sample contract is written once, here: :func:`_fit_sample` is the
-one check that a sample (and a code) fits a dictionary, :func:`_residual`
-the one fresh computation of x - D z, and :func:`validate_dataset` the
-one whole-matrix check of a dataset's samples.
+one check that a sample (and a code) fits a dictionary, :func:`_fit_codes`
+that a dataset and its codes do, :func:`_residual` the one fresh
+computation of x - D z, and :func:`validate_dataset` the one whole-matrix
+check of a dataset's samples.  So is every argument rule.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ def _require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _require_count(name: str, value) -> int:
+    """``value`` as an int >= 1: a size, a number of passes or an iteration cap."""
+    value = _require_int(name, value)
+    if value < 1:
+        raise ConfigInvalid(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _require_lambda(lam: float) -> None:
@@ -397,6 +406,26 @@ class HessianDiag:
         return self.diag.size
 
 
+@dataclass
+class NaturalRateSchedule:
+    """Scalar rate a/(t + b); t starts at 1 and advances per emission."""
+
+    a: float
+    b: float
+    t: int = 1
+
+    def __post_init__(self) -> None:
+        if not 0 < self.a < math.inf:
+            raise ConfigInvalid(f"rate_a must be finite and > 0, got {self.a}")
+        if not 0 <= self.b < math.inf:
+            raise ConfigInvalid(f"rate_b must be finite and >= 0, got {self.b}")
+
+    def next_rate(self) -> float:
+        rate = self.a / (self.t + self.b)
+        self.t += 1
+        return rate
+
+
 class _CodeStore:
     """The codes of one pass over ``n`` samples, packed into two flat buffers.
 
@@ -416,7 +445,10 @@ class _CodeStore:
 
     @classmethod
     def of(cls, codes: Sequence[SparseCode], m: int) -> "_CodeStore":
-        """A store holding ``codes`` in order."""
+        """A store holding ``codes``, each over ``m`` atoms, in order."""
+        for i, c in enumerate(codes):
+            if c.m != m:
+                raise DimensionMismatch(f"code {i} has ambient {c.m}, expected {m}")
         store = cls(m, len(codes), 0)
         store.length[:] = [c.indices.size for c in codes]
         np.cumsum(store.length[:-1], out=store.start[1:])
@@ -487,8 +519,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         for name in ("dict_size", "epochs", "cd_steps"):
-            if _require_int(name, getattr(self, name)) < 1:
-                raise ConfigInvalid(f"{name} must be >= 1, got {getattr(self, name)}")
+            _require_count(name, getattr(self, name))
         if self.lam is not None:
             _require_lambda(self.lam)
         if self.init not in (INIT_RANDOM_PATCHES, INIT_RANDOM_GAUSSIAN):
@@ -498,10 +529,7 @@ class TrainConfig:
         if self.rate_schedule not in (RATE_ADAPTIVE, RATE_NATURAL):
             raise ConfigInvalid(f"unknown rate schedule {self.rate_schedule!r}")
         if self.rate_schedule == RATE_NATURAL:
-            if not 0 < self.rate_a < math.inf:
-                raise ConfigInvalid(f"rate_a must be finite and > 0, got {self.rate_a}")
-            if not 0 <= self.rate_b < math.inf:
-                raise ConfigInvalid(f"rate_b must be finite and >= 0, got {self.rate_b}")
+            NaturalRateSchedule(self.rate_a, self.rate_b)
         _require_seed(self.seed)
 
     def effective_lambda(self, p: int) -> float:
@@ -570,6 +598,18 @@ def _residual(D: Dictionary, z: SparseCode, x) -> np.ndarray:
     if z.nnz:
         r -= D.atoms[:, z.indices] @ z.values
     return r
+
+
+def _fit_codes(D: Dictionary, codes: Sequence[SparseCode], ds: DataSet) -> _CodeStore:
+    """The store of ``codes``, one per sample of ``ds``; both must fit ``D``, and ``ds``
+    hold at least one sample."""
+    if ds.n == 0:
+        raise Empty("no samples")
+    if len(codes) != ds.n:
+        raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")
+    # one check for all: every sample has the shape of np.empty(ds.p)
+    _fit_sample(D, np.empty(ds.p), next((c for c in codes if c.m != D.m), None))
+    return _CodeStore.of(codes, D.m)
 
 
 def _require_finite(X: np.ndarray) -> None:

@@ -31,11 +31,10 @@ from .core import (
     DataSet,
     Dictionary,
     DimensionMismatch,
-    Empty,
     HessianDiag,
     SparseCode,
     ZeroCurvature,
-    _CodeStore,
+    _fit_codes,
     _fit_sample,
 )
 
@@ -121,13 +120,6 @@ def sgd_update_support(
     return Dictionary(atoms)
 
 
-def _dense_codes(codes: Sequence[SparseCode], m: int) -> np.ndarray:
-    for i, c in enumerate(codes):
-        if c.m != m:
-            raise DimensionMismatch(f"code {i} has ambient {c.m}, expected {m}")
-    return _CodeStore.of(codes, m).dense()
-
-
 def _gradient(atoms: np.ndarray, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The averaged gradient (D Z - X) Z^T / n of the quadratic term."""
     R = atoms @ Z - X
@@ -192,11 +184,5 @@ def full_gradient_step(
     """One full-batch gradient step at rate ``eta``, columns projected; Empty for no samples."""
     if not eta > 0:
         raise ConfigInvalid(f"eta must be > 0, got {eta}")
-    if ds.n == 0:
-        raise Empty("no samples")
-    if len(codes) != ds.n:
-        raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")
-    if ds.p != D.p:
-        raise DimensionMismatch(f"data dimension {ds.p} != atom length {D.p}")
-    Z = _dense_codes(codes, D.m)
+    Z = _fit_codes(D, codes, ds).dense()
     return Dictionary(_gradient_step_dense(D.atoms, Z, ds.X, eta))

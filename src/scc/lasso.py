@@ -29,8 +29,8 @@ A stochastic epoch of the trainers is one ``epoch`` call of that engine:
 the kernel's, or ``_epoch_py``, which gives the same bits.
 ``_encode_cold`` codes a whole matrix from zero into one
 ``core._CodeStore`` as such an epoch that moves no atom: cheaply for
-``scc encode --mode scc:S``, or to a tolerance in ``_oracle_cold``,
-behind the CD oracle, ``batch_train`` and ``scc encode --mode oracle``.
+``scc encode --mode scc:S``, or to a tolerance for the CD oracle,
+``batch_train`` and ``scc encode --mode oracle``.
 ``cd_full_cycle`` and ``cd_support_cycle`` always run ``_cd_pass``.
 """
 
@@ -57,8 +57,8 @@ from .core import (
     SparseCode,
     _CodeStore,
     _fit_sample,
+    _require_count,
     _require_finite,
-    _require_int,
     _require_lambda,
     _residual,
 )
@@ -238,7 +238,7 @@ def _epoch_py(
     ``new``, and moves the supported atoms of ``D`` in place by the steps
     of ``rate``: z_j / h_jj after folding the code into the curvature
     ``HessianDiag``, or a/(t+b) * z_j from the
-    ``trainer.NaturalRateSchedule``, whose t counts every visit, empty
+    ``NaturalRateSchedule``, whose t counts every visit, empty
     codes too.  Raises ZeroCurvature before a step with a cell that is
     not positive, and MaxIterationsExceeded at a visit whose full passes
     do not settle.  With ``rate`` None the dictionary is held fixed: the
@@ -278,28 +278,23 @@ def _encode_cold(
     They are one epoch in sample order from the zero codes that moves no
     atom, one ``epoch`` call of the engine of ``_native.kernel()``.  With
     the default ``tol`` and ``full`` they have the bits of per-sample
-    ``encode_scc`` calls; ``_oracle_cold`` passes its tolerance and cap.
-    The store starts with room for ``capacity`` entries (n + m by
+    ``encode_scc`` calls; the CD oracle's are ``tol`` > 0, ``full`` its
+    cap ``max_cycles`` and ``steps`` 1.  NonFinite if ``X`` holds NaN or
+    Inf.  The store starts with room for ``capacity`` entries (n + m by
     default) and grows as needed; the capacity never changes a bit.
     """
     _require_lambda(lam)
     steps = _require_count("steps", steps)
+    full = _require_count("max_cycles", full)
     X = np.asfortranarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
+    _require_finite(X)
     m, n = D.m, X.shape[1]
     store = _CodeStore(m, n, n + m if capacity is None else capacity)
     _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, _CodeStore(m, n, 0),
                            store, None, tol, full)
     return store
-
-
-def _require_count(name: str, value) -> int:
-    """``value`` as an int >= 1: a number of passes or an iteration cap."""
-    value = _require_int(name, value)
-    if value < 1:
-        raise ConfigInvalid(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def lasso_oracle_cd(
@@ -332,30 +327,12 @@ def lasso_oracle_cd_batch(
     after the first pass whose largest change is below ``tol``; raises
     MaxIterationsExceeded on the first sample still moving after
     ``max_cycles`` passes, and NonFinite if ``X`` holds NaN or Inf.
-    The codes are views of one ``_oracle_cold`` store.
+    The codes are views of one ``_encode_cold`` store: full passes to
+    ``tol``, at most ``max_cycles`` of them, and no support pass.
     """
-    return _oracle_cold(D, X, lam, tol, max_cycles).codes()
-
-
-def _oracle_cold(
-    D: Dictionary, X: np.ndarray, lam: float, tol: float, max_cycles: int = DEFAULT_MAX_CYCLES,
-    capacity: Optional[int] = None,
-) -> _CodeStore:
-    """``lasso_oracle_cd_batch``'s codes in sample order, in one store.
-
-    They are ``_encode_cold``'s, with full passes to ``tol``, at most
-    ``max_cycles`` of them, and no support pass, into a store that starts
-    with room for ``capacity`` entries.
-    """
-    _require_lambda(lam)
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
-    max_cycles = _require_count("max_cycles", max_cycles)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != D.p:
-        raise DimensionMismatch(f"samples of shape {X.shape} do not have {D.p} rows")
-    _require_finite(X)
-    return _encode_cold(D, X, lam, 1, tol, max_cycles, capacity)
+    return _encode_cold(D, X, lam, 1, tol, max_cycles).codes()
 
 
 def lasso_oracle_prox(

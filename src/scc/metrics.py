@@ -25,7 +25,7 @@ from .core import (
     Sample,
     SparseCode,
     _CodeStore,
-    _fit_sample,
+    _fit_codes,
     _residual,
 )
 
@@ -47,18 +47,12 @@ def objective(
 ) -> float:
     """Dataset-average objective of ``codes``, one per sample of ``ds``.
 
-    The codes and samples are checked against ``D`` once, then packed
-    into a code store for ``_objective``.  ``SCC_THREADS`` is not read
-    here; the ``scc`` command validates it once at start-up.  Raises
-    Empty for a dataset without samples.
+    The codes and samples are checked against ``D`` once, and packed
+    into a code store for ``_objective``, by ``core._fit_codes``.
+    ``SCC_THREADS`` is not read here; the ``scc`` command validates it
+    once at start-up.  Raises Empty for a dataset without samples.
     """
-    if ds.n == 0:
-        raise Empty("no samples")
-    if len(codes) != ds.n:
-        raise DimensionMismatch(f"{len(codes)} codes for {ds.n} samples")
-    # one check for all: every sample has the shape of np.empty(ds.p)
-    _fit_sample(D, np.empty(ds.p), next((c for c in codes if c.m != D.m), None))
-    return _objective(D, _CodeStore.of(codes, D.m), ds.X, lam)
+    return _objective(D, _fit_codes(D, codes, ds), ds.X, lam)
 
 
 def _objective(D: Dictionary, store: _CodeStore, X: np.ndarray, lam: float) -> float:

@@ -157,14 +157,7 @@ def write_codes(path: PathLike, codes: Union[_CodeStore, Sequence[SparseCode]]) 
     n = codes.length.size if isinstance(codes, _CodeStore) else len(codes)
     if n == 0:
         raise DimensionMismatch("cannot serialize zero codes (ambient dimension unknown)")
-    if isinstance(codes, _CodeStore):
-        store = codes
-    else:
-        m = codes[0].m
-        for i, code in enumerate(codes):
-            if code.m != m:
-                raise DimensionMismatch(f"code {i} has ambient {code.m}, expected {m}")
-        store = _CodeStore.of(codes, m)
+    store = codes if isinstance(codes, _CodeStore) else _CodeStore.of(codes, codes[0].m)
     start = np.zeros(n, dtype=np.int64)
     np.cumsum(store.length[:-1], out=start[1:])
     if not np.array_equal(start, store.start):  # codes out of sample order: pack them in it

@@ -23,7 +23,7 @@ it loads, else ``lasso._epoch_py``, which gives the same bits.  Either
 reads the previous epoch's codes from one compact ``core._CodeStore``
 and writes the new codes to another, so memory grows with the number of
 nonzeros, never with m x n; ``TrainResult.codes`` are views of the last store.
-``batch_train``'s code phase is one ``lasso._oracle_cold`` store per
+``batch_train``'s code phase is one ``lasso._encode_cold`` store per
 epoch: the same epoch in sample order from the zero codes, with the
 dictionary held fixed and each code run to a tolerance.  Its dense code
 matrix and its objective are read from that store.  Its dictionary phase
@@ -34,9 +34,8 @@ from ``metrics._objective``.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -48,6 +47,7 @@ from .core import (
     Dictionary,
     EpochStats,
     HessianDiag,
+    NaturalRateSchedule,  # re-exported: the natural rule's state, beside HessianDiag in core
     ORDER_SHUFFLED,
     RATE_ADAPTIVE,
     RATE_NATURAL,
@@ -59,33 +59,13 @@ from .core import (
     _SHUFFLE_STREAM,
 )
 from .data import init_dictionary
-from .lasso import _oracle_cold
+from .lasso import DEFAULT_MAX_CYCLES, _encode_cold
 from .metrics import _objective
 
 BATCH_CODE_TOL = 1e-10
 BATCH_MAX_STEPS = 20  # gradient-step attempts (accepts plus halvings) per epoch
 
 ProgressCallback = Callable[[EpochStats], None]
-
-
-@dataclass
-class NaturalRateSchedule:
-    """Scalar rate a/(t + b); t starts at 1 and advances per emission."""
-
-    a: float
-    b: float
-    t: int = field(default=1)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.a < math.inf:
-            raise ConfigInvalid(f"a must be finite and > 0, got {self.a}")
-        if not 0 <= self.b < math.inf:
-            raise ConfigInvalid(f"b must be finite and >= 0, got {self.b}")
-
-    def next_rate(self) -> float:
-        rate = self.a / (self.t + self.b)
-        self.t += 1
-        return rate
 
 
 @dataclass
@@ -169,7 +149,7 @@ def batch_train(
 
     Per epoch every code is re-solved from zero to convergence against
     the fixed dictionary, one sample after another, into one code store
-    by ``lasso._oracle_cold`` (the bits of one ``lasso_oracle_cd`` call
+    by ``lasso._encode_cold`` (the bits of one ``lasso_oracle_cd`` call
     per sample), then up to ``BATCH_MAX_STEPS`` full-gradient attempts
     run with the step halved whenever the quadratic part of the
     objective would grow: one ``dense`` call of the engine of
@@ -186,7 +166,7 @@ def batch_train(
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        codes = _oracle_cold(D, ds.X, lam, BATCH_CODE_TOL, capacity=capacity)
+        codes = _encode_cold(D, ds.X, lam, 1, BATCH_CODE_TOL, DEFAULT_MAX_CYCLES, capacity)
         t1 = time.perf_counter()
         _native.kernel().dense(D.atoms, codes.dense(), ds.X, BATCH_MAX_STEPS)
         t2 = time.perf_counter()

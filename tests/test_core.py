@@ -20,9 +20,11 @@ from scc import (
     validate_dataset,
 )
 from scc import (
+    NaturalRateSchedule,
     cd_full_cycle,
     cd_support_cycle,
     encode_scc,
+    full_gradient_step,
     lasso_oracle_cd,
     lasso_oracle_prox,
     objective,
@@ -281,6 +283,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigInvalid):
             TrainConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -1.0)])
+    def test_natural_rate_constants_have_one_rule(self, a, b):
+        # the config's rate_a/rate_b and the schedule built from them give one message
+        with pytest.raises(ConfigInvalid) as config:
+            TrainConfig(dict_size=4, rate_schedule="natural", rate_a=a, rate_b=b).validate()
+        with pytest.raises(ConfigInvalid) as schedule:
+            NaturalRateSchedule(a, b)
+        assert str(config.value) == str(schedule.value)
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
@@ -341,6 +352,7 @@ _FIT_ENTRIES = {
     "sample_objective": (True, lambda D, x, z: sample_objective(D, z, x, 0.1)),
     "sgd_update_support": (True, lambda D, x, z: sgd_update_support(D, z, x, HessianDiag(np.ones(D.m)))),
     "objective": (True, lambda D, x, z: objective(D, [z], DataSet(x[:, None]), 0.1)),
+    "full_gradient_step": (True, lambda D, x, z: full_gradient_step(D, [z], DataSet(x[:, None]), 0.5)),
 }
 
 

@@ -42,7 +42,7 @@ from scc import (
 )
 from scc import dictionary
 from scc.core import _CodeStore
-from scc.lasso import _encode_cold, _oracle_cold
+from scc.lasso import _encode_cold
 from scc.metrics import _terms_py
 from scc.serialize import write_dataset, write_dictionary
 
@@ -62,6 +62,24 @@ def fresh_cache(tmp_path, monkeypatch):
     """An empty kernel cache, so that loading compiles."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     return tmp_path / "cache" / "scc"
+
+
+@pytest.fixture(scope="session")
+def built_library(tmp_path_factory):
+    """The kernel, compiled once per test session."""
+    path = tmp_path_factory.mktemp("kernel") / "kernel.so"
+    _native_lib._build(shutil.which("cc"), path)
+    return path
+
+
+@pytest.fixture
+def built_cache(fresh_cache, built_library):
+    """A fresh cache that holds the built kernel and no stamp, so that loading does not
+    compile, for the tests that need a kernel but do not test its build."""
+    path = _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_ddot()[0])
+    path.parent.mkdir(parents=True)
+    shutil.copyfile(built_library, path)
+    return fresh_cache
 
 
 @pytest.fixture
@@ -138,6 +156,9 @@ _MUTANTS = {
     "projection": ("if (norm > 1.0)", "if (norm > INFINITY)"),
     # dense products that take the plain loop where numpy's matmul calls dgemm
     "dgemm": ("if (M > 1 && N > 1 && P > 1) {", "if (0) {"),
+    # a per-sample encoder that makes one support pass more than it is asked for: every
+    # epoch, which calls encode itself, stays right
+    "encode": ("0.0, 1, steps, support);", "0.0, 1, steps + 1, support);"),
 }
 
 
@@ -152,9 +173,9 @@ class TestLoading:
         assert sorted(f.suffix for f in fresh_cache.iterdir()) == [".so", ".stamp"]
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_cached_library_is_reused(self, fresh_cache):
+    def test_cached_library_is_reused(self, built_cache):
         assert _native_lib.load() is not None
-        (built,) = fresh_cache.glob("*.so")
+        (built,) = built_cache.glob("*.so")
         stamp = built.stat().st_mtime_ns
         assert _native_lib.load() is not None
         assert built.stat().st_mtime_ns == stamp
@@ -168,17 +189,17 @@ class TestLoading:
         assert path.read_bytes()[:4] == b"\x7fELF"
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_self_test_runs_once_per_cache_entry(self, fresh_cache, self_tests):
+    def test_self_test_runs_once_per_cache_entry(self, built_cache, self_tests):
         assert _native_lib.load() is not None
         assert self_tests == [True]
-        assert len(list(fresh_cache.glob("*.stamp"))) == 1
+        assert len(list(built_cache.glob("*.stamp"))) == 1
         assert _native_lib.load() is not None
         assert self_tests == [True]  # the stamp stood for the second load
         assert _new_process() == ["True", "False"]
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     @pytest.mark.parametrize("damage", ["contents", "truncated", "library", "isa"])
-    def test_a_stamp_of_another_key_runs_the_self_test_again(self, fresh_cache, self_tests,
+    def test_a_stamp_of_another_key_runs_the_self_test_again(self, built_cache, self_tests,
                                                               damage):
         k = _native_lib.load()
         assert k is not None
@@ -200,7 +221,7 @@ class TestLoading:
         assert (stamp.read_bytes() == key) == (damage != "library")  # written again
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_isa_names_the_clone_this_cpu_runs(self, fresh_cache):
+    def test_isa_names_the_clone_this_cpu_runs(self, built_cache):
         # the widest ISA that the kernel has clones for and the CPU and OS support
         flags = set()
         if platform.machine() == "x86_64":
@@ -210,7 +231,7 @@ class TestLoading:
         assert _native_lib.load().isa == want
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_a_stamp_of_other_package_sources_runs_the_self_test_again(self, fresh_cache,
+    def test_a_stamp_of_other_package_sources_runs_the_self_test_again(self, built_cache,
                                                                       tmp_path):
         assert _native_lib.load() is not None
         copy = tmp_path / "src" / "scc"
@@ -221,7 +242,7 @@ class TestLoading:
         assert _new_process(copy.parent) == ["True", "False"]
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_a_stamp_that_cannot_be_written_leaves_the_kernel(self, fresh_cache, self_tests):
+    def test_a_stamp_that_cannot_be_written_leaves_the_kernel(self, built_cache, self_tests):
         assert _native_lib.load() is not None
         stamp = _stamp()
         stamp.unlink()
@@ -229,7 +250,7 @@ class TestLoading:
         assert isinstance(_native_lib.load(), _native_lib.Kernel)
         assert isinstance(_native_lib.load(), _native_lib.Kernel)
         assert self_tests == [True, True, True]
-        assert stamp.is_dir() and len(list(fresh_cache.iterdir())) == 2  # no temporary left
+        assert stamp.is_dir() and len(list(built_cache.iterdir())) == 2  # no temporary left
 
     def test_compiler_failure_falls_back_silently(self, fresh_cache, failing_cc):
         assert _native_lib.load() is None
@@ -279,8 +300,13 @@ class TestLoading:
         _refuse_mutant(*_MUTANTS["dgemm"], tmp_path, monkeypatch, caplog)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_per_sample_encoder(self, fresh_cache, tmp_path, monkeypatch,
+                                                     caplog):
+        _refuse_mutant(*_MUTANTS["encode"], tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
-    def test_a_stamped_kernel_lets_no_mutant_through(self, fresh_cache, tmp_path, monkeypatch,
+    def test_a_stamped_kernel_lets_no_mutant_through(self, built_cache, tmp_path, monkeypatch,
                                                      caplog, mutant):
         assert _native_lib.load() is not None
         assert _stamp().exists()
@@ -718,9 +744,9 @@ def test_oracle_codes_match_on_each_path(params):
             if codes is None:
                 with pytest.raises(MaxIterationsExceeded,
                                    match=f"^coordinate descent did not converge in {max_cycles} "):
-                    _oracle_cold(D, X, lam, 1e-10, max_cycles)
+                    _encode_cold(D, X, lam, 1, 1e-10, max_cycles)
             else:
-                assert (_native_check._store_bytes(_oracle_cold(D, X, lam, 1e-10, max_cycles))
+                assert (_native_check._store_bytes(_encode_cold(D, X, lam, 1, 1e-10, max_cycles))
                         == _native_check._store_bytes(_CodeStore.of(codes, m)))
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
             try:
@@ -744,7 +770,7 @@ def test_frozen_epochs_and_objective_match_at_every_vector_remainder(p):
     outcomes = {}
     for path in CD_PATHS:
         with cd_path(path):
-            stores = [_encode_cold(D, X, 0.05, 3), _oracle_cold(D, X, 0.05, 1e-10, 100_000)]
+            stores = [_encode_cold(D, X, 0.05, 3), _encode_cold(D, X, 0.05, 1, 1e-10, 100_000)]
             outcomes[path] = [_native_check._store_bytes(s) for s in stores] + [
                 _native.kernel().objective(D, s, X, 0.05).tobytes() for s in stores]
     assert outcomes["kernel"] == outcomes["python"]
@@ -757,7 +783,9 @@ def test_cold_codes_reject_what_encode_scc_rejects():
         _encode_cold(D, X, 0.1, 3)
     with pytest.raises(DimensionMismatch) as one:
         encode_scc(D, SparseCode.zero(6), X[:, 0], 0.1, 3)
-    assert str(cold.value) == str(one.value)
+    with pytest.raises(DimensionMismatch) as oracle:
+        lasso_oracle_cd_batch(D, X, 0.1, 1e-10)
+    assert str(cold.value) == str(one.value) == str(oracle.value)
     for lam, steps in [(0.0, 3), (np.inf, 3), (0.1, 0), (0.1, 2.0)]:
         with pytest.raises(ConfigInvalid):
             _encode_cold(D, x[:, None], lam, steps)

@@ -27,7 +27,8 @@ from scc import (
     soft_threshold,
 )
 from scc.core import _CodeStore
-from scc.dictionary import _dense_codes, _gradient_step_dense, _quadratic_term
+from scc.core import _CodeStore
+from scc.dictionary import _gradient_step_dense, _quadratic_term
 from scc.trainer import BATCH_CODE_TOL, BATCH_MAX_STEPS, NaturalRateSchedule
 
 from conftest import CD_PATHS, cd_path
@@ -244,7 +245,7 @@ def reference_batch(ds, cfg):
     atoms = D.atoms
     for _ in range(cfg.epochs):
         codes = [lasso_oracle_cd(D, ds.column(i), lam, BATCH_CODE_TOL) for i in range(ds.n)]
-        Z = _dense_codes(codes, cfg.dict_size)
+        Z = _CodeStore.of(codes, cfg.dict_size).dense()
         eta = 1.0
         quad = _quadratic_term(atoms, Z, ds.X)
         for _ in range(BATCH_MAX_STEPS):
