@@ -3,7 +3,7 @@
  * codes of a whole dataset, cheap or run to a tolerance as the CD oracle
  * runs them), the backtracking dictionary step of batch_train, the dataset
  * objective, and the per-sample coordinate-descent passes of the cheap
- * encoder.
+ * encoder and of the two single-pass cycles.
  *
  * Built by scc._native_lib with -O2 -ftree-vectorize
  * -fvect-cost-model=dynamic -ffp-contract=off -falign-loops=64 and loaded
@@ -172,11 +172,11 @@ INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, doub
     return nnz;
 }
 
-/* The cheap encoder (tol 0, one full pass), for one sample of lasso.encode_scc. */
+/* encode with tol 0: encode_scc (full 1), cd_full_cycle and cd_support_cycle. */
 CLONED int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
-                          double lam, int64_t steps, int64_t *support)
+                          double lam, int64_t full, int64_t steps, int64_t *support)
 {
-    return encode(p, m, atoms, z, r, lam, 0.0, 1, steps, support);
+    return encode(p, m, atoms, z, r, lam, 0.0, full, steps, support);
 }
 
 /* Codes of one pass over a dataset: code i is indices[start[i] ..

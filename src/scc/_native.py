@@ -6,7 +6,7 @@ codes of ``lasso._encode_cold``, cheap or, with its passes run to a
 tolerance, the CD oracle's), ``batch_train``'s
 backtracking dictionary step ``dictionary._dense_py``, the per-sample
 objective terms of ``metrics._terms_py``, and the coordinate-descent
-passes of ``lasso.encode_scc``.
+passes of ``lasso.encode_scc``, ``cd_full_cycle`` and ``cd_support_cycle``.
 Its results are bit-identical to the Python loops: every inner product
 and every matrix product goes through the ``cblas_ddot``,
 ``cblas_dgemv`` and ``cblas_dgemm`` of the OpenBLAS that numpy loaded,

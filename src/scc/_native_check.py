@@ -30,7 +30,8 @@ def _self_test(k: Kernel) -> bool:
     """True if the kernel's bytes equal those of ``LOOPS`` on fixed instances.
 
     At every p: the per-sample encoder's code and residual for the first
-    sample, from zero and from the code with every entry; the oracle codes
+    sample, from zero and from the code with every entry, with one full pass
+    and two support passes, and with one support pass alone; the oracle codes
     of the samples, into a store that has to grow, from an epoch that holds
     its own copy of the atoms fixed and passes to a loose tolerance under a
     cap that one sample at p >= 16 does not meet (so the atoms, the codes up
@@ -71,15 +72,16 @@ def _store_bytes(store: _CodeStore) -> list:
 
 
 def _outputs(k, D, X, codes, natural: bool) -> list:
-    """Bytes of what the engine ``k`` computes: two encodes of the first sample, the oracle
+    """Bytes of what the engine ``k`` computes: four encodes of the first sample, the oracle
     codes of ``X``, an epoch under the rule that ``natural`` picks, the objective of ``codes``
     after it, and at ``DENSE_TEST_P`` the dense steps for the first sample (and two)."""
     m, n = D.m, X.shape[1]
     out = []
     for z in (codes[2], codes[0]):  # cold, and warm from every entry
-        r = _residual(D, z, X[:, 0])
-        code = k.encode(D, z, r, 0.02, 3)
-        out += [code.indices.tobytes(), code.values.tobytes(), r.tobytes()]
+        for full, steps in ((1, 3), (0, 2)):  # the cheap encoder, and support passes alone
+            r = _residual(D, z, X[:, 0])
+            code = k.encode(D, z, r, 0.02, full, steps)
+            out += [code.indices.tobytes(), code.values.tobytes(), r.tobytes()]
     # the oracle: full passes to tol 0.1, at most 2, into a store that has to grow
     _, oracle = _epoch(k, D, X, np.arange(n), 0.2, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
                        None, 0.1, 2)

@@ -96,7 +96,8 @@ class Kernel:
     contiguous and not empty, where a call is short and made often (one
     sample's ``encode``, an epoch's work space, every code store), else
     through ``ndarray.ctypes.data``; the atoms' address is looked up once
-    per atom matrix.  ``epoch`` writes codes into a ``core._CodeStore``
+    per atom matrix.  ``encode`` runs ``lasso.encode_scc``, ``cd_full_cycle`` and
+    ``cd_support_cycle`` on a checked residual.  ``epoch`` writes codes into a ``core._CodeStore``
     and returns to Python only to grow it.  With rate None it holds the
     dictionary fixed and only codes: that is how ``lasso._encode_cold``
     (``scc encode --mode scc:S`` and, with its passes run to a tolerance,
@@ -114,7 +115,7 @@ class Kernel:
         lib.scc_init.restype = None
         lib.scc_init(*(ctypes.cast(f, _ptr) for f in (ddot, dgemv, dgemm)))
         self._encode = lib.scc_encode
-        self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _i64, _ptr]
+        self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _i64, _i64, _ptr]
         self._encode.restype = _i64
         self._epoch = lib.scc_epoch
         self._epoch.argtypes = [ctypes.POINTER(_Epoch)]
@@ -137,17 +138,15 @@ class Kernel:
             self._atoms = (weakref.ref(atoms), address)
         return address
 
-    def encode(self, D, z_init, r: np.ndarray, lam: float, steps: int):
-        """``lasso.encode_scc``'s passes (one full pass, ``steps - 1`` support passes) from
-        ``z_init``; ``r`` = x - D z_init, updated in place."""
-        m = D.m
-        z = np.zeros(m)
-        z[z_init.indices] = z_init.values
-        support = np.empty(m, dtype=np.int64)
-        nnz = self._encode(D.p, m, self._atoms_address(D.atoms), _address(z), _address(r), lam,
-                           steps, _address(support))
+    def encode(self, D, z_init, r: np.ndarray, lam: float, full: int, steps: int):
+        """``lasso._encode_py`` with ``tol`` 0: ``full`` full passes and ``steps - 1`` support
+        passes from ``z_init``; ``r`` = x - D z_init, updated in place."""
+        z = z_init.to_dense()
+        support = np.empty(D.m, dtype=np.int64)
+        nnz = self._encode(D.p, D.m, self._atoms_address(D.atoms), _address(z), _address(r), lam,
+                           full, steps, _address(support))
         support = support[:nnz].copy()
-        return SparseCode._trusted(support, z[support], m)
+        return SparseCode._trusted(support, z[support], D.m)
 
     def epoch(self, D, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
               old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0, full: int = 1):

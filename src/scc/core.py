@@ -563,7 +563,9 @@ class CDWorkspace:
     """Caller-owned residual for coordinate descent.
 
     ``residual`` must hold x - D z on entry to any cycle; the cycle
-    updates it in place and leaves it consistent on exit.
+    updates it in place and leaves it consistent on exit.  The engine takes
+    it by address: a writable, C-contiguous float64 vector (else ConfigInvalid)
+    of length p (else DimensionMismatch), holding no NaN or Inf (else NonFinite).
     """
 
     residual: np.ndarray

@@ -23,7 +23,8 @@ coordinate by ``tol`` or more, at most ``full`` of them, then
 1.  ``encode_scc`` solves one sample in one ``encode`` call of the
 engine that ``_native.kernel()`` returns: the native kernel when it
 loads, otherwise the Python reference loop ``_encode_py`` over
-``_cd_pass``; both give the same bits.
+``_cd_pass``; both give the same bits.  So do ``cd_full_cycle`` (one
+full pass, no support pass) and ``cd_support_cycle`` (one support pass).
 
 A stochastic epoch of the trainers is one ``epoch`` call of that engine:
 the kernel's, or ``_epoch_py``, which gives the same bits.
@@ -31,7 +32,6 @@ the kernel's, or ``_epoch_py``, which gives the same bits.
 ``core._CodeStore`` as such an epoch that moves no atom: cheaply for
 ``scc encode --mode scc:S``, or to a tolerance for the CD oracle,
 ``batch_train`` and ``scc encode --mode oracle``.
-``cd_full_cycle`` and ``cd_support_cycle`` always run ``_cd_pass``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .core import (
     DimensionMismatch,
     HessianDiag,
     MaxIterationsExceeded,
+    NonFinite,
     Sample,
     SparseCode,
     _CodeStore,
@@ -116,33 +117,27 @@ def _cd_pass(cols, coords, z: list, r: np.ndarray, lam: float) -> float:
     return max_delta
 
 
-def _as_list(code: SparseCode) -> list:
-    z = [0.0] * code.m
-    for j, v in zip(code.indices.tolist(), code.values.tolist()):
-        z[j] = v
-    return z
-
-
-def _nonzero(z: list, coords) -> list:
-    """The members of ``coords`` whose coordinate is nonzero, in order."""
-    return [j for j in coords if z[j]]
-
-
-def _code(z: list, support: list) -> SparseCode:
-    """Code of ``z``, whose nonzeros are exactly the ascending ``support``."""
-    return SparseCode._trusted(
-        np.array(support, dtype=np.int64), np.array([z[j] for j in support], dtype=np.float64), len(z)
-    )
-
-
-def _cycle(D: Dictionary, z: SparseCode, x, ws: CDWorkspace, lam: float, coords) -> CDResult:
+def _encode_one(
+    D: Dictionary, z: SparseCode, x, ws: Optional[CDWorkspace], lam: float, full: int, steps: int
+) -> CDResult:
+    """The checked path of ``encode_scc`` and the cycles: ``full`` full and ``steps - 1``
+    support passes from ``z`` in the engine, on ``ws.residual`` in place (its layout is
+    ``CDWorkspace``'s rule), or with ``ws`` None on a fresh x - D z."""
     _require_lambda(lam)
-    _fit_sample(D, x, z)
-    if ws.residual.size != D.p:
-        raise DimensionMismatch(f"workspace residual length {ws.residual.size} != {D.p}")
-    zl = _as_list(z)
-    _cd_pass(D.columns, coords, zl, ws.residual, lam)
-    return CDResult(_code(zl, _nonzero(zl, coords)), ws.residual.copy(), 1)
+    steps = _require_count("steps", steps)
+    v = _fit_sample(D, x, z)
+    r = _residual(D, z, v) if ws is None else ws.residual
+    if np.size(r) != D.p:
+        raise DimensionMismatch(f"workspace residual length {np.size(r)} != {D.p}")
+    if not (isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype == np.float64
+            and r.flags.c_contiguous and r.flags.writeable):
+        raise ConfigInvalid("workspace residual must be a writable, C-contiguous float64 vector")
+    if not math.isfinite(v.dot(v)):  # a NaN or Inf in v, or a square norm that overflows
+        _require_finite(v[:, None])
+    if not (math.isfinite(r.dot(r)) or np.isfinite(r).all()):
+        raise NonFinite("residual x - D z contains NaN or Inf")
+    code = _native.kernel().encode(D, z, r, lam, full, steps)
+    return CDResult(code, r if ws is None else r.copy(), full + steps - 1)
 
 
 def cd_full_cycle(
@@ -153,7 +148,7 @@ def cd_full_cycle(
     Requires ``ws.residual == x - D z`` on entry; leaves it consistent
     with the returned code on exit.
     """
-    return _cycle(D, z, x, ws, lam, range(D.m))
+    return _encode_one(D, z, x, ws, lam, 1, 1)
 
 
 def cd_support_cycle(
@@ -163,7 +158,7 @@ def cd_support_cycle(
 
     Coordinates may shrink to zero and leave the support; none may enter.
     """
-    return _cycle(D, z, x, ws, lam, z.indices.tolist())
+    return _encode_one(D, z, x, ws, lam, 0, 2)
 
 
 def encode_scc(
@@ -181,23 +176,21 @@ def encode_scc(
     passes run in the engine of ``_native.kernel()``: the native kernel
     when it is loaded, else ``_encode_py``; both give the same bits.
     """
-    _require_lambda(lam)
-    steps = _require_count("steps", steps)
-    r = _residual(D, z_init, x)
-    return CDResult(_native.kernel().encode(D, z_init, r, lam, steps), r, steps)
+    return _encode_one(D, z_init, x, None, lam, 1, steps)
 
 
 def _encode_py(
-    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, steps: int,
-    tol: float = 0.0, full: int = 1,
+    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, full: int, steps: int,
+    tol: float = 0.0,
 ):
     """The encoder's passes in Python; ``r`` = x - D z_init, updated in place.
 
     Full passes until one changes no coordinate by ``tol`` or more, at
-    most ``full`` of them, then ``steps - 1`` support passes.  Returns the
-    code, or None when ``tol`` > 0 and the last full pass still moved a
-    coordinate by ``tol`` or more; with ``tol`` 0 and ``full`` 1 (the
-    cheap encoder) it makes exactly one full pass and never returns None.
+    most ``full`` of them, then ``steps - 1`` support passes over the
+    nonzeros that the full passes leave (with ``full`` 0, those of
+    ``z_init``).  Returns the code, or None when ``tol`` > 0 and the last
+    full pass still moved a coordinate by ``tol`` or more; with ``tol`` 0
+    it makes exactly ``full`` full passes and never returns None.
 
     The passes run in one thread at a time.  Each ``r.dot`` releases the
     GIL, and threads that handed it over on every coordinate visit took
@@ -205,7 +198,7 @@ def _encode_py(
     guest).  The passes need the GIL between those calls anyway, so
     running them one at a time costs no parallelism.
     """
-    z = _as_list(z_init)
+    z = z_init.to_dense().tolist()
     cols = D.columns
     coords = range(D.m)
     with _passes_lock:
@@ -215,11 +208,12 @@ def _encode_py(
         else:
             if tol > 0:
                 return None
-        support = _nonzero(z, coords)
+        support = [j for j in coords if z[j]]
         for _ in range(steps - 1):
             _cd_pass(cols, support, z, r, lam)
-            support = _nonzero(z, support)  # support passes only ever remove coordinates
-    return _code(z, support)
+            support = [j for j in support if z[j]]  # support passes only ever remove coordinates
+    return SparseCode._trusted(np.array(support, dtype=np.int64),
+                               np.array([z[j] for j in support], dtype=np.float64), D.m)
 
 
 def _not_converged(full: int) -> MaxIterationsExceeded:
@@ -252,7 +246,7 @@ def _epoch_py(
         t0 = time.perf_counter()
         z_init = old.code(i)
         r = _residual(D, z_init, X[:, i])
-        code = _encode_py(D, z_init, r, lam, steps, tol, full)
+        code = _encode_py(D, z_init, r, lam, full, steps, tol)
         if code is None:
             raise _not_converged(full)
         new.put(i, code)

@@ -346,6 +346,45 @@ def test_oracles_reject_non_finite_samples(solver, bad):
             lasso_oracle_cd_batch(D, np.column_stack([np.ones(3), x, x]), 0.1, 1e-10)
 
 
+@pytest.mark.parametrize("path", CD_PATHS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_solvers_reject_non_finite_samples(solver, bad, path):
+    D = Dictionary(np.eye(4)[:, :3])
+    x = np.array([0.5, bad, 0.1, 0.0])
+    with cd_path(path), pytest.raises(NonFinite, match="sample 0 contains NaN or Inf"):
+        _SOLVERS[solver](D, x, 0.1)
+
+
+@pytest.mark.parametrize("path", CD_PATHS)
+@pytest.mark.parametrize("cycle", [cd_full_cycle, cd_support_cycle])
+def test_cycles_reject_residuals_the_engine_cannot_take(cycle, path):
+    # the engine updates the residual in place by address; no pass runs on any of these
+    D = Dictionary(np.eye(4)[:, :3])
+    x = np.array([0.5, -0.2, 0.1, 0.0])
+    z = SparseCode(np.array([0]), np.array([0.3]), 3)
+    r = CDWorkspace.prepared(D, z, x).residual
+    read_only = r.copy()
+    read_only.flags.writeable = False
+    non_finite = r.copy()
+    non_finite[2] = math.nan
+    cases = [
+        (r.astype(np.int64), ConfigInvalid),
+        (read_only, ConfigInvalid),
+        (np.repeat(r, 2)[::2], ConfigInvalid),  # a strided view
+        (r[:, None].copy(), ConfigInvalid),
+        (r[:3].copy(), DimensionMismatch),
+        (np.append(r, 0.0), DimensionMismatch),
+        (non_finite, NonFinite),
+    ]
+    with cd_path(path):
+        for residual, error in cases:
+            before = residual.copy()
+            with pytest.raises(error):
+                cycle(D, z, x, CDWorkspace(residual), 0.1)
+            np.testing.assert_array_equal(residual, before)
+
+
 class TestOracleProx:
     def test_identity_within_tol(self):
         D = Dictionary(np.eye(2))
@@ -500,6 +539,26 @@ def _check_encode_cold_and_warm(p, m):
                 _assert_same_bits(warm.code, ref_code, warm.residual, ref_r)
 
 
+def _check_full_and_support_cycles(p, m):
+    for seed in range(4):
+        rng = rng_from_seed(5200 + seed)
+        D = Dictionary(random_ball_atoms(rng, p, m))
+        x = rng.standard_normal(p)
+        start = SparseCode.from_dense(
+            np.where(rng.random(m) < 0.2, rng.standard_normal(m), 0.0), prune_tol=0.0
+        )
+        lam = float(rng.uniform(0.02, 0.3))
+        for kernel, coords in (
+            (cd_full_cycle, range(m)),
+            (cd_support_cycle, start.indices.tolist()),
+        ):
+            ws = CDWorkspace.prepared(D, start, x)
+            ref_code, ref_r = _ref_cycle(D, start, ws.residual.copy(), lam, coords)
+            res = kernel(D, start, x, ws, lam)
+            _assert_same_bits(res.code, ref_code, res.residual, ref_r)
+            assert ws.residual.tobytes() == ref_r.tobytes()
+
+
 def _check_oracle_cd(p, m):
     for seed in range(3):
         D, x = random_instance(seed=5300 + seed, p=p, m=m)
@@ -522,23 +581,13 @@ class TestBitIdenticalToReference:
 
     @pytest.mark.parametrize("p,m", _SHAPES)
     def test_full_and_support_cycles(self, p, m):
-        for seed in range(4):
-            rng = rng_from_seed(5200 + seed)
-            D = Dictionary(random_ball_atoms(rng, p, m))
-            x = rng.standard_normal(p)
-            start = SparseCode.from_dense(
-                np.where(rng.random(m) < 0.2, rng.standard_normal(m), 0.0), prune_tol=0.0
-            )
-            lam = float(rng.uniform(0.02, 0.3))
-            for kernel, coords in (
-                (cd_full_cycle, range(m)),
-                (cd_support_cycle, start.indices.tolist()),
-            ):
-                ws = CDWorkspace.prepared(D, start, x)
-                ref_code, ref_r = _ref_cycle(D, start, ws.residual.copy(), lam, coords)
-                res = kernel(D, start, x, ws, lam)
-                _assert_same_bits(res.code, ref_code, res.residual, ref_r)
-                assert ws.residual.tobytes() == ref_r.tobytes()
+        _check_full_and_support_cycles(p, m)
+
+    @pytest.mark.parametrize("path", CD_PATHS)
+    @pytest.mark.parametrize("p,m", _SHAPES + [(1, 4), (3, 8), (17, 40)])
+    def test_full_and_support_cycles_on_each_path(self, path, p, m):
+        with cd_path(path):
+            _check_full_and_support_cycles(p, m)
 
     @pytest.mark.parametrize("p,m", _SHAPES)
     def test_oracle_cd(self, p, m):

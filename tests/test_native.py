@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scc import (
+    CDWorkspace,
     ConfigInvalid,
     DataSet,
     Dictionary,
@@ -30,6 +31,8 @@ from scc import (
     _native_check,
     _native_lib,
     batch_train,
+    cd_full_cycle,
+    cd_support_cycle,
     cli,
     encode_scc,
     generate_planted,
@@ -158,7 +161,10 @@ _MUTANTS = {
     "dgemm": ("if (M > 1 && N > 1 && P > 1) {", "if (0) {"),
     # a per-sample encoder that makes one support pass more than it is asked for: every
     # epoch, which calls encode itself, stays right
-    "encode": ("0.0, 1, steps, support);", "0.0, 1, steps + 1, support);"),
+    "encode": ("0.0, full, steps, support);", "0.0, full, steps + 1, support);"),
+    # a per-sample encoder that makes its full pass whatever it is asked for: encode_scc
+    # and cd_full_cycle, which ask for one, stay right
+    "full": ("0.0, full, steps, support);", "0.0, 1, steps, support);"),
 }
 
 
@@ -305,6 +311,11 @@ class TestLoading:
         _refuse_mutant(*_MUTANTS["encode"], tmp_path, monkeypatch, caplog)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_support_pass_alone(self, fresh_cache, tmp_path, monkeypatch,
+                                                     caplog):
+        _refuse_mutant(*_MUTANTS["full"], tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
     def test_a_stamped_kernel_lets_no_mutant_through(self, built_cache, tmp_path, monkeypatch,
                                                      caplog, mutant):
@@ -392,7 +403,7 @@ def test_every_call_goes_through_the_engine(monkeypatch, tmp_path):
 
     modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "scc"]
     for module in modules:
-        for name in ("_encode_py", "_epoch_py", "_terms_py", "_dense_py"):
+        for name in ("_cd_pass", "_encode_py", "_epoch_py", "_terms_py", "_dense_py"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
 
@@ -409,6 +420,10 @@ def test_every_call_goes_through_the_engine(monkeypatch, tmp_path):
     assert calls(lambda: batch_train(ds, cfg)) == ["epoch", "dense", "objective"] * 2
     x = ds.X[:, 0]
     assert calls(lambda: encode_scc(D, SparseCode.zero(12), x, 0.1, 3)) == ["encode"]
+    start = encode_scc(D, SparseCode.zero(12), x, 0.1, 1).code
+    for cycle in (cd_full_cycle, cd_support_cycle):
+        ws = CDWorkspace.prepared(D, start, x)
+        assert calls(lambda: cycle(D, start, x, ws, 0.1)) == ["encode"]
     codes = [SparseCode.zero(12)] * ds.n
     assert calls(lambda: objective(D, codes, ds, 0.1)) == ["objective"]
     write_dictionary(tmp_path / "d.sccmat", D)

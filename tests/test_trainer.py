@@ -27,7 +27,6 @@ from scc import (
     soft_threshold,
 )
 from scc.core import _CodeStore
-from scc.core import _CodeStore
 from scc.dictionary import _gradient_step_dense, _quadratic_term
 from scc.trainer import BATCH_CODE_TOL, BATCH_MAX_STEPS, NaturalRateSchedule
 
