@@ -1,9 +1,10 @@
 /* Native form of the hot paths: the whole stochastic epoch of the SCC
- * trainers (which, with the dictionary held fixed, also gives the cold
- * codes of a whole dataset, cheap or run to a tolerance as the CD oracle
- * runs them), the backtracking dictionary step of batch_train, the dataset
- * objective, and the per-sample coordinate-descent passes of the cheap
- * encoder and of the two single-pass cycles.
+ * trainers (which, with the dictionary held fixed, also gives the codes of
+ * a whole dataset, cheap or run to a tolerance as the CD oracle runs them,
+ * settling a working set between full passes), the backtracking dictionary
+ * step of batch_train, the dataset objective, and the per-sample
+ * coordinate-descent passes of the cheap encoder and of the two single-pass
+ * cycles.
  *
  * Built by scc._native_lib with -O2 -ftree-vectorize
  * -fvect-cost-model=dynamic -ffp-contract=off -falign-loops=64 and loaded
@@ -140,27 +141,48 @@ INLINE double cd_pass(int64_t p, const double *atoms, const int64_t *coords, int
     return max_delta;
 }
 
-/* The per-sample encoder: full passes until one changes no coordinate by
- * tol or more, at most full of them, then steps - 1 passes over the
- * support, which only ever shrinks.  z (length m) holds the warm start on
- * entry and the code on exit; support receives the final support in
- * ascending order.  Returns its length, or -1 when tol > 0 and the last
- * full pass still moved a coordinate by tol or more (not settled).  The
- * cheap encoder is tol 0, full 1: exactly one full pass, never unsettled.
- * Mirrors lasso._encode_py. */
-INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
-                      double lam, double tol, int64_t full, int64_t steps, int64_t *support)
+/* The nonzeros of z (length m) into support in ascending order; returns their count. */
+INLINE int64_t nonzeros(int64_t m, const double *z, int64_t *support)
 {
-    int64_t pass;
-    for (pass = 1; pass <= full; pass++)
-        if (cd_pass(p, atoms, NULL, m, z, r, lam) < tol)
-            break;
-    if (pass > full && tol > 0.0)
-        return -1;
     int64_t nnz = 0;
     for (int64_t j = 0; j < m; j++)
         if (z[j] != 0.0)
             support[nnz++] = j;
+    return nnz;
+}
+
+/* The per-sample encoder.  With tol 0 (the cheap encoder and the single
+ * cycles): exactly full full passes.  With tol > 0 (the CD oracle): full
+ * passes until one changes no coordinate by tol or more; after each full
+ * pass that does, the working set, its nonzeros, is settled first by
+ * passes over just those until one changes none by tol or more (a
+ * coordinate that falls to zero stays in the set until the next full
+ * pass).  Every pass, full or over the working set, counts against the
+ * one budget, full.  Then steps - 1 passes over the support, which
+ * only ever shrinks.  z (length m) holds the warm start on entry and the
+ * code on exit; support receives the final support in ascending order.
+ * Returns its length, or -1 when tol > 0 and the budget ran out before a
+ * full pass settled.  Mirrors lasso._encode_py. */
+INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
+                      double lam, double tol, int64_t full, int64_t steps, int64_t *support)
+{
+    int64_t pass = 0;
+    double moved = INFINITY; /* the largest change of the last full pass */
+    while (pass < full && moved >= tol) {
+        pass++;
+        moved = cd_pass(p, atoms, NULL, m, z, r, lam);
+        if (tol > 0.0 && moved >= tol) {
+            int64_t work = nonzeros(m, z, support);
+            while (pass < full) {
+                pass++; /* a working-set pass spends the budget too */
+                if (cd_pass(p, atoms, support, work, z, r, lam) < tol)
+                    break;
+            }
+        }
+    }
+    if (tol > 0.0 && moved >= tol)
+        return -1;
+    int64_t nnz = nonzeros(m, z, support);
     for (int64_t s = 1; s < steps; s++) {
         int64_t kept = 0;
         cd_pass(p, atoms, support, nnz, z, r, lam);
@@ -328,12 +350,12 @@ static double now(void)
  * Returns 0 once every visit is made; 1, before a visit, when e->new has
  * no room for a code of m entries (grow it and call again); -1 when an
  * adaptive cell is not positive, with the first such cell in e->bad and
- * no atom moved for that sample; -2 when a visit's full passes do not
- * settle, with e->next at that visit, nothing stored for it and its z
- * left as the passes left it.  Each phase is timed from the end of the
- * one before it, so that a training visit reads the clock once per phase;
- * with the dictionary held fixed every visit is code phase, and only the
- * call as a whole is timed. */
+ * no atom moved for that sample; -2 when a visit's passes run out of
+ * budget before a full pass settles, with e->next at that visit, nothing
+ * stored for it and its z left as the passes left it.  Each phase is
+ * timed from the end of the one before it, so that a training visit reads
+ * the clock once per phase; with the dictionary held fixed every visit is
+ * code phase, and only the call as a whole is timed. */
 CLONED int64_t scc_epoch(struct epoch *e)
 {
     int64_t p = e->p, m = e->m;

@@ -1,8 +1,8 @@
 """The engine of the hot paths: the native kernel, or the Python loops.
 
 ``_kernel.c``, shipped next to this module, holds the whole stochastic
-epoch of ``lasso._epoch_py`` (with the dictionary held fixed, the cold
-codes of ``lasso._encode_cold``, cheap or, with its passes run to a
+epoch of ``lasso._epoch_py`` (with the dictionary held fixed, the
+codes of ``lasso._encode_frozen``, cheap or, with its passes run to a
 tolerance, the CD oracle's), ``batch_train``'s
 backtracking dictionary step ``dictionary._dense_py``, the per-sample
 objective terms of ``metrics._terms_py``, and the coordinate-descent

@@ -33,9 +33,11 @@ def _self_test(k: Kernel) -> bool:
     sample, from zero and from the code with every entry, with one full pass
     and two support passes, and with one support pass alone; the oracle codes
     of the samples, into a store that has to grow, from an epoch that holds
-    its own copy of the atoms fixed and passes to a loose tolerance under a
-    cap that one sample at p >= 16 does not meet (so the atoms, the codes up
-    to that sample and whether it settled are compared); an epoch over two
+    its own copy of the atoms fixed and passes to a loose tolerance on a
+    budget of three passes, in which at p >= 16 the first sample settles
+    after a working-set pass and the second runs out partway through its
+    working-set passes (so the atoms, the codes up to that sample and whether
+    it settled are compared); an epoch over two
     samples, from a one-entry code and from zero, alternately under the
     adaptive rule in sequential order and under the natural rule in reverse
     order; and the objective of codes with every entry, one entry and none.
@@ -82,9 +84,9 @@ def _outputs(k, D, X, codes, natural: bool) -> list:
             r = _residual(D, z, X[:, 0])
             code = k.encode(D, z, r, 0.02, full, steps)
             out += [code.indices.tobytes(), code.values.tobytes(), r.tobytes()]
-    # the oracle: full passes to tol 0.1, at most 2, into a store that has to grow
-    _, oracle = _epoch(k, D, X, np.arange(n), 0.2, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
-                       None, 0.1, 2)
+    # the oracle: passes to tol 0.05, at most 3, into a store that has to grow
+    _, oracle = _epoch(k, D, X, np.arange(n), 0.1, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
+                       None, 0.05, 3)
     # a training epoch from the other codes, into a store with room for one
     rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(m)
     order = np.array([1, 0]) if natural else np.arange(2)

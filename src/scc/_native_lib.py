@@ -99,7 +99,7 @@ class Kernel:
     per atom matrix.  ``encode`` runs ``lasso.encode_scc``, ``cd_full_cycle`` and
     ``cd_support_cycle`` on a checked residual.  ``epoch`` writes codes into a ``core._CodeStore``
     and returns to Python only to grow it.  With rate None it holds the
-    dictionary fixed and only codes: that is how ``lasso._encode_cold``
+    dictionary fixed and only codes: that is how ``lasso._encode_frozen``
     (``scc encode --mode scc:S`` and, with its passes run to a tolerance,
     the CD oracle, ``batch_train`` and ``scc encode --mode oracle``) codes a
     whole matrix.  ``dense`` runs

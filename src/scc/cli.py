@@ -32,7 +32,7 @@ from .core import (
     thread_cap,
 )
 from .data import generate_planted, preprocess_dataset
-from .lasso import DEFAULT_MAX_CYCLES, _encode_cold
+from .lasso import DEFAULT_MAX_CYCLES, _encode_frozen
 from .serialize import (
     read_dataset,
     read_dictionary,
@@ -204,9 +204,9 @@ def _cmd_encode(args) -> int:
     cfg.validate()  # the one lambda rule: finite and > 0, or the default
     lam = cfg.effective_lambda(ds.p)
     if steps is None:
-        codes = _encode_cold(D, ds.X, lam, 1, ENCODE_ORACLE_TOL, DEFAULT_MAX_CYCLES)
+        codes = _encode_frozen(D, ds.X, lam, 1, ENCODE_ORACLE_TOL, DEFAULT_MAX_CYCLES)
     else:
-        codes = _encode_cold(D, ds.X, lam, steps)
+        codes = _encode_frozen(D, ds.X, lam, steps)
     write_codes(args.out, codes)
     return 0
 

@@ -12,9 +12,10 @@ Numeric conventions used across the package:
 
 The sample contract is written once, here: :func:`_fit_sample` is the
 one check that a sample (and a code) fits a dictionary, :func:`_fit_codes`
-that a dataset and its codes do, :func:`_residual` the one fresh
-computation of x - D z, and :func:`validate_dataset` the one whole-matrix
-check of a dataset's samples.  So is every argument rule.
+that a dataset and its codes do, :func:`_minus_code` the one fresh
+computation of x - D z (:func:`_residual` after the fit check), and
+:func:`validate_dataset` the one whole-matrix check of a dataset's samples.
+So is every argument rule.
 """
 
 from __future__ import annotations
@@ -596,7 +597,12 @@ def _fit_sample(D: Dictionary, x, z: Union[SparseCode, None] = None) -> np.ndarr
 
 def _residual(D: Dictionary, z: SparseCode, x) -> np.ndarray:
     """Check through :func:`_fit_sample` that ``x`` and ``z`` fit ``D``; return a fresh x - D z."""
-    r = _fit_sample(D, x, z).astype(np.float64, copy=True)
+    return _minus_code(D, z, _fit_sample(D, x, z))
+
+
+def _minus_code(D: Dictionary, z: SparseCode, v: np.ndarray) -> np.ndarray:
+    """A fresh v - D z for the vector ``v`` that :func:`_fit_sample` returned for ``z``."""
+    r = v.astype(np.float64, copy=True)
     if z.nnz:
         r -= D.atoms[:, z.indices] @ z.values
     return r

@@ -16,22 +16,28 @@ which is exact minimization over z_j when ||d_j|| = 1 and a valid
 unit-step proximal update whenever ||d_j|| <= 1, so the objective
 never increases.
 
-One encoder codes every sample: full passes until one changes no
-coordinate by ``tol`` or more, at most ``full`` of them, then
-``steps - 1`` support passes.  The cheap encoder is ``tol`` 0, ``full``
-1; the CD oracle a positive ``tol``, ``full`` ``max_cycles``, ``steps``
-1.  ``encode_scc`` solves one sample in one ``encode`` call of the
-engine that ``_native.kernel()`` returns: the native kernel when it
-loads, otherwise the Python reference loop ``_encode_py`` over
-``_cd_pass``; both give the same bits.  So do ``cd_full_cycle`` (one
-full pass, no support pass) and ``cd_support_cycle`` (one support pass).
+One encoder codes every sample: full passes, then ``steps - 1``
+support passes.  The cheap encoder is ``tol`` 0 and ``full`` 1: exactly
+one full pass.  The CD oracle is a positive ``tol``, a pass budget
+``full`` = ``max_cycles`` and ``steps`` 1: full passes until one changes
+no coordinate by ``tol`` or more, and after each full pass that does,
+passes over its nonzeros alone (the working set, as in the active-set
+cycles of Friedman, Hastie and Tibshirani's glmnet) until one of them
+changes none by ``tol`` or more.  Every pass spends the budget.  Most
+of the oracle's visits then go to the coordinates that move.
+``encode_scc`` solves one sample in one ``encode`` call of the engine
+that ``_native.kernel()`` returns: the native kernel when it loads,
+otherwise the Python reference loop ``_encode_py`` over ``_cd_pass``;
+both give the same bits.  So do ``cd_full_cycle`` (one full pass, no
+support pass) and ``cd_support_cycle`` (one support pass).
 
 A stochastic epoch of the trainers is one ``epoch`` call of that engine:
 the kernel's, or ``_epoch_py``, which gives the same bits.
-``_encode_cold`` codes a whole matrix from zero into one
-``core._CodeStore`` as such an epoch that moves no atom: cheaply for
-``scc encode --mode scc:S``, or to a tolerance for the CD oracle,
-``batch_train`` and ``scc encode --mode oracle``.
+``_encode_frozen`` codes a whole matrix into one ``core._CodeStore`` as
+such an epoch that moves no atom: cheaply from zero for ``scc encode
+--mode scc:S``, or to a tolerance for the CD oracle, from zero for
+``lasso_oracle_cd(_batch)`` and ``scc encode --mode oracle``, and from
+the last epoch's codes in ``batch_train``.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from .core import (
     SparseCode,
     _CodeStore,
     _fit_sample,
+    _minus_code,
     _require_count,
     _require_finite,
     _require_lambda,
@@ -126,12 +133,16 @@ def _encode_one(
     _require_lambda(lam)
     steps = _require_count("steps", steps)
     v = _fit_sample(D, x, z)
-    r = _residual(D, z, v) if ws is None else ws.residual
-    if np.size(r) != D.p:
-        raise DimensionMismatch(f"workspace residual length {np.size(r)} != {D.p}")
-    if not (isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype == np.float64
-            and r.flags.c_contiguous and r.flags.writeable):
-        raise ConfigInvalid("workspace residual must be a writable, C-contiguous float64 vector")
+    if ws is None:  # a fresh residual, which has the layout the engine takes
+        r = _minus_code(D, z, v)
+    else:
+        r = ws.residual
+        if np.size(r) != D.p:
+            raise DimensionMismatch(f"workspace residual length {np.size(r)} != {D.p}")
+        if not (isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype == np.float64
+                and r.flags.c_contiguous and r.flags.writeable):
+            raise ConfigInvalid("workspace residual must be a writable, C-contiguous float64 "
+                                "vector")
     if not math.isfinite(v.dot(v)):  # a NaN or Inf in v, or a square norm that overflows
         _require_finite(v[:, None])
     if not (math.isfinite(r.dot(r)) or np.isfinite(r).all()):
@@ -185,12 +196,14 @@ def _encode_py(
 ):
     """The encoder's passes in Python; ``r`` = x - D z_init, updated in place.
 
-    Full passes until one changes no coordinate by ``tol`` or more, at
-    most ``full`` of them, then ``steps - 1`` support passes over the
-    nonzeros that the full passes leave (with ``full`` 0, those of
-    ``z_init``).  Returns the code, or None when ``tol`` > 0 and the last
-    full pass still moved a coordinate by ``tol`` or more; with ``tol`` 0
-    it makes exactly ``full`` full passes and never returns None.
+    With ``tol`` 0, exactly ``full`` full passes.  With ``tol`` > 0, full
+    passes until one changes no coordinate by ``tol`` or more; after each
+    full pass that does, passes over its nonzeros, the working set, until
+    one changes none by ``tol`` or more.  Every pass, full or over the
+    working set, counts against the budget ``full``.  Then ``steps - 1``
+    support passes over the nonzeros that the full passes leave (with
+    ``full`` 0, those of ``z_init``).  Returns the code, or None when
+    ``tol`` > 0 and the budget ran out before a full pass settled.
 
     The passes run in one thread at a time.  Each ``r.dot`` releases the
     GIL, and threads that handed it over on every coordinate visit took
@@ -201,13 +214,20 @@ def _encode_py(
     z = z_init.to_dense().tolist()
     cols = D.columns
     coords = range(D.m)
+    passes = 0
+    moved = math.inf  # the largest change of the last full pass
     with _passes_lock:
-        for _ in range(full):
-            if _cd_pass(cols, coords, z, r, lam) < tol:
-                break
-        else:
-            if tol > 0:
-                return None
+        while passes < full and moved >= tol:
+            passes += 1
+            moved = _cd_pass(cols, coords, z, r, lam)
+            if tol > 0 and moved >= tol:
+                work = [j for j in coords if z[j]]
+                while passes < full:
+                    passes += 1  # a working-set pass spends the budget too
+                    if _cd_pass(cols, work, z, r, lam) < tol:
+                        break
+        if tol > 0 and moved >= tol:
+            return None
         support = [j for j in coords if z[j]]
         for _ in range(steps - 1):
             _cd_pass(cols, support, z, r, lam)
@@ -234,8 +254,8 @@ def _epoch_py(
     ``HessianDiag``, or a/(t+b) * z_j from the
     ``NaturalRateSchedule``, whose t counts every visit, empty
     codes too.  Raises ZeroCurvature before a step with a cell that is
-    not positive, and MaxIterationsExceeded at a visit whose full passes
-    do not settle.  With ``rate`` None the dictionary is held fixed: the
+    not positive, and MaxIterationsExceeded at a visit whose passes run
+    out of budget.  With ``rate`` None the dictionary is held fixed: the
     epoch only codes.  The kernel's ``epoch`` gives the same bits.
     """
     t_code = 0.0
@@ -263,19 +283,21 @@ def _epoch_py(
     return t_code, t_dict
 
 
-def _encode_cold(
+def _encode_frozen(
     D: Dictionary, X: np.ndarray, lam: float, steps: int, tol: float = 0.0, full: int = 1,
-    capacity: Optional[int] = None,
+    start: Optional[_CodeStore] = None,
 ) -> _CodeStore:
-    """The codes of every column of ``X`` from the zero code, into one store in sample order.
+    """The codes of every column of ``X`` under ``D`` held fixed, into one store in sample order.
 
-    They are one epoch in sample order from the zero codes that moves no
-    atom, one ``epoch`` call of the engine of ``_native.kernel()``.  With
-    the default ``tol`` and ``full`` they have the bits of per-sample
+    They are one epoch in sample order that moves no atom, one ``epoch``
+    call of the engine of ``_native.kernel()``, warm-started from the
+    codes in ``start``, or from zero when it is None.  From zero, with
+    the default ``tol`` and ``full``, they have the bits of per-sample
     ``encode_scc`` calls; the CD oracle's are ``tol`` > 0, ``full`` its
-    cap ``max_cycles`` and ``steps`` 1.  NonFinite if ``X`` holds NaN or
-    Inf.  The store starts with room for ``capacity`` entries (n + m by
-    default) and grows as needed; the capacity never changes a bit.
+    pass budget ``max_cycles`` and ``steps`` 1.  NonFinite if ``X``
+    holds NaN or Inf.  The store starts with room for m more entries
+    than the larger of n and the entries of ``start``, and grows as
+    needed; the capacity never changes a bit.
     """
     _require_lambda(lam)
     steps = _require_count("steps", steps)
@@ -285,9 +307,11 @@ def _encode_cold(
         raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
     _require_finite(X)
     m, n = D.m, X.shape[1]
-    store = _CodeStore(m, n, n + m if capacity is None else capacity)
-    _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, _CodeStore(m, n, 0),
-                           store, None, tol, full)
+    if start is None:
+        start = _CodeStore(m, n, 0)
+    store = _CodeStore(m, n, max(start.used, n) + m)
+    _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, start, store, None,
+                           tol, full)
     return store
 
 
@@ -301,9 +325,11 @@ def lasso_oracle_cd(
     """Cyclic coordinate descent from zero, run to convergence.
 
     Stops when the largest coordinate change of a full pass drops below
-    ``tol``; raises MaxIterationsExceeded after ``max_cycles`` passes,
-    which signals an ill-conditioned instance.  This is
-    ``lasso_oracle_cd_batch`` on the one-column matrix ``x``.
+    ``tol``; after each full pass that does not stop it, passes over the
+    nonzeros alone settle them first.  Raises MaxIterationsExceeded
+    after ``max_cycles`` passes, full or over the nonzeros, without a
+    full pass that stops it, which signals an ill-conditioned instance.
+    This is ``lasso_oracle_cd_batch`` on the one-column matrix ``x``.
     """
     return lasso_oracle_cd_batch(D, _fit_sample(D, x)[:, None], lam, tol, max_cycles)[0]
 
@@ -318,15 +344,20 @@ def lasso_oracle_cd_batch(
     """``lasso_oracle_cd`` for every column of ``X``.
 
     Each sample starts from zero, makes ascending full passes and stops
-    after the first pass whose largest change is below ``tol``; raises
-    MaxIterationsExceeded on the first sample still moving after
-    ``max_cycles`` passes, and NonFinite if ``X`` holds NaN or Inf.
-    The codes are views of one ``_encode_cold`` store: full passes to
-    ``tol``, at most ``max_cycles`` of them, and no support pass.
+    after the first full pass whose largest change is below ``tol``;
+    after each full pass that is not, ascending passes over its nonzeros
+    run until one's largest change is below ``tol``.  Raises
+    MaxIterationsExceeded on the first sample that has not stopped after
+    ``max_cycles`` passes of either kind, and NonFinite if ``X`` holds
+    NaN or Inf.  The codes are views of one ``_encode_frozen`` store:
+    passes to ``tol`` on a budget of ``max_cycles``, and no support pass.
+    They match plain full-pass descent to the same ``tol`` in support,
+    and in value as far as that stop leaves either short of the optimum
+    (tests/test_lasso.py states the bounds).
     """
     if not tol > 0:
         raise ConfigInvalid(f"tol must be > 0, got {tol}")
-    return _encode_cold(D, X, lam, 1, tol, max_cycles).codes()
+    return _encode_frozen(D, X, lam, 1, tol, max_cycles).codes()
 
 
 def lasso_oracle_prox(

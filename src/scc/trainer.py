@@ -23,9 +23,10 @@ it loads, else ``lasso._epoch_py``, which gives the same bits.  Either
 reads the previous epoch's codes from one compact ``core._CodeStore``
 and writes the new codes to another, so memory grows with the number of
 nonzeros, never with m x n; ``TrainResult.codes`` are views of the last store.
-``batch_train``'s code phase is one ``lasso._encode_cold`` store per
-epoch: the same epoch in sample order from the zero codes, with the
-dictionary held fixed and each code run to a tolerance.  Its dense code
+``batch_train``'s code phase is one ``lasso._encode_frozen`` store per
+epoch: the same epoch in sample order, from the zero codes in the first
+epoch and from the last epoch's store after it, with the dictionary held
+fixed and each code run to a tolerance.  Its dense code
 matrix and its objective are read from that store.  Its dictionary phase
 is one ``dense`` call of the same engine: the kernel's, or
 ``dictionary._dense_py``.  Every trainer's per-epoch objective comes
@@ -59,7 +60,7 @@ from .core import (
     _SHUFFLE_STREAM,
 )
 from .data import init_dictionary
-from .lasso import DEFAULT_MAX_CYCLES, _encode_cold
+from .lasso import DEFAULT_MAX_CYCLES, _encode_frozen
 from .metrics import _objective
 
 BATCH_CODE_TOL = 1e-10
@@ -147,30 +148,30 @@ def batch_train(
 ) -> TrainResult:
     """Alternating baseline: exact codes, then backtracking gradient steps.
 
-    Per epoch every code is re-solved from zero to convergence against
-    the fixed dictionary, one sample after another, into one code store
-    by ``lasso._encode_cold`` (the bits of one ``lasso_oracle_cd`` call
-    per sample), then up to ``BATCH_MAX_STEPS`` full-gradient attempts
-    run with the step halved whenever the quadratic part of the
+    Per epoch every code is re-solved to convergence against the fixed
+    dictionary, one sample after another, into one code store by
+    ``lasso._encode_frozen``: the CD oracle of ``lasso_oracle_cd``, from
+    zero in the first epoch (its bits) and from the sample's code of the
+    last epoch after it.  Then up to ``BATCH_MAX_STEPS`` full-gradient
+    attempts run with the step halved whenever the quadratic part of the
     objective would grow: one ``dense`` call of the engine of
     ``_native.kernel()``, the kernel's or ``dictionary._dense_py``, with
     the same bits.  From the second epoch on the code store starts with
-    room for as many entries as the last epoch's codes, plus one code.
+    room for the last epoch's entries, or n if more, plus one code.
     """
     cfg.validate()
     validate_dataset(ds)
     m = cfg.dict_size
     lam = cfg.effective_lambda(ds.p)
     D = init_dictionary(ds, m, cfg.init, cfg.seed)
-    capacity = None  # the oracle's n + m at first, then last epoch's entries plus one code
+    codes = None  # the first epoch's codes start from zero
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        codes = _encode_cold(D, ds.X, lam, 1, BATCH_CODE_TOL, DEFAULT_MAX_CYCLES, capacity)
+        codes = _encode_frozen(D, ds.X, lam, 1, BATCH_CODE_TOL, DEFAULT_MAX_CYCLES, codes)
         t1 = time.perf_counter()
         _native.kernel().dense(D.atoms, codes.dense(), ds.X, BATCH_MAX_STEPS)
         t2 = time.perf_counter()
-        capacity = codes.used + m
         stats.append(_epoch_stats(epoch, D, codes, ds.X, lam, t1 - t0, t2 - t1))
         if progress is not None:
             progress(stats[-1])

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from scc import Dictionary, _native, _native_lib, rng_from_seed
+from scc import Dictionary, SparseCode, _native, _native_lib, rng_from_seed
 
 
 def random_unit_atoms(rng: np.random.Generator, p: int, m: int) -> np.ndarray:
@@ -54,3 +54,66 @@ def cd_path(name: str):
 
 
 CD_PATHS = ("python", "kernel")
+
+
+# ---------------------------------------------------------------------------
+# Reference coordinate descent: the loop as first written, with a numpy code
+# vector, ``float(col @ r)`` and codes collected through the validating
+# ``from_dense``, and the CD oracle in two forms built on it.
+# ---------------------------------------------------------------------------
+
+def ref_pass(cols, coords, z, r, lam):
+    """One sweep over ``coords``; returns the largest absolute change."""
+    max_delta = 0.0
+    for j in coords:
+        col = cols[j]
+        old = float(z[j])
+        b = float(col @ r) + old
+        if b > lam:
+            new = b - lam
+        elif b < -lam:
+            new = b + lam
+        else:
+            new = 0.0
+        if new != old:
+            z[j] = new
+            r -= (new - old) * col
+            delta = abs(new - old)
+            if delta > max_delta:
+                max_delta = delta
+    return max_delta
+
+
+def _ref_start(D, x, z_init):
+    z = np.zeros(D.m) if z_init is None else z_init.to_dense()
+    r = np.asarray(x, dtype=np.float64).copy()
+    if z_init is not None and z_init.nnz:
+        r -= D.atoms[:, z_init.indices] @ z_init.values
+    return [D.atoms[:, j] for j in range(D.m)], z, r
+
+
+def ref_oracle_full(D, x, lam, tol):
+    """Plain cyclic descent from zero: full passes until one changes no coordinate by
+    ``tol`` or more.  The code and the number of passes."""
+    cols, z, r = _ref_start(D, x, None)
+    passes = 1
+    while ref_pass(cols, range(D.m), z, r, lam) >= tol:
+        passes += 1
+    return SparseCode.from_dense(z, prune_tol=0.0), passes
+
+
+def ref_oracle(D, x, lam, tol, z_init=None):
+    """The working-set oracle from ``z_init`` (zero when None): after each full pass
+    that changes a coordinate by ``tol`` or more, passes over the nonzeros it leaves
+    until one changes none by ``tol`` or more; it stops after the first full pass
+    that changes none.  The code and the number of passes, full and working-set."""
+    cols, z, r = _ref_start(D, x, z_init)
+    passes = 0
+    while True:
+        passes += 1
+        if ref_pass(cols, range(D.m), z, r, lam) < tol:
+            return SparseCode.from_dense(z, prune_tol=0.0), passes
+        work = np.flatnonzero(z).tolist()
+        passes += 1
+        while ref_pass(cols, work, z, r, lam) >= tol:
+            passes += 1

@@ -24,7 +24,8 @@ from scc import (
 from scc import rng_from_seed
 from scc.lasso import DEFAULT_MAX_CYCLES
 
-from conftest import CD_PATHS, cd_path, random_ball_atoms, random_instance, random_unit_atoms
+from conftest import (CD_PATHS, cd_path, random_ball_atoms, random_instance, random_unit_atoms,
+                      ref_oracle, ref_oracle_full, ref_pass)
 
 
 class TestSoftThreshold:
@@ -298,7 +299,7 @@ class TestOracleCDBatch:
             with pytest.raises(MaxIterationsExceeded, match="in 2 cycles"):
                 lasso_oracle_cd_batch(D, X, 0.1, 1e-10, max_cycles=2)
         for j, code in enumerate(codes):
-            _assert_same_bits(code, _ref_oracle(D, X[:, j], 0.1, 1e-10))
+            _assert_same_bits(code, ref_oracle(D, X[:, j], 0.1, 1e-10)[0])
 
     def test_rejects_non_integer_cycle_cap(self):
         D = Dictionary(np.eye(2))
@@ -385,6 +386,49 @@ def test_cycles_reject_residuals_the_engine_cannot_take(cycle, path):
             np.testing.assert_array_equal(residual, before)
 
 
+# The working-set oracle against plain full-pass descent (conftest's ``ref_oracle_full``),
+# both stopped by a full pass that changes no coordinate by 1e-10.  Their supports are
+# equal, and their codes differ only as far as that stop leaves each short of the optimum:
+# over 3 seeds x 300, 150 and 40 unit-norm Gaussian samples at 16x32, 64x256 and 256x1024,
+# unit and ball atoms, the largest |dz| was 2.2e-8 at lambda 0.1 (3.9e-9 on the instances
+# below; 3.5e-7 at lambda 0.03, where descent is slower; 6e-10 on planted data), and
+# per-sample objectives differed by at most 1.4e-15 relative.
+WS_CODE_TOL = 1e-7
+WS_OBJECTIVE_RTOL = 1e-14
+
+
+class TestWorkingSetOracle:
+    @pytest.mark.parametrize("path", CD_PATHS)
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("p,m,n", [(16, 32, 40), (64, 256, 12), (256, 1024, 3)])
+    def test_within_tolerance_of_full_passes(self, path, unit, p, m, n):
+        rng = rng_from_seed(6600 + p)
+        D = Dictionary(random_unit_atoms(rng, p, m) if unit else random_ball_atoms(rng, p, m))
+        X = _unit_columns(rng, p, n)
+        with cd_path(path):
+            codes = lasso_oracle_cd_batch(D, X, 0.1, 1e-10)
+        for x, code in zip(X.T, codes):
+            ref, _ = ref_oracle_full(D, x, 0.1, 1e-10)
+            assert code.indices.tobytes() == ref.indices.tobytes()
+            assert np.abs(code.values - ref.values).max(initial=0.0) <= WS_CODE_TOL
+            f, f_ref = sample_objective(D, code, x, 0.1), sample_objective(D, ref, x, 0.1)
+            assert abs(f - f_ref) <= WS_OBJECTIVE_RTOL * f_ref
+
+    @pytest.mark.parametrize("path", CD_PATHS)
+    def test_every_pass_spends_the_budget(self, path):
+        # a sample that settles after k passes in all (1236): the last is a full pass, and
+        # the one before it a working-set pass, which k - 1 passes end on
+        rng = rng_from_seed(6700)
+        D = Dictionary(random_ball_atoms(rng, 16, 32))
+        x = _unit_columns(rng, 16, 1)[:, 0]
+        want, k = ref_oracle(D, x, 0.05, 1e-10)
+        assert k >= 3
+        with cd_path(path):
+            with pytest.raises(MaxIterationsExceeded, match=f"in {k - 1} cycles$"):
+                lasso_oracle_cd(D, x, 0.05, 1e-10, max_cycles=k - 1)
+            _assert_same_bits(lasso_oracle_cd(D, x, 0.05, 1e-10, max_cycles=k), want)
+
+
 class TestOracleProx:
     def test_identity_within_tol(self):
         D = Dictionary(np.eye(2))
@@ -454,31 +498,9 @@ class TestCycleInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit reference: the coordinate-descent loop as first written, with
-# a numpy code vector, ``float(col @ r)``, the column list rebuilt per call
-# and codes collected through the validating ``from_dense``.
+# Bit-for-bit reference: the coordinate-descent loop as first written
+# (conftest's ``ref_pass``), with the column list rebuilt per call.
 # ---------------------------------------------------------------------------
-
-def _ref_pass(cols, coords, z, r, lam):
-    max_delta = 0.0
-    for j in coords:
-        col = cols[j]
-        old = float(z[j])
-        b = float(col @ r) + old
-        if b > lam:
-            new = b - lam
-        elif b < -lam:
-            new = b + lam
-        else:
-            new = 0.0
-        if new != old:
-            z[j] = new
-            r -= (new - old) * col
-            delta = abs(new - old)
-            if delta > max_delta:
-                max_delta = delta
-    return max_delta
-
 
 def _ref_cols(D):
     return [D.atoms[:, j] for j in range(D.m)]
@@ -489,24 +511,16 @@ def _ref_encode(D, z_init, x, lam, steps):
     if z_init.nnz:
         r -= D.atoms[:, z_init.indices] @ z_init.values
     zd = z_init.to_dense()
-    _ref_pass(_ref_cols(D), range(D.m), zd, r, lam)
+    ref_pass(_ref_cols(D), range(D.m), zd, r, lam)
     for _ in range(steps - 1):
-        _ref_pass(_ref_cols(D), np.flatnonzero(zd).tolist(), zd, r, lam)
+        ref_pass(_ref_cols(D), np.flatnonzero(zd).tolist(), zd, r, lam)
     return SparseCode.from_dense(zd, prune_tol=0.0), r
 
 
 def _ref_cycle(D, z, r, lam, coords):
     zd = z.to_dense()
-    _ref_pass(_ref_cols(D), coords, zd, r, lam)
+    ref_pass(_ref_cols(D), coords, zd, r, lam)
     return SparseCode.from_dense(zd, prune_tol=0.0), r
-
-
-def _ref_oracle(D, x, lam, tol):
-    z = np.zeros(D.m)
-    r = np.asarray(x, dtype=np.float64).copy()
-    while _ref_pass(_ref_cols(D), range(D.m), z, r, lam) >= tol:
-        pass
-    return SparseCode.from_dense(z, prune_tol=0.0)
 
 
 def _assert_same_bits(code, ref_code, residual=None, ref_residual=None):
@@ -563,7 +577,7 @@ def _check_oracle_cd(p, m):
     for seed in range(3):
         D, x = random_instance(seed=5300 + seed, p=p, m=m)
         for lam in (0.03, 0.1):
-            _assert_same_bits(lasso_oracle_cd(D, x, lam, 1e-10), _ref_oracle(D, x, lam, 1e-10))
+            _assert_same_bits(lasso_oracle_cd(D, x, lam, 1e-10), ref_oracle(D, x, lam, 1e-10)[0])
 
 
 class TestBitIdenticalToReference:
@@ -618,7 +632,8 @@ def _check_codes_revalidate(seed, p, m, lam, steps, unit, max_cycles=DEFAULT_MAX
     except MaxIterationsExceeded:
         # Short ball atoms and a small lambda can make cyclic descent need more
         # than the documented cap of passes (seed=4, p=4, m=22, lam=2**-9, ball
-        # atoms: one column needs 123,859); such an instance returns no code.
+        # atoms: column 3 needs 123,860, full and working-set); such an instance
+        # returns no code.
         reject()
     # Wherever the per-sample reference converges, the batched oracle must too.
     for code in singles + lasso_oracle_cd_batch(D, X, lam, 1e-9, max_cycles):

@@ -45,7 +45,7 @@ from scc import (
 )
 from scc import dictionary
 from scc.core import _CodeStore
-from scc.lasso import _encode_cold
+from scc.lasso import _encode_frozen
 from scc.metrics import _terms_py
 from scc.serialize import write_dataset, write_dictionary
 
@@ -152,7 +152,14 @@ _MUTANTS = {
     "cold": ("if (!e->h && e->a == 0.0)", "if (0)"),
     # full passes that ignore the tolerance and stop after the first: the cheap
     # encoder, which makes exactly one, stays right
-    "oracle": ("< tol)", "< INFINITY)"),
+    "oracle": ("while (pass < full && moved >= tol) {",
+               "while (pass < full && moved >= INFINITY) {"),
+    # an oracle that never settles a working set between its full passes: the plain
+    # full-pass descent, whose codes meet the tolerance too
+    "working_set": ("if (tol > 0.0 && moved >= tol) {", "if (0) {"),
+    # working-set passes that leave the budget unspent: only a sample that runs out of
+    # budget during them can tell
+    "budget": ("pass++; /* a working-set pass spends the budget too */", ";"),
     # a rejected dense step retried at the same rate, which is rejected again
     "halving": ("eta *= 0.5;", "eta *= 1.0;"),
     # dense candidates whose columns are left outside the unit ball
@@ -290,6 +297,16 @@ class TestLoading:
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_oracle_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
         _refuse_mutant(*_MUTANTS["oracle"], tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_working_set_passes(self, fresh_cache, tmp_path, monkeypatch,
+                                                     caplog):
+        _refuse_mutant(*_MUTANTS["working_set"], tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_the_working_set_budget(self, fresh_cache, tmp_path, monkeypatch,
+                                                     caplog):
+        _refuse_mutant(*_MUTANTS["budget"], tmp_path, monkeypatch, caplog)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_dense_halving(self, fresh_cache, tmp_path, monkeypatch, caplog):
@@ -475,14 +492,15 @@ def test_trainers_give_the_same_bits_on_each_path(training, p, m, n):
 
 # _train_digest of the stochastic trainers as the per-sample Python loop
 # computed them before the epoch moved into one kernel call, and of
-# batch_train as both paths computed it before its oracle codes went into
-# one kernel call per epoch; a change that moved both paths alike would
+# batch_train as both paths and the per-sample reference of test_trainer
+# (conftest's ref_oracle, warm from the second epoch) computed it once its
+# oracle settled working sets; a change that moved both paths alike would
 # still pass the comparison above
 _PINNED_DIGESTS = {
     ("batch_train", 1, 4, 30): "801ec5531fef29ee26b03bb45c00849b4d309456e05ab862c29c5419dad5ec62",
-    ("batch_train", 16, 32, 120): "dcc3c14b6a5792119ee089d6fcff9559d9021aa2282a30dead5558589b0e9091",
-    ("batch_train", 17, 40, 60): "06b7607474a518e94d97ff574c377aea69a7319e7ab6574ff60a3c3f79268e44",
-    ("batch_train", 64, 256, 40): "da4862f57fc29407c85a0606bd96085e830cdaf8a2c515d2b2be88a81062b7c1",
+    ("batch_train", 16, 32, 120): "b28b75aabef18e56e1fbc26116d8983daebfef827e8bbc15b027a984ecc04844",
+    ("batch_train", 17, 40, 60): "2e747f56042cd663c8538e216f6cb0827989b1ea359d018c2f5ace11f09c07a2",
+    ("batch_train", 64, 256, 40): "c099e9b5813bb7da2f739cd6f962df45af8dd4a03b32a4f49beeb1227b403710",
     ("scc_train", 1, 4, 30): "028519ff84c55938fa5fab75d5d6bad284223a3ca09be21b7a168311dcbb5eea",
     ("scc_train", 16, 32, 120): "21ddecb5cb093c37989d808d3b40eda57a826db0d1eae2434c625f2a4e99cbed",
     ("scc_train", 64, 256, 40): "35379211756b5baab17c29124b2dbabba79480e8324e7cdb96e45f65f0125d8f",
@@ -687,11 +705,12 @@ def test_reference_run_digests(path, tmp_path):
 
 # SHA-256 of the SCCSPC bytes that ``scc encode`` wrote per mode before the
 # whole file was coded in one kernel call (64x256 planted dictionary, 100
-# samples, default lambda); both paths then gave these bytes
+# samples, default lambda); both paths then gave these bytes.  The oracle's
+# are those of the working-set oracle, which conftest's ref_oracle gives too
 _ENCODE_DIGESTS = {
     "scc:1": "dca2beacafa812e6f5906bb37c159ec8f835075c53a56da5a93b341f761ff187",
     "scc:3": "1a196029ec195259e0c78f1a10df5a9d2e3f3f692e50980bcfc9081a1b8f5170",
-    "oracle": "6ffe147e0932b92e61f106cc446e8802ed7dbc859d3caeddc6b5f4f8a9e27a2e",
+    "oracle": "2084a5208a3d47407beaebd38ff24ffafd6da379a0d5971e34d019e708b76803",
 }
 
 
@@ -727,7 +746,7 @@ def test_cold_codes_match_on_each_path(params):
     want = _native_check._store_bytes(_CodeStore.of(codes, m))
     for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
         with cd_path(path):
-            assert _native_check._store_bytes(_encode_cold(D, X, lam, steps)) == want
+            assert _native_check._store_bytes(_encode_frozen(D, X, lam, steps)) == want
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
             _native.kernel().epoch(D, X, np.arange(n), lam, steps, _CodeStore(m, n, 0), small,
                                    None)
@@ -759,9 +778,9 @@ def test_oracle_codes_match_on_each_path(params):
             if codes is None:
                 with pytest.raises(MaxIterationsExceeded,
                                    match=f"^coordinate descent did not converge in {max_cycles} "):
-                    _encode_cold(D, X, lam, 1, 1e-10, max_cycles)
+                    _encode_frozen(D, X, lam, 1, 1e-10, max_cycles)
             else:
-                assert (_native_check._store_bytes(_encode_cold(D, X, lam, 1, 1e-10, max_cycles))
+                assert (_native_check._store_bytes(_encode_frozen(D, X, lam, 1, 1e-10, max_cycles))
                         == _native_check._store_bytes(_CodeStore.of(codes, m)))
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
             try:
@@ -785,7 +804,7 @@ def test_frozen_epochs_and_objective_match_at_every_vector_remainder(p):
     outcomes = {}
     for path in CD_PATHS:
         with cd_path(path):
-            stores = [_encode_cold(D, X, 0.05, 3), _encode_cold(D, X, 0.05, 1, 1e-10, 100_000)]
+            stores = [_encode_frozen(D, X, 0.05, 3), _encode_frozen(D, X, 0.05, 1, 1e-10, 100_000)]
             outcomes[path] = [_native_check._store_bytes(s) for s in stores] + [
                 _native.kernel().objective(D, s, X, 0.05).tobytes() for s in stores]
     assert outcomes["kernel"] == outcomes["python"]
@@ -795,7 +814,7 @@ def test_cold_codes_reject_what_encode_scc_rejects():
     D, x = random_instance(seed=7700, p=4, m=6)
     X = np.zeros((5, 3))
     with pytest.raises(DimensionMismatch) as cold:
-        _encode_cold(D, X, 0.1, 3)
+        _encode_frozen(D, X, 0.1, 3)
     with pytest.raises(DimensionMismatch) as one:
         encode_scc(D, SparseCode.zero(6), X[:, 0], 0.1, 3)
     with pytest.raises(DimensionMismatch) as oracle:
@@ -803,7 +822,7 @@ def test_cold_codes_reject_what_encode_scc_rejects():
     assert str(cold.value) == str(one.value) == str(oracle.value)
     for lam, steps in [(0.0, 3), (np.inf, 3), (0.1, 0), (0.1, 2.0)]:
         with pytest.raises(ConfigInvalid):
-            _encode_cold(D, x[:, None], lam, steps)
+            _encode_frozen(D, x[:, None], lam, steps)
 
 
 def test_concurrent_encodes_match_serial():
@@ -851,7 +870,7 @@ def test_read_only_atoms_encode(path):
         codes = lasso_oracle_cd_batch(D, x[:, None], 0.05, 1e-10)
         # the kernel writes through a pointer whatever numpy's flag says: only the
         # bytes show that an epoch with the dictionary held fixed moved no atom
-        cold = _encode_cold(D, X, 0.05, 3)
+        cold = _encode_frozen(D, X, 0.05, 3)
     assert D.atoms.tobytes() == atoms
     assert _codes_bytes(cold.codes()) == _codes_bytes(cold_want)
     assert _codes_bytes([got.code]) == _codes_bytes([want.code])

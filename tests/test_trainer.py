@@ -19,18 +19,18 @@ from scc import (
     generate_planted,
     hessian_accumulate,
     init_dictionary,
-    lasso_oracle_cd,
     natural_rate_train,
     objective,
     scc_train,
     sgd_update_support,
     soft_threshold,
 )
+from scc import trainer
 from scc.core import _CodeStore
 from scc.dictionary import _gradient_step_dense, _quadratic_term
 from scc.trainer import BATCH_CODE_TOL, BATCH_MAX_STEPS, NaturalRateSchedule
 
-from conftest import CD_PATHS, cd_path
+from conftest import CD_PATHS, cd_path, ref_oracle
 
 
 def manual_scc(ds, cfg):
@@ -235,15 +235,18 @@ class TestNaturalRate:
 
 
 def reference_batch(ds, cfg):
-    """The batch alternation with one per-sample oracle call per code.
+    """The batch alternation with one per-sample reference oracle call per code
+    (conftest's ``ref_oracle``), from zero in the first epoch and from the last
+    epoch's code after it.
 
     Returns the final dictionary and the final objective.
     """
     lam = cfg.effective_lambda(ds.p)
     D = init_dictionary(ds, cfg.dict_size, cfg.init, cfg.seed)
     atoms = D.atoms
+    codes = [None] * ds.n
     for _ in range(cfg.epochs):
-        codes = [lasso_oracle_cd(D, ds.column(i), lam, BATCH_CODE_TOL) for i in range(ds.n)]
+        codes = [ref_oracle(D, ds.X[:, i], lam, BATCH_CODE_TOL, z)[0] for i, z in enumerate(codes)]
         Z = _CodeStore.of(codes, cfg.dict_size).dense()
         eta = 1.0
         quad = _quadratic_term(atoms, Z, ds.X)
@@ -275,6 +278,28 @@ class TestBatchTrain:
         D_ref, f_ref = reference_batch(ds, cfg)
         assert result.stats[-1].objective == f_ref
         assert result.dictionary.atoms.tobytes() == D_ref.atoms.tobytes()
+
+    # From the second epoch on, each code starts from the last epoch's.  Against a run
+    # that starts every epoch from zero, over 3 seeds at each of 16x32 (n 120 and 1000),
+    # 64x256 (n 40 and 300) and 256x1024 (n 12 and 60), 3 epochs, the supports were
+    # equal, the final codes differed by at most 8.6e-10, the atoms by 4.7e-11 and the
+    # epoch objectives by 4.5e-12 relative.
+    @pytest.mark.parametrize("path", CD_PATHS)
+    @pytest.mark.parametrize("p,m,n,k", [(16, 32, 120, 3), (64, 256, 40, 5), (256, 1024, 12, 5)])
+    def test_warm_start_is_within_tolerance_of_cold(self, path, p, m, n, k, monkeypatch):
+        ds, _, _ = generate_planted(p, m, n, k, 0.01, seed=46 + p)
+        cfg = TrainConfig(dict_size=m, epochs=3, seed=p, init="random_gaussian")
+        frozen = trainer._encode_frozen
+        with cd_path(path):
+            warm = batch_train(ds, cfg)
+            monkeypatch.setattr(trainer, "_encode_frozen", lambda *args: frozen(*args[:6]))
+            cold = batch_train(ds, cfg)  # every epoch from zero
+        for a, b in zip(warm.codes, cold.codes):
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert np.abs(a.values - b.values).max(initial=0.0) <= 1e-8
+        assert np.abs(warm.dictionary.atoms - cold.dictionary.atoms).max() <= 1e-9
+        for a, b in zip(warm.stats, cold.stats):
+            assert abs(a.objective - b.objective) <= 1e-10 * b.objective
 
     @pytest.mark.parametrize("path", CD_PATHS)
     def test_later_epochs_size_the_code_store_from_the_last(self, path, monkeypatch):
