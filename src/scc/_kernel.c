@@ -1,16 +1,19 @@
 /* Native form of the hot paths: the whole stochastic epoch of the SCC
  * trainers (which, with the dictionary held fixed, also gives the codes of
- * a whole dataset, cheap or run to a tolerance as the CD oracle runs them,
- * settling a working set between full passes), the backtracking dictionary
- * step of batch_train, the dataset objective, and the per-sample
- * coordinate-descent passes of the cheap encoder and of the two single-pass
- * cycles.
+ * a whole dataset), the backtracking dictionary step of batch_train, the
+ * dataset objective, and the per-sample coordinate-descent passes of the
+ * cheap encoder and of the two single-pass cycles.
+ *
+ * A sample is coded by one of two routines.  encode, the cheap encoder,
+ * makes a fixed number of passes: at most one full pass, then a few over
+ * the support.  oracle, the CD oracle, makes full passes to a tolerance on
+ * a pass budget, settling a working set between them.
  *
  * Built by scc._native_lib with -O2 -ftree-vectorize
  * -fvect-cost-model=dynamic -ffp-contract=off -falign-loops=64 and loaded
  * through ctypes.  The results are bit-identical to the Python loops in
- * scc.lasso._epoch_py, scc.dictionary._dense_py, scc.metrics._terms_py and
- * scc.lasso._cd_pass:
+ * scc.lasso._epoch_py, scc.dictionary._dense_py, scc.metrics._terms_py,
+ * scc.lasso._encode_py and scc.lasso._oracle_py:
  *
  *   - every inner product goes through the cblas_ddot that numpy calls
  *     (the pointer is handed in by scc_init), and is taken as
@@ -36,8 +39,8 @@
  * multiply-add.  The two entry points that hold the hot loops, scc_epoch and
  * scc_encode, are also built as AVX-512F, AVX2 and baseline clones, and the
  * dynamic loader picks one per process from cpuid (scc_isa names it).  The
- * per-sample encoder and the fresh residual with its matmul are inlined into
- * them, so that their loops are built for each clone too (an out-of-line
+ * two per-sample routines and the fresh residual with its matmul are inlined
+ * into them, so that their loops are built for each clone too (an out-of-line
  * matmul cost a 16 x 32 epoch 2%).  scc_objective and scc_dense are not
  * cloned: clones of them bought nothing measurable on the batch step or at
  * 16 x 32, and made the build several times slower.
@@ -151,37 +154,15 @@ INLINE int64_t nonzeros(int64_t m, const double *z, int64_t *support)
     return nnz;
 }
 
-/* The per-sample encoder.  With tol 0 (the cheap encoder and the single
- * cycles): exactly full full passes.  With tol > 0 (the CD oracle): full
- * passes until one changes no coordinate by tol or more; after each full
- * pass that does, the working set, its nonzeros, is settled first by
- * passes over just those until one changes none by tol or more (a
- * coordinate that falls to zero stays in the set until the next full
- * pass).  Every pass, full or over the working set, counts against the
- * one budget, full.  Then steps - 1 passes over the support, which
- * only ever shrinks.  z (length m) holds the warm start on entry and the
- * code on exit; support receives the final support in ascending order.
- * Returns its length, or -1 when tol > 0 and the budget ran out before a
- * full pass settled.  Mirrors lasso._encode_py. */
+/* The cheap encoder: full (0 or 1) full passes, then steps - 1 passes over
+ * the support, which only ever shrinks.  z (length m) holds the warm start
+ * on entry and the code on exit; support receives the final support in
+ * ascending order.  Returns its length.  Mirrors lasso._encode_py. */
 INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
-                      double lam, double tol, int64_t full, int64_t steps, int64_t *support)
+                      double lam, int64_t full, int64_t steps, int64_t *support)
 {
-    int64_t pass = 0;
-    double moved = INFINITY; /* the largest change of the last full pass */
-    while (pass < full && moved >= tol) {
-        pass++;
-        moved = cd_pass(p, atoms, NULL, m, z, r, lam);
-        if (tol > 0.0 && moved >= tol) {
-            int64_t work = nonzeros(m, z, support);
-            while (pass < full) {
-                pass++; /* a working-set pass spends the budget too */
-                if (cd_pass(p, atoms, support, work, z, r, lam) < tol)
-                    break;
-            }
-        }
-    }
-    if (tol > 0.0 && moved >= tol)
-        return -1;
+    for (int64_t pass = 0; pass < full; pass++)
+        cd_pass(p, atoms, NULL, m, z, r, lam);
     int64_t nnz = nonzeros(m, z, support);
     for (int64_t s = 1; s < steps; s++) {
         int64_t kept = 0;
@@ -194,11 +175,35 @@ INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, doub
     return nnz;
 }
 
-/* encode with tol 0: encode_scc (full 1), cd_full_cycle and cd_support_cycle. */
+/* The CD oracle: full passes until one changes no coordinate by tol or
+ * more.  After each full pass that does, the working set, its nonzeros,
+ * is settled first by passes over just those until one changes none by tol
+ * or more (a coordinate that falls to zero stays in the set until the next
+ * full pass).  Every pass, full or over the working set, counts against the
+ * one budget, max_cycles; pass counts those made.  z and support as for
+ * encode.  Returns the length of the support, or -1 when the budget ran
+ * out before a full pass settled.  Mirrors lasso._oracle_py. */
+INLINE int64_t oracle(int64_t p, int64_t m, const double *atoms, double *z, double *r,
+                      double lam, double tol, int64_t max_cycles, int64_t *support)
+{
+    for (int64_t pass = 1; pass <= max_cycles; pass++) {
+        if (cd_pass(p, atoms, NULL, m, z, r, lam) < tol)
+            return nonzeros(m, z, support);
+        int64_t work = nonzeros(m, z, support);
+        while (pass < max_cycles) {
+            pass++; /* a working-set pass spends the budget too */
+            if (cd_pass(p, atoms, support, work, z, r, lam) < tol)
+                break;
+        }
+    }
+    return -1;
+}
+
+/* encode_scc (full 1), cd_full_cycle and cd_support_cycle. */
 CLONED int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
                           double lam, int64_t full, int64_t steps, int64_t *support)
 {
-    return encode(p, m, atoms, z, r, lam, 0.0, full, steps, support);
+    return encode(p, m, atoms, z, r, lam, full, steps, support);
 }
 
 /* Codes of one pass over a dataset: code i is indices[start[i] ..
@@ -312,15 +317,16 @@ void scc_objective(int64_t p, int64_t n, const double *atoms, const double *x,
 }
 
 /* The state of one stochastic epoch; mirrors the arguments of
- * lasso._epoch_py.  lam, tol, full and steps are encode's.  h holds
- * the curvature cells of the adaptive rule, or is NULL for the natural
- * rule a / (t + b), whose a is always > 0.  h NULL and a = 0 hold the
- * dictionary fixed: the epoch only codes, moves no atom and leaves t as it
- * is (lasso._epoch_py with rate None). */
+ * lasso._epoch_py.  Each sample is coded by oracle, on the budget
+ * max_cycles, when tol > 0, and otherwise by encode: one full pass and
+ * steps - 1 support passes.  h holds the curvature cells of the adaptive
+ * rule, or is NULL for the natural rule a / (t + b), whose a is always
+ * > 0.  h NULL and a = 0 hold the dictionary fixed: the epoch only codes,
+ * moves no atom and leaves t as it is (lasso._epoch_py with rate None). */
 struct epoch {
     int64_t p, m, n, steps;
     double lam, tol;
-    int64_t full;
+    int64_t max_cycles;
     double *atoms;        /* p x m, updated in place */
     const double *x;      /* p x n samples */
     const int64_t *order; /* the n visits */
@@ -343,15 +349,15 @@ static double now(void)
 }
 
 /* Visits e->order[e->next ..] in turn.  Each visit computes the fresh
- * residual of the sample under its code of the previous epoch, encodes
- * it with encode and appends the code to e->new; unless the
+ * residual of the sample under its code of the previous epoch, codes it
+ * with oracle or encode and appends the code to e->new; unless the
  * dictionary is held fixed, it then advances the rate and moves each
  * supported atom by its step times the residual onto the unit ball.
  * Returns 0 once every visit is made; 1, before a visit, when e->new has
  * no room for a code of m entries (grow it and call again); -1 when an
  * adaptive cell is not positive, with the first such cell in e->bad and
- * no atom moved for that sample; -2 when a visit's passes run out of
- * budget before a full pass settles, with e->next at that visit, nothing
+ * no atom moved for that sample; -2 when a visit's oracle passes run out
+ * of budget before a full pass settles, with e->next at that visit, nothing
  * stored for it and its z left as the passes left it.  Each phase is
  * timed from the end of the one before it, so that a training visit reads
  * the clock once per phase; with the dictionary held fixed every visit is
@@ -374,7 +380,9 @@ CLONED int64_t scc_epoch(struct epoch *e)
         residual(p, e->atoms, e->x + i * p, k, idx, val, e->g, e->y, r);
         for (int64_t q = 0; q < k; q++)
             z[idx[q]] = val[q];
-        int64_t nnz = encode(p, m, e->atoms, z, r, e->lam, e->tol, e->full, e->steps, support);
+        int64_t nnz = e->tol > 0.0
+                          ? oracle(p, m, e->atoms, z, r, e->lam, e->tol, e->max_cycles, support)
+                          : encode(p, m, e->atoms, z, r, e->lam, 1, e->steps, support);
         if (nnz < 0)
             return -2;
         int64_t *new_idx = e->new.indices + e->new.used;

@@ -1,12 +1,15 @@
 """The engine of the hot paths: the native kernel, or the Python loops.
 
 ``_kernel.c``, shipped next to this module, holds the whole stochastic
-epoch of ``lasso._epoch_py`` (with the dictionary held fixed, the
-codes of ``lasso._encode_frozen``, cheap or, with its passes run to a
-tolerance, the CD oracle's), ``batch_train``'s
-backtracking dictionary step ``dictionary._dense_py``, the per-sample
-objective terms of ``metrics._terms_py``, and the coordinate-descent
-passes of ``lasso.encode_scc``, ``cd_full_cycle`` and ``cd_support_cycle``.
+epoch of ``lasso._epoch_py`` (with the dictionary held fixed, the codes
+of ``lasso._encode_frozen``), ``batch_train``'s backtracking dictionary
+step ``dictionary._dense_py``, the per-sample objective terms of
+``metrics._terms_py``, and the coordinate-descent passes of
+``lasso.encode_scc``, ``cd_full_cycle`` and ``cd_support_cycle``.  It
+codes a sample with one of two routines, as ``lasso`` does: the cheap
+encoder of ``lasso._encode_py``, a fixed number of passes, or the CD
+oracle of ``lasso._oracle_py``, passes to a tolerance on a budget, which
+an epoch runs when its tolerance is positive.
 Its results are bit-identical to the Python loops: every inner product
 and every matrix product goes through the ``cblas_ddot``,
 ``cblas_dgemv`` and ``cblas_dgemm`` of the OpenBLAS that numpy loaded,

@@ -104,12 +104,12 @@ def _outputs(k, D, X, codes, natural: bool) -> list:
     return out
 
 
-def _epoch(k, D, X, order, lam, steps, old, new, rate, tol=0.0, full=1):
+def _epoch(k, D, X, order, lam, steps, old, new, rate, tol=0.0, max_cycles=1):
     """``k.epoch`` on a copy of the atoms of ``D``, so that moving them spoils no other
     run: the copy, and the bytes of its atoms, of ``new`` and whether every visit settled."""
     W = Dictionary(D.atoms)
     try:
-        k.epoch(W, X, order, lam, steps, old, new, rate, tol, full)
+        k.epoch(W, X, order, lam, steps, old, new, rate, tol, max_cycles)
         settled = True
     except MaxIterationsExceeded:
         settled = False

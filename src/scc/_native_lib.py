@@ -73,7 +73,7 @@ class _Epoch(ctypes.Structure):
     """``struct epoch``: the arguments and progress of one ``scc_epoch`` run."""
 
     _fields_ = [("p", _i64), ("m", _i64), ("n", _i64), ("steps", _i64), ("lam", _f64),
-                ("tol", _f64), ("full", _i64),
+                ("tol", _f64), ("max_cycles", _i64),
                 ("atoms", _ptr), ("x", _ptr), ("order", _ptr), ("old", _Codes), ("new", _Codes),
                 ("h", _ptr), ("a", _f64), ("b", _f64), ("t", _i64),
                 ("z", _ptr), ("r", _ptr), ("g", _ptr), ("y", _ptr), ("support", _ptr),
@@ -96,13 +96,15 @@ class Kernel:
     contiguous and not empty, where a call is short and made often (one
     sample's ``encode``, an epoch's work space, every code store), else
     through ``ndarray.ctypes.data``; the atoms' address is looked up once
-    per atom matrix.  ``encode`` runs ``lasso.encode_scc``, ``cd_full_cycle`` and
-    ``cd_support_cycle`` on a checked residual.  ``epoch`` writes codes into a ``core._CodeStore``
-    and returns to Python only to grow it.  With rate None it holds the
-    dictionary fixed and only codes: that is how ``lasso._encode_frozen``
-    (``scc encode --mode scc:S`` and, with its passes run to a tolerance,
-    the CD oracle, ``batch_train`` and ``scc encode --mode oracle``) codes a
-    whole matrix.  ``dense`` runs
+    per atom matrix.  ``encode`` runs the cheap encoder of ``lasso.encode_scc``,
+    ``cd_full_cycle`` and ``cd_support_cycle`` on a checked residual.  ``epoch``
+    codes each sample with the CD oracle when its ``tol`` is positive and
+    with the cheap encoder otherwise, writes the codes into a
+    ``core._CodeStore`` and returns to Python only to grow it.  With rate
+    None it holds the dictionary fixed and only codes: that is how
+    ``lasso._encode_frozen`` (``scc encode --mode scc:S`` and, with the
+    oracle, ``batch_train``, ``lasso_oracle_cd(_batch)`` and ``scc encode
+    --mode oracle``) codes a whole matrix.  ``dense`` runs
     ``batch_train``'s dictionary step in place on Fortran-ordered atoms,
     for the Fortran-ordered dense codes ``Z`` of ``X``.  ``LOOPS`` has
     the same entry points, and gives the same bits.  ``isa`` names the clone
@@ -139,8 +141,9 @@ class Kernel:
         return address
 
     def encode(self, D, z_init, r: np.ndarray, lam: float, full: int, steps: int):
-        """``lasso._encode_py`` with ``tol`` 0: ``full`` full passes and ``steps - 1`` support
-        passes from ``z_init``; ``r`` = x - D z_init, updated in place."""
+        """``lasso._encode_py``, the cheap encoder: ``full`` (0 or 1) full passes and
+        ``steps - 1`` support passes from ``z_init``; ``r`` = x - D z_init, updated in place.
+        It has no tolerance: the CD oracle runs only inside ``epoch``."""
         z = z_init.to_dense()
         support = np.empty(D.m, dtype=np.int64)
         nnz = self._encode(D.p, D.m, self._atoms_address(D.atoms), _address(z), _address(r), lam,
@@ -149,13 +152,13 @@ class Kernel:
         return SparseCode._trusted(support, z[support], D.m)
 
     def epoch(self, D, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
-              old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0, full: int = 1):
+              old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0, max_cycles: int = 1):
         """``lasso._epoch_py`` in one kernel call, and one more each time ``new`` grows.
 
         Rate None leaves ``h`` NULL and ``a`` zero, which holds the dictionary fixed.
         """
         p, m = D.p, D.m
-        e = _Epoch(p=p, m=m, n=order.size, steps=steps, lam=lam, tol=tol, full=full,
+        e = _Epoch(p=p, m=m, n=order.size, steps=steps, lam=lam, tol=tol, max_cycles=max_cycles,
                    atoms=self._atoms_address(D.atoms), x=X.ctypes.data, order=order.ctypes.data,
                    old=_codes(old), new=_codes(new))
         natural = isinstance(rate, NaturalRateSchedule)
@@ -175,7 +178,7 @@ class Kernel:
         if status == -1:
             raise _no_curvature(e.bad)
         if status < 0:
-            raise _not_converged(full)
+            raise _not_converged(max_cycles)
         return e.time_code, e.time_dict
 
     def objective(self, D, store: _CodeStore, X: np.ndarray, lam: float) -> np.ndarray:

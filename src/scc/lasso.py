@@ -16,28 +16,29 @@ which is exact minimization over z_j when ||d_j|| = 1 and a valid
 unit-step proximal update whenever ||d_j|| <= 1, so the objective
 never increases.
 
-One encoder codes every sample: full passes, then ``steps - 1``
-support passes.  The cheap encoder is ``tol`` 0 and ``full`` 1: exactly
-one full pass.  The CD oracle is a positive ``tol``, a pass budget
-``full`` = ``max_cycles`` and ``steps`` 1: full passes until one changes
-no coordinate by ``tol`` or more, and after each full pass that does,
-passes over its nonzeros alone (the working set, as in the active-set
-cycles of Friedman, Hastie and Tibshirani's glmnet) until one of them
-changes none by ``tol`` or more.  Every pass spends the budget.  Most
-of the oracle's visits then go to the coordinates that move.
-``encode_scc`` solves one sample in one ``encode`` call of the engine
-that ``_native.kernel()`` returns: the native kernel when it loads,
-otherwise the Python reference loop ``_encode_py`` over ``_cd_pass``;
-both give the same bits.  So do ``cd_full_cycle`` (one full pass, no
-support pass) and ``cd_support_cycle`` (one support pass).
+Two routines code a sample.  The cheap encoder, ``_encode_py``, makes
+a fixed number of passes: ``full`` (0 or 1) full passes, then ``steps -
+1`` support passes.  The CD oracle, ``_oracle_py``, makes full passes
+until one changes no coordinate by ``tol`` or more, and after each full
+pass that does, passes over its nonzeros alone (the working set, as in
+the active-set cycles of Friedman, Hastie and Tibshirani's glmnet) until
+one of them changes none by ``tol`` or more.  Every pass spends its one
+budget, ``max_cycles``.  Most of the oracle's visits then go to the
+coordinates that move.  ``encode_scc`` solves one sample in one
+``encode`` call of the engine that ``_native.kernel()`` returns: the
+native kernel when it loads, otherwise the Python reference loop
+``_encode_py`` over ``_cd_pass``; both give the same bits.  So do
+``cd_full_cycle`` (one full pass, no support pass) and
+``cd_support_cycle`` (one support pass).
 
 A stochastic epoch of the trainers is one ``epoch`` call of that engine:
-the kernel's, or ``_epoch_py``, which gives the same bits.
-``_encode_frozen`` codes a whole matrix into one ``core._CodeStore`` as
-such an epoch that moves no atom: cheaply from zero for ``scc encode
---mode scc:S``, or to a tolerance for the CD oracle, from zero for
-``lasso_oracle_cd(_batch)`` and ``scc encode --mode oracle``, and from
-the last epoch's codes in ``batch_train``.
+the kernel's, or ``_epoch_py``, which gives the same bits.  It codes each
+sample with the oracle when its ``tol`` is positive, and otherwise with
+the cheap encoder's one full pass.  ``_encode_frozen`` codes a whole
+matrix into one ``core._CodeStore`` as such an epoch that moves no atom:
+cheaply from zero for ``scc encode --mode scc:S``, or with the CD oracle,
+from zero for ``lasso_oracle_cd(_batch)`` and ``scc encode --mode
+oracle``, and from the last epoch's codes in ``batch_train``.
 """
 
 from __future__ import annotations
@@ -191,72 +192,89 @@ def encode_scc(
 
 
 def _encode_py(
-    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, full: int, steps: int,
-    tol: float = 0.0,
-):
-    """The encoder's passes in Python; ``r`` = x - D z_init, updated in place.
+    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, full: int, steps: int
+) -> SparseCode:
+    """The cheap encoder's passes in Python; ``r`` = x - D z_init, updated in place.
 
-    With ``tol`` 0, exactly ``full`` full passes.  With ``tol`` > 0, full
-    passes until one changes no coordinate by ``tol`` or more; after each
-    full pass that does, passes over its nonzeros, the working set, until
-    one changes none by ``tol`` or more.  Every pass, full or over the
-    working set, counts against the budget ``full``.  Then ``steps - 1``
-    support passes over the nonzeros that the full passes leave (with
-    ``full`` 0, those of ``z_init``).  Returns the code, or None when
-    ``tol`` > 0 and the budget ran out before a full pass settled.
+    ``full`` (0 or 1) full passes, then ``steps - 1`` support passes over
+    the nonzeros that they leave (with ``full`` 0, those of ``z_init``).
 
-    The passes run in one thread at a time.  Each ``r.dot`` releases the
-    GIL, and threads that handed it over on every coordinate visit took
-    twice the serial time (four threads, p=32, m=64, 2-vCPU x86-64
-    guest).  The passes need the GIL between those calls anyway, so
-    running them one at a time costs no parallelism.
+    The passes run in one thread at a time, as the oracle's do.  Each
+    ``r.dot`` releases the GIL, and threads that handed it over on every
+    coordinate visit took twice the serial time (four threads, p=32,
+    m=64, 2-vCPU x86-64 guest).  The passes need the GIL between those
+    calls anyway, so running them one at a time costs no parallelism.
+    """
+    z = z_init.to_dense().tolist()
+    cols = D.columns
+    coords = range(D.m)
+    with _passes_lock:
+        for _ in range(full):
+            _cd_pass(cols, coords, z, r, lam)
+        support = [j for j in coords if z[j]]
+        for _ in range(steps - 1):
+            _cd_pass(cols, support, z, r, lam)
+            support = [j for j in support if z[j]]  # support passes only ever remove coordinates
+    return _code(z, support, D.m)
+
+
+def _oracle_py(
+    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, tol: float, max_cycles: int
+) -> Optional[SparseCode]:
+    """The CD oracle's passes in Python; ``r`` = x - D z_init, updated in place.
+
+    Full passes until one changes no coordinate by ``tol`` (> 0) or more;
+    after each full pass that does, passes over its nonzeros, the working
+    set, until one changes none by ``tol`` or more.  Every pass, full or
+    over the working set, counts against the budget ``max_cycles``.
+    Returns the code, or None when the budget ran out before a full pass
+    settled.  The passes hold ``_encode_py``'s lock.
     """
     z = z_init.to_dense().tolist()
     cols = D.columns
     coords = range(D.m)
     passes = 0
-    moved = math.inf  # the largest change of the last full pass
     with _passes_lock:
-        while passes < full and moved >= tol:
+        while passes < max_cycles:
             passes += 1
-            moved = _cd_pass(cols, coords, z, r, lam)
-            if tol > 0 and moved >= tol:
-                work = [j for j in coords if z[j]]
-                while passes < full:
-                    passes += 1  # a working-set pass spends the budget too
-                    if _cd_pass(cols, work, z, r, lam) < tol:
-                        break
-        if tol > 0 and moved >= tol:
-            return None
-        support = [j for j in coords if z[j]]
-        for _ in range(steps - 1):
-            _cd_pass(cols, support, z, r, lam)
-            support = [j for j in support if z[j]]  # support passes only ever remove coordinates
+            if _cd_pass(cols, coords, z, r, lam) < tol:
+                return _code(z, [j for j in coords if z[j]], D.m)
+            work = [j for j in coords if z[j]]
+            while passes < max_cycles:
+                passes += 1  # a working-set pass spends the budget too
+                if _cd_pass(cols, work, z, r, lam) < tol:
+                    break
+    return None
+
+
+def _code(z: list, support: list, m: int) -> SparseCode:
+    """The code of the dense ``z`` (a list) on its ascending ``support``."""
     return SparseCode._trusted(np.array(support, dtype=np.int64),
-                               np.array([z[j] for j in support], dtype=np.float64), D.m)
+                               np.array([z[j] for j in support], dtype=np.float64), m)
 
 
-def _not_converged(full: int) -> MaxIterationsExceeded:
-    return MaxIterationsExceeded(f"coordinate descent did not converge in {full} cycles")
+def _not_converged(max_cycles: int) -> MaxIterationsExceeded:
+    return MaxIterationsExceeded(f"coordinate descent did not converge in {max_cycles} cycles")
 
 
 def _epoch_py(
     D: Dictionary, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
-    old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0, full: int = 1,
+    old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0, max_cycles: int = 1,
 ) -> Tuple[float, float]:
     """One stochastic epoch in Python; returns the code and dictionary phase times.
 
     Visits the samples (columns of ``X``) in ``order``.  Each visit
-    encodes the sample with ``_encode_py``'s passes (``tol``, ``full``,
-    ``steps``), warm-started from its code in ``old``, puts the code into
-    ``new``, and moves the supported atoms of ``D`` in place by the steps
-    of ``rate``: z_j / h_jj after folding the code into the curvature
-    ``HessianDiag``, or a/(t+b) * z_j from the
-    ``NaturalRateSchedule``, whose t counts every visit, empty
-    codes too.  Raises ZeroCurvature before a step with a cell that is
-    not positive, and MaxIterationsExceeded at a visit whose passes run
-    out of budget.  With ``rate`` None the dictionary is held fixed: the
-    epoch only codes.  The kernel's ``epoch`` gives the same bits.
+    codes the sample, warm-started from its code in ``old``, with
+    ``_oracle_py`` (``tol``, ``max_cycles``) when ``tol`` > 0, else with
+    ``_encode_py``'s one full pass and ``steps - 1`` support passes.  It
+    puts the code into ``new``, and moves the supported atoms of ``D``
+    in place by the steps of ``rate``: z_j / h_jj after folding the code
+    into the curvature ``HessianDiag``, or a/(t+b) * z_j from the
+    ``NaturalRateSchedule``, whose t counts every visit, empty codes
+    too.  Raises ZeroCurvature before a step with a cell that is not
+    positive, and MaxIterationsExceeded at a visit whose oracle passes
+    run out of budget.  With ``rate`` None the dictionary is held fixed:
+    the epoch only codes.  The kernel's ``epoch`` gives the same bits.
     """
     t_code = 0.0
     t_dict = 0.0
@@ -266,9 +284,12 @@ def _epoch_py(
         t0 = time.perf_counter()
         z_init = old.code(i)
         r = _residual(D, z_init, X[:, i])
-        code = _encode_py(D, z_init, r, lam, full, steps, tol)
-        if code is None:
-            raise _not_converged(full)
+        if tol > 0:
+            code = _oracle_py(D, z_init, r, lam, tol, max_cycles)
+            if code is None:
+                raise _not_converged(max_cycles)
+        else:
+            code = _encode_py(D, z_init, r, lam, 1, steps)
         new.put(i, code)
         t1 = time.perf_counter()
         t_code += t1 - t0
@@ -284,24 +305,25 @@ def _epoch_py(
 
 
 def _encode_frozen(
-    D: Dictionary, X: np.ndarray, lam: float, steps: int, tol: float = 0.0, full: int = 1,
-    start: Optional[_CodeStore] = None,
+    D: Dictionary, X: np.ndarray, lam: float, steps: int, tol: float = 0.0,
+    max_cycles: int = 1, start: Optional[_CodeStore] = None,
 ) -> _CodeStore:
     """The codes of every column of ``X`` under ``D`` held fixed, into one store in sample order.
 
     They are one epoch in sample order that moves no atom, one ``epoch``
     call of the engine of ``_native.kernel()``, warm-started from the
     codes in ``start``, or from zero when it is None.  From zero, with
-    the default ``tol`` and ``full``, they have the bits of per-sample
-    ``encode_scc`` calls; the CD oracle's are ``tol`` > 0, ``full`` its
-    pass budget ``max_cycles`` and ``steps`` 1.  NonFinite if ``X``
-    holds NaN or Inf.  The store starts with room for m more entries
-    than the larger of n and the entries of ``start``, and grows as
-    needed; the capacity never changes a bit.
+    the default ``tol``, they have the bits of per-sample ``encode_scc``
+    calls; with ``tol`` > 0 they are the CD oracle's, on the pass budget
+    ``max_cycles``, which makes no support pass (its callers pass
+    ``steps`` 1).  NonFinite if ``X`` holds NaN or Inf.  The store
+    starts with room for m more entries than the larger of n and the
+    entries of ``start``, and grows as needed; the capacity never
+    changes a bit.
     """
     _require_lambda(lam)
     steps = _require_count("steps", steps)
-    full = _require_count("max_cycles", full)
+    max_cycles = _require_count("max_cycles", max_cycles)
     X = np.asfortranarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
@@ -311,7 +333,7 @@ def _encode_frozen(
         start = _CodeStore(m, n, 0)
     store = _CodeStore(m, n, max(start.used, n) + m)
     _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, start, store, None,
-                           tol, full)
+                           tol, max_cycles)
     return store
 
 

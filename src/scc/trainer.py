@@ -168,7 +168,7 @@ def batch_train(
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        codes = _encode_frozen(D, ds.X, lam, 1, BATCH_CODE_TOL, DEFAULT_MAX_CYCLES, codes)
+        codes = _encode_frozen(D, ds.X, lam, 1, BATCH_CODE_TOL, DEFAULT_MAX_CYCLES, start=codes)
         t1 = time.perf_counter()
         _native.kernel().dense(D.atoms, codes.dense(), ds.X, BATCH_MAX_STEPS)
         t2 = time.perf_counter()

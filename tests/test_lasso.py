@@ -301,6 +301,34 @@ class TestOracleCDBatch:
         for j, code in enumerate(codes):
             _assert_same_bits(code, ref_oracle(D, X[:, j], 0.1, 1e-10)[0])
 
+    @pytest.mark.parametrize("path", CD_PATHS)
+    def test_large_norm_samples_code_or_fail_typed(self, path):
+        # at norm 1e8, rounding alone can move a coordinate by more than the absolute
+        # tol 1e-10 in every full pass, and this instance raises on both engines: each
+        # engine must either code the samples or raise MaxIterationsExceeded within the
+        # budget, and both must do the same
+        rng = rng_from_seed(6800)
+        D = Dictionary(random_unit_atoms(rng, 8, 16))
+        X = 1e8 * _unit_columns(rng, 8, 5)
+
+        def outcome(engine):
+            with cd_path(engine):
+                try:
+                    return lasso_oracle_cd_batch(D, X, 0.1, 1e-10, max_cycles=1000)
+                except MaxIterationsExceeded as e:
+                    return str(e)
+
+        got = outcome(path)
+        if isinstance(got, str):
+            assert got == "coordinate descent did not converge in 1000 cycles"
+            assert outcome("python") == got
+        else:
+            want = outcome("python")
+            assert not isinstance(want, str)
+            for x, code, ref in zip(X.T, got, want):
+                _assert_same_bits(code, ref)
+                assert sample_objective(D, code, x, 0.1) <= 0.5 * (x @ x)
+
     def test_rejects_non_integer_cycle_cap(self):
         D = Dictionary(np.eye(2))
         for cap in (2.5, True, "10", 0, -1):

@@ -150,13 +150,15 @@ _MUTANTS = {
     # an epoch with the dictionary held fixed that steps the atoms all the same: its
     # codes stay right, and every training epoch does too
     "cold": ("if (!e->h && e->a == 0.0)", "if (0)"),
-    # full passes that ignore the tolerance and stop after the first: the cheap
+    # oracle full passes that ignore the tolerance and stop after the first: the cheap
     # encoder, which makes exactly one, stays right
-    "oracle": ("while (pass < full && moved >= tol) {",
-               "while (pass < full && moved >= INFINITY) {"),
+    "oracle": ("if (cd_pass(p, atoms, NULL, m, z, r, lam) < tol)",
+               "if (cd_pass(p, atoms, NULL, m, z, r, lam) < INFINITY)"),
+    # oracle epochs sent to the cheap encoder, one full pass: every cheap epoch stays right
+    "dispatch": ("e->tol > 0.0", "e->tol > INFINITY"),
     # an oracle that never settles a working set between its full passes: the plain
     # full-pass descent, whose codes meet the tolerance too
-    "working_set": ("if (tol > 0.0 && moved >= tol) {", "if (0) {"),
+    "working_set": ("while (pass < max_cycles) {", "while (0) {"),
     # working-set passes that leave the budget unspent: only a sample that runs out of
     # budget during them can tell
     "budget": ("pass++; /* a working-set pass spends the budget too */", ";"),
@@ -166,12 +168,12 @@ _MUTANTS = {
     "projection": ("if (norm > 1.0)", "if (norm > INFINITY)"),
     # dense products that take the plain loop where numpy's matmul calls dgemm
     "dgemm": ("if (M > 1 && N > 1 && P > 1) {", "if (0) {"),
-    # a per-sample encoder that makes one support pass more than it is asked for: every
-    # epoch, which calls encode itself, stays right
-    "encode": ("0.0, full, steps, support);", "0.0, full, steps + 1, support);"),
-    # a per-sample encoder that makes its full pass whatever it is asked for: encode_scc
-    # and cd_full_cycle, which ask for one, stay right
-    "full": ("0.0, full, steps, support);", "0.0, 1, steps, support);"),
+    # an scc_encode that makes one support pass more than it is asked for: every epoch,
+    # which calls the cheap encoder itself, stays right
+    "encode": ("lam, full, steps, support);", "lam, full, steps + 1, support);"),
+    # an scc_encode that makes its full pass whatever it is asked for: encode_scc and
+    # cd_full_cycle, which ask for one, stay right
+    "full": ("lam, full, steps, support);", "lam, 1, steps, support);"),
 }
 
 
@@ -297,6 +299,11 @@ class TestLoading:
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_oracle_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
         _refuse_mutant(*_MUTANTS["oracle"], tmp_path, monkeypatch, caplog)
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_self_test_checks_that_oracle_epochs_run_the_oracle(self, fresh_cache, tmp_path,
+                                                                monkeypatch, caplog):
+        _refuse_mutant(*_MUTANTS["dispatch"], tmp_path, monkeypatch, caplog)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_working_set_passes(self, fresh_cache, tmp_path, monkeypatch,

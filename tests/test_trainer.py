@@ -292,7 +292,8 @@ class TestBatchTrain:
         frozen = trainer._encode_frozen
         with cd_path(path):
             warm = batch_train(ds, cfg)
-            monkeypatch.setattr(trainer, "_encode_frozen", lambda *args: frozen(*args[:6]))
+            monkeypatch.setattr(trainer, "_encode_frozen",
+                                lambda *args, start: frozen(*args, start=None))
             cold = batch_train(ds, cfg)  # every epoch from zero
         for a, b in zip(warm.codes, cold.codes):
             assert a.indices.tobytes() == b.indices.tobytes()
