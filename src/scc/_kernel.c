@@ -250,24 +250,25 @@ INLINE void matmul(int64_t M, int64_t N, int64_t P, const double *a, int64_t am,
 }
 
 /* r = x - D z for the code (idx, val) of k entries, as numpy computes
- * x - D.atoms[:, idx] @ val: matmul puts the product into y, from the
+ * x - D.atoms[:, idx] @ val: matmul puts the product into r, from the
  * atoms gathered into g (p x k, column-major), or for k = 1 from the atom
- * itself. */
+ * itself, and each r[i] becomes x[i] - r[i]. */
 INLINE void residual(int64_t p, const double *atoms, const double *x, int64_t k,
-                     const int64_t *idx, const double *val, double *g, double *y, double *r)
+                     const int64_t *idx, const double *val, double *g, double *r)
 {
-    memcpy(r, x, p * sizeof *r);
-    if (k == 0)
+    if (k == 0) {
+        memcpy(r, x, p * sizeof *r);
         return;
+    }
     const double *a = atoms + idx[0] * p;
     if (k > 1) {
         for (int64_t j = 0; j < k; j++)
             memcpy(g + j * p, atoms + idx[j] * p, p * sizeof *g);
         a = g;
     }
-    matmul(p, k, 1, a, 1, p, val, 1, 1, y);
+    matmul(p, k, 1, a, 1, p, val, 1, 1, r);
     for (int64_t i = 0; i < p; i++)
-        r[i] -= y[i];
+        r[i] = x[i] - r[i];
 }
 
 /* np.abs(v[0..n)).sum(), in numpy's DOUBLE_pairwise_sum order: eight
@@ -300,17 +301,16 @@ static double abs_sum(const double *v, int64_t n)
 }
 
 /* The per-sample terms 0.5 r.r + lam sum |z_j| of the n samples x under
- * the codes c, r = x - D z fresh; g, y (p x m, p) and r (p) are work
- * space.  Mirrors metrics._terms_py. */
+ * the codes c, r = x - D z fresh; g (p x m) and r (p) are work space.
+ * Mirrors metrics._terms_py. */
 void scc_objective(int64_t p, int64_t n, const double *atoms, const double *x,
-                   const struct codes *c, double lam, double *g, double *y, double *r,
-                   double *terms)
+                   const struct codes *c, double lam, double *g, double *r, double *terms)
 {
     for (int64_t i = 0; i < n; i++) {
         const int64_t *idx = c->indices + c->start[i];
         const double *val = c->values + c->start[i];
         int64_t k = c->length[i];
-        residual(p, atoms, x + i * p, k, idx, val, g, y, r);
+        residual(p, atoms, x + i * p, k, idx, val, g, r);
         double penalty = lam * abs_sum(val, k);
         terms[i] = 0.5 * (0.0 + ddot(p, r, 1, r, 1)) + penalty;
     }
@@ -334,7 +334,7 @@ struct epoch {
     double *h;
     double a, b;
     int64_t t;
-    double *z, *r, *g, *y; /* work space: m zeros, p, p x m, p */
+    double *z, *r, *g;     /* work space: m zeros, p, p x m */
     int64_t *support;      /* work space: m */
     int64_t next;          /* the first visit not yet made */
     double time_code, time_dict;
@@ -377,7 +377,7 @@ CLONED int64_t scc_epoch(struct epoch *e)
         const int64_t *idx = e->old.indices + e->old.start[i];
         const double *val = e->old.values + e->old.start[i];
         int64_t k = e->old.length[i];
-        residual(p, e->atoms, e->x + i * p, k, idx, val, e->g, e->y, r);
+        residual(p, e->atoms, e->x + i * p, k, idx, val, e->g, r);
         for (int64_t q = 0; q < k; q++)
             z[idx[q]] = val[q];
         int64_t nnz = e->tol > 0.0

@@ -76,7 +76,7 @@ class _Epoch(ctypes.Structure):
                 ("tol", _f64), ("max_cycles", _i64),
                 ("atoms", _ptr), ("x", _ptr), ("order", _ptr), ("old", _Codes), ("new", _Codes),
                 ("h", _ptr), ("a", _f64), ("b", _f64), ("t", _i64),
-                ("z", _ptr), ("r", _ptr), ("g", _ptr), ("y", _ptr), ("support", _ptr),
+                ("z", _ptr), ("r", _ptr), ("g", _ptr), ("support", _ptr),
                 ("next", _i64), ("time_code", _f64), ("time_dict", _f64), ("bad", _i64)]
 
 
@@ -124,7 +124,7 @@ class Kernel:
         self._epoch.restype = _i64
         self._objective = lib.scc_objective
         self._objective.argtypes = [_i64, _i64, _ptr, _ptr, ctypes.POINTER(_Codes), _f64,
-                                    _ptr, _ptr, _ptr, _ptr]
+                                    _ptr, _ptr, _ptr]
         self._objective.restype = None
         self._dense = lib.scc_dense
         self._dense.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _ptr, _i64, _ptr]
@@ -166,8 +166,8 @@ class Kernel:
             e.a, e.b, e.t = rate.a, rate.b, rate.t
         elif rate is not None:
             e.h = rate.diag.ctypes.data
-        work = np.zeros(m), np.empty(p), np.empty(p * m), np.empty(p), np.empty(m, dtype=np.int64)
-        e.z, e.r, e.g, e.y, e.support = map(_address, work)
+        work = np.zeros(m), np.empty(p), np.empty(p * m), np.empty(m, dtype=np.int64)
+        e.z, e.r, e.g, e.support = map(_address, work)
         while (status := self._epoch(ctypes.byref(e))) > 0:
             new.used = e.new.used
             new.reserve(m)
@@ -185,10 +185,10 @@ class Kernel:
         """``metrics._terms_py``: the per-sample terms of the codes in ``store``."""
         p = D.p
         terms = np.empty(X.shape[1])
-        g, y, r = np.empty(p * D.m), np.empty(p), np.empty(p)
+        g, r = np.empty(p * D.m), np.empty(p)
         self._objective(p, terms.size, D.atoms.ctypes.data, X.ctypes.data,
-                        ctypes.byref(_codes(store)), lam, g.ctypes.data, y.ctypes.data,
-                        r.ctypes.data, terms.ctypes.data)
+                        ctypes.byref(_codes(store)), lam, g.ctypes.data, r.ctypes.data,
+                        terms.ctypes.data)
         return terms
 
     def dense(self, atoms: np.ndarray, Z: np.ndarray, X: np.ndarray, attempts: int) -> int:

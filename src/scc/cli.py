@@ -32,7 +32,7 @@ from .core import (
     thread_cap,
 )
 from .data import generate_planted, preprocess_dataset
-from .lasso import DEFAULT_MAX_CYCLES, _encode_frozen
+from .lasso import DEFAULT_MAX_CYCLES, ORACLE_TOL, _encode_frozen
 from .serialize import (
     read_dataset,
     read_dictionary,
@@ -41,8 +41,6 @@ from .serialize import (
     write_metrics_csv,
 )
 from .trainer import batch_train, natural_rate_train, scc_train
-
-ENCODE_ORACLE_TOL = 1e-10
 
 _INIT_FLAGS = {"patches": INIT_RANDOM_PATCHES, "gaussian": INIT_RANDOM_GAUSSIAN}
 _ORDER_FLAGS = {"seq": ORDER_SEQUENTIAL, "shuffle": ORDER_SHUFFLED}
@@ -204,7 +202,7 @@ def _cmd_encode(args) -> int:
     cfg.validate()  # the one lambda rule: finite and > 0, or the default
     lam = cfg.effective_lambda(ds.p)
     if steps is None:
-        codes = _encode_frozen(D, ds.X, lam, 1, ENCODE_ORACLE_TOL, DEFAULT_MAX_CYCLES)
+        codes = _encode_frozen(D, ds.X, lam, 1, ORACLE_TOL, DEFAULT_MAX_CYCLES)
     else:
         codes = _encode_frozen(D, ds.X, lam, steps)
     write_codes(args.out, codes)

@@ -118,10 +118,10 @@ def _require_count(name: str, value) -> int:
     return value
 
 
-def _require_lambda(lam: float) -> None:
-    """The one rule for a regularization weight: finite and > 0."""
-    if not 0 < lam < math.inf:
-        raise ConfigInvalid(f"lambda must be finite and > 0, got {lam}")
+def _require_positive(name: str, value: float) -> None:
+    """The one rule for a regularization weight and a stopping tolerance: finite and > 0."""
+    if not 0 < value < math.inf:
+        raise ConfigInvalid(f"{name} must be finite and > 0, got {value}")
 
 
 def _require_seed(seed: int) -> int:
@@ -522,7 +522,7 @@ class TrainConfig:
         for name in ("dict_size", "epochs", "cd_steps"):
             _require_count(name, getattr(self, name))
         if self.lam is not None:
-            _require_lambda(self.lam)
+            _require_positive("lambda", self.lam)
         if self.init not in (INIT_RANDOM_PATCHES, INIT_RANDOM_GAUSSIAN):
             raise ConfigInvalid(f"unknown init method {self.init!r}")
         if self.ordering not in (ORDER_SEQUENTIAL, ORDER_SHUFFLED):
@@ -601,7 +601,8 @@ def _residual(D: Dictionary, z: SparseCode, x) -> np.ndarray:
 
 
 def _minus_code(D: Dictionary, z: SparseCode, v: np.ndarray) -> np.ndarray:
-    """A fresh v - D z for the vector ``v`` that :func:`_fit_sample` returned for ``z``."""
+    """A fresh v - D z for a vector ``v`` and a code ``z`` already checked to fit ``D``, by
+    :func:`_fit_sample` or, for a whole matrix and its code store, by their callers."""
     r = v.astype(np.float64, copy=True)
     if z.nnz:
         r -= D.atoms[:, z.indices] @ z.values

@@ -68,12 +68,12 @@ from .core import (
     _minus_code,
     _require_count,
     _require_finite,
-    _require_lambda,
-    _residual,
+    _require_positive,
 )
 from .dictionary import _adaptive_steps, _sgd_inplace, hessian_accumulate
 
 DEFAULT_MAX_CYCLES = 100_000
+ORACLE_TOL = 1e-10  # the CD oracle's stop in batch_train and scc encode --mode oracle
 _TINY = 1e-300
 _passes_lock = threading.Lock()
 
@@ -131,7 +131,7 @@ def _encode_one(
     """The checked path of ``encode_scc`` and the cycles: ``full`` full and ``steps - 1``
     support passes from ``z`` in the engine, on ``ws.residual`` in place (its layout is
     ``CDWorkspace``'s rule), or with ``ws`` None on a fresh x - D z."""
-    _require_lambda(lam)
+    _require_positive("lambda", lam)
     steps = _require_count("steps", steps)
     v = _fit_sample(D, x, z)
     if ws is None:  # a fresh residual, which has the layout the engine takes
@@ -283,7 +283,7 @@ def _epoch_py(
     for i in order.tolist():
         t0 = time.perf_counter()
         z_init = old.code(i)
-        r = _residual(D, z_init, X[:, i])
+        r = _minus_code(D, z_init, X[:, i])
         if tol > 0:
             code = _oracle_py(D, z_init, r, lam, tol, max_cycles)
             if code is None:
@@ -321,7 +321,7 @@ def _encode_frozen(
     entries of ``start``, and grows as needed; the capacity never
     changes a bit.
     """
-    _require_lambda(lam)
+    _require_positive("lambda", lam)
     steps = _require_count("steps", steps)
     max_cycles = _require_count("max_cycles", max_cycles)
     X = np.asfortranarray(X, dtype=np.float64)
@@ -377,8 +377,7 @@ def lasso_oracle_cd_batch(
     and in value as far as that stop leaves either short of the optimum
     (tests/test_lasso.py states the bounds).
     """
-    if not tol > 0:
-        raise ConfigInvalid(f"tol must be > 0, got {tol}")
+    _require_positive("tol", tol)
     return _encode_frozen(D, X, lam, 1, tol, max_cycles).codes()
 
 
@@ -397,9 +396,8 @@ def lasso_oracle_prox(
     change of the objective falls below ``tol``.  Near-zero iterate
     entries are pruned at the documented cutoff.
     """
-    _require_lambda(lam)
-    if not tol > 0:
-        raise ConfigInvalid(f"tol must be > 0, got {tol}")
+    _require_positive("lambda", lam)
+    _require_positive("tol", tol)
     max_iters = _require_count("max_iters", max_iters)
     xv = _fit_sample(D, x)
     _require_finite(xv[:, None])

@@ -60,10 +60,9 @@ from .core import (
     _SHUFFLE_STREAM,
 )
 from .data import init_dictionary
-from .lasso import DEFAULT_MAX_CYCLES, _encode_frozen
+from .lasso import DEFAULT_MAX_CYCLES, ORACLE_TOL, _encode_frozen
 from .metrics import _objective
 
-BATCH_CODE_TOL = 1e-10
 BATCH_MAX_STEPS = 20  # gradient-step attempts (accepts plus halvings) per epoch
 
 ProgressCallback = Callable[[EpochStats], None]
@@ -168,7 +167,7 @@ def batch_train(
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        codes = _encode_frozen(D, ds.X, lam, 1, BATCH_CODE_TOL, DEFAULT_MAX_CYCLES, start=codes)
+        codes = _encode_frozen(D, ds.X, lam, 1, ORACLE_TOL, DEFAULT_MAX_CYCLES, start=codes)
         t1 = time.perf_counter()
         _native.kernel().dense(D.atoms, codes.dense(), ds.X, BATCH_MAX_STEPS)
         t2 = time.perf_counter()

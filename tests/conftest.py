@@ -1,3 +1,4 @@
+import shutil
 from contextlib import contextmanager
 
 import numpy as np
@@ -54,6 +55,8 @@ def cd_path(name: str):
 
 
 CD_PATHS = ("python", "kernel")
+# where a C compiler and numpy's OpenBLAS ddot exist, and so the kernel loads
+NATIVE_POSSIBLE = shutil.which("cc") is not None and _native_lib._numpy_ddot() is not None
 
 
 # ---------------------------------------------------------------------------

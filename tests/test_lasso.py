@@ -24,8 +24,11 @@ from scc import (
 from scc import rng_from_seed
 from scc.lasso import DEFAULT_MAX_CYCLES
 
-from conftest import (CD_PATHS, cd_path, random_ball_atoms, random_instance, random_unit_atoms,
-                      ref_oracle, ref_oracle_full, ref_pass)
+from conftest import (CD_PATHS, NATIVE_POSSIBLE, cd_path, random_ball_atoms, random_instance,
+                      random_unit_atoms, ref_oracle, ref_oracle_full, ref_pass)
+
+# tolerances that no solver takes: each must be finite and > 0
+_BAD_TOLS = (0.0, -1e-10, math.inf, math.nan)
 
 
 class TestSoftThreshold:
@@ -212,8 +215,10 @@ class TestOracleCD:
 
     def test_rejects_bad_tol(self):
         D = Dictionary(np.eye(2))
-        with pytest.raises(ConfigInvalid):
-            lasso_oracle_cd(D, np.zeros(2), 0.1, 0.0)
+        for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
+            for tol in _BAD_TOLS:
+                with cd_path(path), pytest.raises(ConfigInvalid, match="tol"):
+                    lasso_oracle_cd(D, np.zeros(2), 0.1, tol)
 
 
 def _unit_columns(rng, p, n):
@@ -265,9 +270,10 @@ class TestOracleCDBatch:
 
     def test_rejects_bad_tol(self):
         D = Dictionary(np.eye(2))
-        for tol in (0.0, -1e-10):
-            with pytest.raises(ConfigInvalid):
-                lasso_oracle_cd_batch(D, np.zeros((2, 3)), 0.1, tol)
+        for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
+            for tol in _BAD_TOLS:
+                with cd_path(path), pytest.raises(ConfigInvalid, match="tol"):
+                    lasso_oracle_cd_batch(D, np.zeros((2, 3)), 0.1, tol)
 
     def test_rejects_wrong_row_count(self):
         D = Dictionary(np.eye(3))
@@ -473,6 +479,12 @@ class TestOracleProx:
         D = Dictionary(np.zeros((3, 4)))
         z = lasso_oracle_prox(D, np.ones(3), 0.1, 1e-10)
         assert z.nnz == 0
+
+    def test_rejects_bad_tol(self):
+        D = Dictionary(np.eye(2))
+        for tol in _BAD_TOLS:
+            with pytest.raises(ConfigInvalid, match="tol"):
+                lasso_oracle_prox(D, np.zeros(2), 0.1, tol)
 
     def test_rejects_non_integer_iteration_cap(self):
         D = Dictionary(np.eye(2))

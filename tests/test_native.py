@@ -49,12 +49,11 @@ from scc.lasso import _encode_frozen
 from scc.metrics import _terms_py
 from scc.serialize import write_dataset, write_dictionary
 
-from conftest import CD_PATHS, cd_path, random_ball_atoms, random_instance
+from conftest import CD_PATHS, NATIVE_POSSIBLE, cd_path, random_ball_atoms, random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-NATIVE_POSSIBLE = shutil.which("cc") is not None and _native_lib._numpy_ddot() is not None
 # lengths that leave every remainder 2 to 7 of the kernel's loops eight doubles wide (and of
 # its narrower ones), and both sides of 256
 REMAINDER_P = (10, 11, 12, 13, 14, 15, 255, 257)
@@ -75,11 +74,18 @@ def built_library(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="session")
+def mutant_builds(tmp_path_factory):
+    """Where the tests in an empty cache keep the mutants' libraries they built, as
+    ``<mutant>.so``, so that the tests in a stamped cache need not build them again."""
+    return tmp_path_factory.mktemp("mutants")
+
+
 @pytest.fixture
 def built_cache(fresh_cache, built_library):
     """A fresh cache that holds the built kernel and no stamp, so that loading does not
     compile, for the tests that need a kernel but do not test its build."""
-    path = _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_ddot()[0])
+    path = _library()
     path.parent.mkdir(parents=True)
     shutil.copyfile(built_library, path)
     return fresh_cache
@@ -111,10 +117,14 @@ def self_tests(monkeypatch):
     return results
 
 
+def _library():
+    """Where ``load()`` caches the kernel that it builds from ``_native_lib.SOURCE``."""
+    return _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_ddot()[0])
+
+
 def _stamp():
-    """The stamp of the kernel that ``load()`` builds in this process's cache."""
-    return _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_ddot()[0]).with_suffix(
-        ".stamp")
+    """The stamp of that kernel."""
+    return _library().with_suffix(".stamp")
 
 
 def _new_process(src=SRC):
@@ -143,7 +153,11 @@ def _encode_bytes():
     return b"".join(out)
 
 
+# the define whose deletion builds each function of the kernel once, for the baseline ISA
+_CLONED = '#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))\n'
 # one line of the kernel's source and a replacement that changes bits the self-test must see
+# (each mutant is built for the baseline ISA alone: a clone for another would carry the same
+# mutation)
 _MUTANTS = {
     # a fused multiply-add in the residual update rounds once instead of twice
     "fma": ("r[i] -= delta * col[i];", "r[i] = fma(-delta, col[i], r[i]);"),
@@ -197,7 +211,7 @@ class TestLoading:
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_damaged_cached_library_is_rebuilt(self, fresh_cache):
-        path = _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_ddot()[0])
+        path = _library()
         path.parent.mkdir(parents=True)
         path.write_bytes(b"not a shared library")
         assert _native_lib.load() is not None
@@ -288,64 +302,100 @@ class TestLoading:
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_rejects_a_kernel_with_other_bits(self, fresh_cache, tmp_path, monkeypatch,
-                                                        caplog):
-        _refuse_mutant(*_MUTANTS["fma"], tmp_path, monkeypatch, caplog)
-        assert len(list(fresh_cache.iterdir())) == 1  # it built, and then refused to run it
+                                                        caplog, mutant_builds):
+        _refuse_mutant("fma", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_self_test_checks_the_cold_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
-        _refuse_mutant(*_MUTANTS["cold"], tmp_path, monkeypatch, caplog)
+    def test_self_test_checks_the_cold_codes(self, fresh_cache, tmp_path, monkeypatch, caplog,
+                                             mutant_builds):
+        _refuse_mutant("cold", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_self_test_checks_the_oracle_codes(self, fresh_cache, tmp_path, monkeypatch, caplog):
-        _refuse_mutant(*_MUTANTS["oracle"], tmp_path, monkeypatch, caplog)
+    def test_self_test_checks_the_oracle_codes(self, fresh_cache, tmp_path, monkeypatch, caplog,
+                                               mutant_builds):
+        _refuse_mutant("oracle", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_that_oracle_epochs_run_the_oracle(self, fresh_cache, tmp_path,
-                                                                monkeypatch, caplog):
-        _refuse_mutant(*_MUTANTS["dispatch"], tmp_path, monkeypatch, caplog)
+                                                                monkeypatch, caplog,
+                                                                mutant_builds):
+        _refuse_mutant("dispatch", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_working_set_passes(self, fresh_cache, tmp_path, monkeypatch,
-                                                     caplog):
-        _refuse_mutant(*_MUTANTS["working_set"], tmp_path, monkeypatch, caplog)
+                                                     caplog, mutant_builds):
+        _refuse_mutant("working_set", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_working_set_budget(self, fresh_cache, tmp_path, monkeypatch,
-                                                     caplog):
-        _refuse_mutant(*_MUTANTS["budget"], tmp_path, monkeypatch, caplog)
+                                                     caplog, mutant_builds):
+        _refuse_mutant("budget", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_self_test_checks_the_dense_halving(self, fresh_cache, tmp_path, monkeypatch, caplog):
-        _refuse_mutant(*_MUTANTS["halving"], tmp_path, monkeypatch, caplog)
+    def test_self_test_checks_the_dense_halving(self, fresh_cache, tmp_path, monkeypatch, caplog,
+                                                mutant_builds):
+        _refuse_mutant("halving", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    def test_self_test_checks_the_dense_projection(self, fresh_cache, tmp_path, monkeypatch,
-                                                   caplog):
-        _refuse_mutant(*_MUTANTS["projection"], tmp_path, monkeypatch, caplog)
+    def test_self_test_checks_the_dense_projection(self, fresh_cache, tmp_path, monkeypatch, caplog,
+                                                   mutant_builds):
+        _refuse_mutant("projection", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_dense_dgemm_route(self, fresh_cache, tmp_path, monkeypatch,
-                                                    caplog):
-        _refuse_mutant(*_MUTANTS["dgemm"], tmp_path, monkeypatch, caplog)
+                                                    caplog, mutant_builds):
+        _refuse_mutant("dgemm", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_per_sample_encoder(self, fresh_cache, tmp_path, monkeypatch,
-                                                     caplog):
-        _refuse_mutant(*_MUTANTS["encode"], tmp_path, monkeypatch, caplog)
+                                                     caplog, mutant_builds):
+        _refuse_mutant("encode", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_self_test_checks_the_support_pass_alone(self, fresh_cache, tmp_path, monkeypatch,
-                                                     caplog):
-        _refuse_mutant(*_MUTANTS["full"], tmp_path, monkeypatch, caplog)
+                                                     caplog, mutant_builds):
+        _refuse_mutant("full", fresh_cache, tmp_path, monkeypatch, caplog, mutant_builds)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
-    def test_a_stamped_kernel_lets_no_mutant_through(self, built_cache, tmp_path, monkeypatch,
-                                                     caplog, mutant):
-        assert _native_lib.load() is not None
+    def test_a_stamped_kernel_lets_no_mutant_through(self, fresh_cache, built_library, tmp_path,
+                                                     monkeypatch, caplog, mutant_builds, mutant):
+        kernel, source = _library(), _native_lib.SOURCE
+        _clone_free(tmp_path, monkeypatch, *_MUTANTS[mutant])
+        library = _library()
+        # the mutant in the cache, as its test in an empty cache left it (built here if that
+        # test did not run in this session)
+        if (mutant_builds / f"{mutant}.so").exists():
+            fresh_cache.mkdir(parents=True)
+            shutil.copyfile(mutant_builds / f"{mutant}.so", library)
+        else:
+            assert _refused(caplog)
+        built = library.stat().st_mtime_ns
+        # the kernel loaded beside it, and so stamped: the mutant is refused again, from the
+        # library in the cache, and gets no stamp of its own
+        shutil.copyfile(built_library, kernel)
+        with monkeypatch.context() as m:
+            m.setattr(_native_lib, "SOURCE", source)
+            assert _native_lib.load() is not None
+        assert _refused(caplog)
+        assert library.stat().st_mtime_ns == built
+        assert sorted(fresh_cache.iterdir()) == sorted([kernel, kernel.with_suffix(".stamp"),
+                                                        library])
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_a_clone_free_build_runs_the_baseline(self, fresh_cache, tmp_path, monkeypatch,
+                                                  self_tests):
+        # the build that the mutants get, unmutated: the only one whose self-test runs the
+        # baseline clone on a CPU with AVX2
+        _clone_free(tmp_path, monkeypatch)
+        assert _native_lib.load().isa == "default"
+        assert self_tests == [True]
         assert _stamp().exists()
-        _refuse_mutant(*_MUTANTS[mutant], tmp_path, monkeypatch, caplog)
+
+    def test_each_mutated_line_occurs_once_in_the_source(self):
+        source = _native_lib.SOURCE.read_text()
+        for line in [_CLONED, *(line for line, _ in _MUTANTS.values())]:
+            assert source.count(line) == 1, line
 
     def test_cache_key_needs_no_openssl(self):
         # without hashlib loaded, the built-in SHA-256 names the same file as hashlib does here
@@ -363,18 +413,35 @@ class TestLoading:
         assert out.stdout.split() == ["None", "False"]
 
 
-def _refuse_mutant(line, replacement, tmp_path, monkeypatch, caplog):
-    """Load the kernel with the one ``line`` of its source replaced: it must be refused,
-    and leave no stamp."""
-    source = _native_lib.SOURCE.read_text()
-    assert source.count(line) == 1
-    mutant = tmp_path / "_kernel.c"
-    mutant.write_text(source.replace(line, replacement))
-    monkeypatch.setattr(_native_lib, "SOURCE", mutant)
+def _clone_free(tmp_path, monkeypatch, *mutation):
+    """Make ``_native_lib.SOURCE`` a copy of the kernel's source without the define of
+    ``CLONED``, so that each function is built once, for the baseline ISA (in about half
+    the time), and with the ``mutation``, a line and its replacement, if one is given."""
+    source = _native_lib.SOURCE.read_text().replace(_CLONED, "")
+    if mutation:
+        source = source.replace(*mutation)
+    copy = tmp_path / "_kernel.c"
+    copy.write_text(source)
+    monkeypatch.setattr(_native_lib, "SOURCE", copy)
+
+
+def _refuse_mutant(mutant, cache, tmp_path, monkeypatch, caplog, builds):
+    """Load the ``mutant``, built without clones, in the empty ``cache``: it must be refused,
+    and leave its library there and nothing else, no stamp and no temporary.  A copy of the
+    library goes into the directory ``builds``."""
+    _clone_free(tmp_path, monkeypatch, *_MUTANTS[mutant])
+    assert _refused(caplog)
+    library = _library()
+    assert list(cache.iterdir()) == [library]
+    shutil.copyfile(library, builds / f"{mutant}.so")
+
+
+def _refused(caplog):
+    """Whether ``load()`` refuses the kernel because its self-test failed."""
+    caplog.clear()
     with caplog.at_level("DEBUG", logger="scc._native_lib"):
-        assert _native_lib.load() is None
-    assert "computes other bits than the Python loops" in caplog.text
-    assert not _stamp().exists()
+        k = _native_lib.load()
+    return k is None and "computes other bits than the Python loops" in caplog.text
 
 
 def test_fallback_gives_the_kernels_bits(fresh_cache, failing_cc, monkeypatch):

@@ -28,7 +28,8 @@ from scc import (
 from scc import trainer
 from scc.core import _CodeStore
 from scc.dictionary import _gradient_step_dense, _quadratic_term
-from scc.trainer import BATCH_CODE_TOL, BATCH_MAX_STEPS, NaturalRateSchedule
+from scc.lasso import ORACLE_TOL
+from scc.trainer import BATCH_MAX_STEPS, NaturalRateSchedule
 
 from conftest import CD_PATHS, cd_path, ref_oracle
 
@@ -246,7 +247,7 @@ def reference_batch(ds, cfg):
     atoms = D.atoms
     codes = [None] * ds.n
     for _ in range(cfg.epochs):
-        codes = [ref_oracle(D, ds.X[:, i], lam, BATCH_CODE_TOL, z)[0] for i, z in enumerate(codes)]
+        codes = [ref_oracle(D, ds.X[:, i], lam, ORACLE_TOL, z)[0] for i, z in enumerate(codes)]
         Z = _CodeStore.of(codes, cfg.dict_size).dense()
         eta = 1.0
         quad = _quadratic_term(atoms, Z, ds.X)
