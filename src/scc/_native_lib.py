@@ -18,8 +18,9 @@ hot entry points that runs on it (``Kernel.isa``).  A process that finds
 the stamp holding its own key hands the kernel out without importing
 ``_native_check``; any other stamp, or none, runs the self-test again.
 
-The cache key is hashed by the interpreter's built-in SHA-256 unless
-hashlib is loaded already: importing hashlib loads OpenSSL.
+Both keys are BLAKE2b digests from the interpreter's built-in
+``_blake2``: faster than its built-in SHA-256, and without hashlib,
+whose import loads OpenSSL.
 """
 
 from __future__ import annotations
@@ -112,10 +113,10 @@ class Kernel:
     "default".
     """
 
-    def __init__(self, lib: ctypes.CDLL, ddot, dgemv, dgemm) -> None:
+    def __init__(self, lib: ctypes.CDLL, openblas: ctypes.CDLL) -> None:
         lib.scc_init.argtypes = [_ptr, _ptr, _ptr]
         lib.scc_init.restype = None
-        lib.scc_init(*(ctypes.cast(f, _ptr) for f in (ddot, dgemv, dgemm)))
+        lib.scc_init(*(ctypes.cast(getattr(openblas, f), _ptr) for f in (DDOT, DGEMV, DGEMM)))
         self._encode = lib.scc_encode
         self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _i64, _i64, _ptr]
         self._encode.restype = _i64
@@ -224,10 +225,10 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _numpy_ddot():
-    """(path, function) of ``DDOT`` in the OpenBLAS that numpy loaded, or None.
+def _numpy_openblas():
+    """(path, handle) of the OpenBLAS that numpy loaded, or None.
 
-    Only numpy's OpenBLAS exports the ILP64 symbol, so another OpenBLAS
+    Only numpy's OpenBLAS exports the ILP64 ``DDOT``, so another OpenBLAS
     in the process (scipy's, say) is passed over.
     """
     try:
@@ -238,30 +239,19 @@ def _numpy_ddot():
         return None
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
         try:
-            return path, getattr(ctypes.CDLL(path), DDOT)
-        except (OSError, AttributeError):
+            if hasattr(openblas := ctypes.CDLL(path), DDOT):
+                return path, openblas
+        except OSError:
             continue
     return None
 
 
-def _sha256():
-    """``hashlib.sha256``, or the interpreter's built-in twin while hashlib is not loaded."""
-    if "hashlib" not in sys.modules:
-        for name in ("_sha2", "_sha256"):  # Python 3.12 and later; 3.10 and 3.11
-            try:
-                return __import__(name).sha256
-            except ImportError:
-                pass
-    import hashlib
-
-    return hashlib.sha256
-
-
 def cache_path(cc: str, blas: str) -> Path:
     """Where the kernel built by ``cc`` for ``blas`` is cached."""
-    key = _sha256()(
-        b"\0".join([SOURCE.read_bytes(), cc.encode(), " ".join(FLAGS).encode(), blas.encode()])
-    ).hexdigest()[:16]
+    from _blake2 import blake2b
+
+    parts = [SOURCE.read_bytes(), cc.encode(), " ".join(FLAGS).encode(), blas.encode()]
+    key = blake2b(b"\0".join(parts), digest_size=8).hexdigest()
     root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     return Path(root) / "scc" / f"{key}.so"
 
@@ -308,12 +298,13 @@ def _stamp_key(lib: Path, isa: str, blas: str, openblas: ctypes.CDLL) -> Optiona
     loops, ``Kernel`` and the self-test's instances), the numpy and Python
     versions, numpy's OpenBLAS (path, size and mtime), its core and the clone.
     """
+    from _blake2 import blake2b
+
     try:
         core = _corename(openblas)
         blas_stat = os.stat(blas)
-        sha256 = _sha256()
         files = [lib, *sorted(Path(__file__).parent.glob("*.py"))]
-        lines = [f"{f.name} {sha256(f.read_bytes()).hexdigest()}" for f in files]
+        lines = [f"{f.name} {blake2b(f.read_bytes()).hexdigest()}" for f in files]
     except (AttributeError, OSError):
         return None
     lines += [f"numpy {np.__version__}", f"python {sys.version}",
@@ -331,13 +322,11 @@ def load() -> Optional[Kernel]:
     Why it is None goes to this module's logger at debug level only.
     """
     try:
-        found = _numpy_ddot()
+        found = _numpy_openblas()
         cc = shutil.which("cc")
         if found is None or cc is None:
             raise OSError(f"no {DDOT} in numpy's OpenBLAS" if found is None else "no cc on PATH")
-        blas, ddot = found
-        openblas = ctypes.CDLL(blas)
-        dgemv, dgemm = getattr(openblas, DGEMV), getattr(openblas, DGEMM)
+        blas, openblas = found
         path = cache_path(cc, blas)
         if not path.exists():
             _build(cc, path)
@@ -346,7 +335,7 @@ def load() -> Optional[Kernel]:
         except OSError:  # a damaged cache entry: build it again
             _build(cc, path)
             lib = ctypes.CDLL(str(path))
-        k = Kernel(lib, ddot, dgemv, dgemm)
+        k = Kernel(lib, openblas)
         key, stamp = _stamp_key(path, k.isa, blas, openblas), path.with_suffix(".stamp")
         try:
             stamped = key is not None and stamp.read_bytes() == key

@@ -416,8 +416,7 @@ class NaturalRateSchedule:
     t: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.a < math.inf:
-            raise ConfigInvalid(f"rate_a must be finite and > 0, got {self.a}")
+        _require_positive("rate_a", self.a)
         if not 0 <= self.b < math.inf:
             raise ConfigInvalid(f"rate_b must be finite and >= 0, got {self.b}")
 
@@ -458,6 +457,12 @@ class _CodeStore:
             store.values = np.concatenate([c.values for c in codes])
         store.used = store.indices.size
         return store
+
+    @classmethod
+    def after(cls, prev: "_CodeStore") -> "_CodeStore":
+        """An empty store for the next pass over the samples of ``prev``, with room for
+        as many entries as ``prev`` holds, or one per sample if more, plus one code."""
+        return cls(prev.m, prev.length.size, max(prev.used, prev.length.size) + prev.m)
 
     def code(self, i: int) -> SparseCode:
         s = int(self.start[i])

@@ -331,7 +331,7 @@ def _encode_frozen(
     m, n = D.m, X.shape[1]
     if start is None:
         start = _CodeStore(m, n, 0)
-    store = _CodeStore(m, n, max(start.used, n) + m)
+    store = _CodeStore.after(start)
     _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, start, store, None,
                            tol, max_cycles)
     return store

@@ -26,7 +26,8 @@ from .core import (
     SparseCode,
     _CodeStore,
     _fit_codes,
-    _residual,
+    _fit_sample,
+    _minus_code,
 )
 
 
@@ -34,9 +35,13 @@ def sample_objective(
     D: Dictionary, z: SparseCode, x: Union[Sample, np.ndarray], lam: float
 ) -> float:
     """Penalized reconstruction cost of one sample under code ``z``."""
-    r = _residual(D, z, x)
-    penalty = lam * float(np.abs(z.values).sum())
-    return 0.5 * float(r @ r) + penalty
+    return _term(D, z, _fit_sample(D, x, z), lam)
+
+
+def _term(D: Dictionary, z: SparseCode, v: np.ndarray, lam: float) -> float:
+    """``sample_objective`` of a vector ``v`` and a code ``z`` already checked to fit ``D``."""
+    r = _minus_code(D, z, v)
+    return 0.5 * float(r @ r) + lam * float(np.abs(z.values).sum())
 
 
 def objective(
@@ -62,10 +67,10 @@ def _objective(D: Dictionary, store: _CodeStore, X: np.ndarray, lam: float) -> f
 
 
 def _terms_py(D: Dictionary, store: _CodeStore, X: np.ndarray, lam: float) -> np.ndarray:
-    """Each sample's ``sample_objective`` under its code in ``store``."""
+    """Each sample's ``sample_objective`` under its code in ``store``; callers check both."""
     terms = np.empty(X.shape[1])
     for i in range(terms.size):
-        terms[i] = sample_objective(D, store.code(i), X[:, i], lam)
+        terms[i] = _term(D, store.code(i), X[:, i], lam)
     return terms
 
 

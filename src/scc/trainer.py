@@ -114,8 +114,7 @@ def _sgd_train(
     codes = _CodeStore(m, n, 0)  # every code starts at zero
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
-        # room for as many entries as last epoch, or one per sample at first
-        new = _CodeStore(m, n, max(codes.used, n) + m)
+        new = _CodeStore.after(codes)
         times = run_epoch(D, ds.X, _visit_order(cfg, n, epoch), lam, cfg.cd_steps, codes, new, rate)
         codes = new
         stats.append(_epoch_stats(epoch, D, codes, ds.X, lam, *times))

@@ -56,7 +56,7 @@ def cd_path(name: str):
 
 CD_PATHS = ("python", "kernel")
 # where a C compiler and numpy's OpenBLAS ddot exist, and so the kernel loads
-NATIVE_POSSIBLE = shutil.which("cc") is not None and _native_lib._numpy_ddot() is not None
+NATIVE_POSSIBLE = shutil.which("cc") is not None and _native_lib._numpy_openblas() is not None
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def self_tests(monkeypatch):
 
 def _library():
     """Where ``load()`` caches the kernel that it builds from ``_native_lib.SOURCE``."""
-    return _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_ddot()[0])
+    return _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_openblas()[0])
 
 
 def _stamp():
@@ -128,10 +128,11 @@ def _stamp():
 
 
 def _new_process(src=SRC):
-    """Whether a new process importing scc from ``src`` gets the kernel, and imports the
-    self-test for it."""
+    """Whether a new process importing scc from ``src`` gets the kernel, imports the
+    self-test for it, and imports hashlib."""
     code = ("import sys, scc._native as n, scc._native_lib as L; "
-            "print(isinstance(n.kernel(), L.Kernel), 'scc._native_check' in sys.modules)")
+            "print(isinstance(n.kernel(), L.Kernel), 'scc._native_check' in sys.modules, "
+            "'hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     return out.stdout.split()
@@ -224,7 +225,8 @@ class TestLoading:
         assert len(list(built_cache.glob("*.stamp"))) == 1
         assert _native_lib.load() is not None
         assert self_tests == [True]  # the stamp stood for the second load
-        assert _new_process() == ["True", "False"]
+        # a stamped load in a new process imports neither the self-test nor hashlib (OpenSSL)
+        assert _new_process() == ["True", "False", "False"]
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     @pytest.mark.parametrize("damage", ["contents", "truncated", "library", "isa"])
@@ -267,8 +269,8 @@ class TestLoading:
         shutil.copytree(SRC / "scc", copy, ignore=shutil.ignore_patterns("__pycache__"))
         with open(copy / "metrics.py", "a") as fh:
             fh.write("# another source\n")
-        assert _new_process(copy.parent) == ["True", "True"]
-        assert _new_process(copy.parent) == ["True", "False"]
+        assert _new_process(copy.parent) == ["True", "True", "False"]
+        assert _new_process(copy.parent) == ["True", "False", "False"]
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_a_stamp_that_cannot_be_written_leaves_the_kernel(self, built_cache, self_tests):
@@ -286,7 +288,7 @@ class TestLoading:
         assert not fresh_cache.exists() or not any(fresh_cache.iterdir())
 
     def test_damaged_library_and_failing_compiler_fall_back(self, fresh_cache, failing_cc):
-        found = _native_lib._numpy_ddot()
+        found = _native_lib._numpy_openblas()
         if found is None:
             pytest.skip("numpy loaded no OpenBLAS with that ddot here")
         path = _native_lib.cache_path(failing_cc, found[0])
@@ -398,7 +400,8 @@ class TestLoading:
             assert source.count(line) == 1, line
 
     def test_cache_key_needs_no_openssl(self):
-        # without hashlib loaded, the built-in SHA-256 names the same file as hashlib does here
+        # a process without hashlib (and so without OpenSSL) names the same file as this one,
+        # which has loaded hashlib
         code = "import sys, scc._native_lib as L; print(L.cache_path('cc', 'blas'), 'hashlib' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
@@ -766,15 +769,37 @@ def test_dense_steps_match_on_random_shapes(params):
     assert outcomes["kernel"] == outcomes["python"]
 
 
+# SHA-256 (first 16 hex digits) of the files of the reference command sequence below, the
+# same on both paths; CI's package smoke test runs this test against the installed package
+_CLI_DIGESTS = {
+    "ref.sccmat": "24a1d14c73cbc436",
+    "ref.sccspc": "92180bba26df655d",
+    "enc.sccspc": "900ab5df90942fc8",  # the cold codes of the reference atoms against themselves
+    "b.sccmat": "cec9024769310985",  # the batch baseline
+    "b.sccspc": "bc2029df53d8ef74",
+    "o.sccspc": "67dc53679149ca59",  # the oracle codes of its atoms against themselves
+}
+
+
 @pytest.mark.parametrize("path", ["python", "kernel"])
 def test_reference_run_digests(path, tmp_path):
-    argv = ["train", "--synthetic", "32,64,300,4,0.05", "--epochs", "3", "--seed", "2",
-            "--out-dict", str(tmp_path / "d.sccmat"), "--out-codes", str(tmp_path / "z.sccspc")]
+    ref, b = (str(tmp_path / f) for f in ("ref", "b"))
+    commands = [
+        ["train", "--synthetic", "32,64,300,4,0.05", "--epochs", "3", "--seed", "2",
+         "--out-dict", f"{ref}.sccmat", "--out-codes", f"{ref}.sccspc"],
+        ["encode", "--dict", f"{ref}.sccmat", "--data", f"{ref}.sccmat",
+         "--out", str(tmp_path / "enc.sccspc")],
+        ["train", "--synthetic", "16,32,200,3,0.01", "--algo", "batch", "--epochs", "1",
+         "--out-dict", f"{b}.sccmat", "--out-codes", f"{b}.sccspc"],
+        ["encode", "--dict", f"{b}.sccmat", "--data", f"{b}.sccmat", "--mode", "oracle",
+         "--out", str(tmp_path / "o.sccspc")],
+    ]
     with cd_path(path):
-        assert cli.main(argv) == 0
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
     digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16]
-              for f in ("d.sccmat", "z.sccspc")}
-    assert digest == {"d.sccmat": "24a1d14c73cbc436", "z.sccspc": "92180bba26df655d"}
+              for f in _CLI_DIGESTS}
+    assert digest == _CLI_DIGESTS
 
 
 # SHA-256 of the SCCSPC bytes that ``scc encode`` wrote per mode before the
