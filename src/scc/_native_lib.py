@@ -102,10 +102,10 @@ class Kernel:
     codes each sample with the CD oracle when its ``tol`` is positive and
     with the cheap encoder otherwise, writes the codes into a
     ``core._CodeStore`` and returns to Python only to grow it.  With rate
-    None it holds the dictionary fixed and only codes: that is how
+    None it holds the dictionary fixed and only codes: so ``batch_train`` and
     ``lasso._encode_frozen`` (``scc encode --mode scc:S`` and, with the
-    oracle, ``batch_train``, ``lasso_oracle_cd(_batch)`` and ``scc encode
-    --mode oracle``) codes a whole matrix.  ``dense`` runs
+    oracle, ``lasso_oracle_cd(_batch)`` and ``scc encode --mode oracle``)
+    code a whole matrix.  ``dense`` runs
     ``batch_train``'s dictionary step in place on Fortran-ordered atoms,
     for the Fortran-ordered dense codes ``Z`` of ``X``.  ``LOOPS`` has
     the same entry points, and gives the same bits.  ``isa`` names the clone

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -118,10 +119,12 @@ def _require_count(name: str, value) -> int:
     return value
 
 
-def _require_positive(name: str, value: float) -> None:
-    """The one rule for a regularization weight and a stopping tolerance: finite and > 0."""
-    if not 0 < value < math.inf:
-        raise ConfigInvalid(f"{name} must be finite and > 0, got {value}")
+def _require_positive(name: str, value: float, or_zero: bool = False) -> None:
+    """The one number rule: a real number, not a bool, finite and > 0 (>= 0 ``or_zero``)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 <= value < math.inf or (value == 0 and not or_zero)):
+        raise ConfigInvalid(f"{name} must be finite and {'>=' if or_zero else '>'} 0, "
+                            f"got {value!r}")
 
 
 def _require_seed(seed: int) -> int:
@@ -354,9 +357,12 @@ class SparseCode:
         ``prune_tol=0.0``; solvers whose iterates merely approach zero
         use the default cutoff.
         """
+        _require_positive("prune_tol", prune_tol, or_zero=True)
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 1 or dense.size == 0:
             raise DimensionMismatch("dense code must be a nonempty 1-D vector")
+        if not np.isfinite(dense).all():  # before pruning, which would drop a NaN
+            raise NonFinite("sparse code contains NaN or Inf")
         idx = np.flatnonzero(np.abs(dense) > prune_tol)
         return cls(idx.astype(np.int64), dense[idx], dense.size)
 
@@ -417,8 +423,7 @@ class NaturalRateSchedule:
 
     def __post_init__(self) -> None:
         _require_positive("rate_a", self.a)
-        if not 0 <= self.b < math.inf:
-            raise ConfigInvalid(f"rate_b must be finite and >= 0, got {self.b}")
+        _require_positive("rate_b", self.b, or_zero=True)
 
     def next_rate(self) -> float:
         rate = self.a / (self.t + self.b)

@@ -29,6 +29,7 @@ from .core import (
     Sample,
     SparseCode,
     rng_from_seed,
+    _require_count,
 )
 from .dictionary import project_unit_ball
 
@@ -53,8 +54,8 @@ def extract_patches(
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D grayscale image, got shape {img.shape}")
-    if window < 1 or stride < 1:
-        raise ConfigInvalid(f"window and stride must be >= 1, got {window}, {stride}")
+    window = _require_count("window", window)
+    stride = _require_count("stride", stride)
     rows, cols = img.shape
     if rows < window or cols < window:
         raise ImageTooSmall(f"image {rows}x{cols} is smaller than the {window}x{window} window")

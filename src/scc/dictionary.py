@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ConfigInvalid,
     DataSet,
     Dictionary,
     DimensionMismatch,
@@ -36,6 +35,7 @@ from .core import (
     ZeroCurvature,
     _fit_codes,
     _fit_sample,
+    _require_positive,
 )
 
 
@@ -182,7 +182,6 @@ def full_gradient_step(
     D: Dictionary, codes: Sequence[SparseCode], ds: DataSet, eta: float
 ) -> Dictionary:
     """One full-batch gradient step at rate ``eta``, columns projected; Empty for no samples."""
-    if not eta > 0:
-        raise ConfigInvalid(f"eta must be > 0, got {eta}")
+    _require_positive("eta", eta)
     Z = _fit_codes(D, codes, ds).dense()
     return Dictionary(_gradient_step_dense(D.atoms, Z, ds.X, eta))

@@ -35,10 +35,11 @@ A stochastic epoch of the trainers is one ``epoch`` call of that engine:
 the kernel's, or ``_epoch_py``, which gives the same bits.  It codes each
 sample with the oracle when its ``tol`` is positive, and otherwise with
 the cheap encoder's one full pass.  ``_encode_frozen`` codes a whole
-matrix into one ``core._CodeStore`` as such an epoch that moves no atom:
-cheaply from zero for ``scc encode --mode scc:S``, or with the CD oracle,
-from zero for ``lasso_oracle_cd(_batch)`` and ``scc encode --mode
-oracle``, and from the last epoch's codes in ``batch_train``.
+matrix from zero into one ``core._CodeStore`` as such an epoch that
+moves no atom: cheaply for ``scc encode --mode scc:S``, or with the CD
+oracle for ``lasso_oracle_cd(_batch)`` and ``scc encode --mode oracle``.
+``batch_train`` runs the same oracle epoch warm from its last epoch's
+codes.
 """
 
 from __future__ import annotations
@@ -306,20 +307,18 @@ def _epoch_py(
 
 def _encode_frozen(
     D: Dictionary, X: np.ndarray, lam: float, steps: int, tol: float = 0.0,
-    max_cycles: int = 1, start: Optional[_CodeStore] = None,
+    max_cycles: int = 1,
 ) -> _CodeStore:
     """The codes of every column of ``X`` under ``D`` held fixed, into one store in sample order.
 
-    They are one epoch in sample order that moves no atom, one ``epoch``
-    call of the engine of ``_native.kernel()``, warm-started from the
-    codes in ``start``, or from zero when it is None.  From zero, with
-    the default ``tol``, they have the bits of per-sample ``encode_scc``
+    They are one epoch in sample order from zero that moves no atom, one
+    ``epoch`` call of the engine of ``_native.kernel()``.  With the
+    default ``tol`` they have the bits of per-sample ``encode_scc``
     calls; with ``tol`` > 0 they are the CD oracle's, on the pass budget
     ``max_cycles``, which makes no support pass (its callers pass
     ``steps`` 1).  NonFinite if ``X`` holds NaN or Inf.  The store
-    starts with room for m more entries than the larger of n and the
-    entries of ``start``, and grows as needed; the capacity never
-    changes a bit.
+    starts with room for n + m entries, and grows as needed; the
+    capacity never changes a bit.
     """
     _require_positive("lambda", lam)
     steps = _require_count("steps", steps)
@@ -329,10 +328,9 @@ def _encode_frozen(
         raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
     _require_finite(X)
     m, n = D.m, X.shape[1]
-    if start is None:
-        start = _CodeStore(m, n, 0)
-    store = _CodeStore.after(start)
-    _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, start, store, None,
+    zero = _CodeStore(m, n, 0)
+    store = _CodeStore.after(zero)
+    _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, zero, store, None,
                            tol, max_cycles)
     return store
 

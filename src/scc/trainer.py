@@ -17,27 +17,26 @@ from the config seed, and the recorded wall times are the one exception
 to bit-reproducibility.  Those times cover the code and dictionary
 phases only; the end-of-epoch objective evaluation falls outside both.
 
-A stochastic epoch is one ``epoch`` call of the engine that
-``_native.kernel()`` returns: the native kernel's, one foreign call, when
-it loads, else ``lasso._epoch_py``, which gives the same bits.  Either
-reads the previous epoch's codes from one compact ``core._CodeStore``
-and writes the new codes to another, so memory grows with the number of
-nonzeros, never with m x n; ``TrainResult.codes`` are views of the last store.
-``batch_train``'s code phase is one ``lasso._encode_frozen`` store per
-epoch: the same epoch in sample order, from the zero codes in the first
-epoch and from the last epoch's store after it, with the dictionary held
-fixed and each code run to a tolerance.  Its dense code
-matrix and its objective are read from that store.  Its dictionary phase
-is one ``dense`` call of the same engine: the kernel's, or
-``dictionary._dense_py``.  Every trainer's per-epoch objective comes
-from ``metrics._objective``.
+All three run one epoch loop, ``_train``.  It checks the config, then
+the data, draws the initial atoms and starts every code at zero.  Each
+epoch reads the last epoch's codes from one compact ``core._CodeStore``
+and writes the new ones to another, so memory grows with the number of
+nonzeros, never with m x n; ``TrainResult.codes`` are views of the last
+store.  Every epoch codes in one ``epoch`` call of the engine that
+``_native.kernel()`` returns (the native kernel, one foreign call, when
+it loads, else ``lasso._epoch_py``, with the same bits), and its
+objective comes from ``metrics._objective``.  A stochastic epoch is that
+call alone, with the trainer's rate.  ``batch_train``'s is that call in
+sample order with the dictionary held fixed and each code run to a
+tolerance, warm from the last epoch's, then one ``dense`` call of the
+same engine: the kernel's, or ``dictionary._dense_py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,12 +59,13 @@ from .core import (
     _SHUFFLE_STREAM,
 )
 from .data import init_dictionary
-from .lasso import DEFAULT_MAX_CYCLES, ORACLE_TOL, _encode_frozen
+from .lasso import DEFAULT_MAX_CYCLES, ORACLE_TOL
 from .metrics import _objective
 
 BATCH_MAX_STEPS = 20  # gradient-step attempts (accepts plus halvings) per epoch
 
 ProgressCallback = Callable[[EpochStats], None]
+_Epoch = Callable[..., Tuple[float, float]]
 
 
 @dataclass
@@ -83,44 +83,57 @@ def _visit_order(cfg: TrainConfig, n: int, epoch: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
 
 
-def _epoch_stats(
-    epoch: int, D: Dictionary, codes: _CodeStore, X: np.ndarray, lam: float,
-    t_code: float, t_dict: float,
-) -> EpochStats:
-    return EpochStats(
-        epoch=epoch,
-        objective=_objective(D, codes, X, lam),
-        time_code_update=t_code,
-        time_dict_update=t_dict,
-        mean_support=float(codes.length.mean()),
-        max_support=int(codes.length.max()),
-    )
-
-
-def _sgd_train(
-    ds: DataSet, cfg: TrainConfig, progress: Optional[ProgressCallback]
+def _train(
+    ds: DataSet, cfg: TrainConfig, progress: Optional[ProgressCallback],
+    epoch_of: Callable[[TrainConfig], _Epoch],
 ) -> TrainResult:
+    """The epoch loop of every trainer.
+
+    ``epoch_of(cfg)``, called after the checks, gives the trainer's epoch
+    ``(D, X, lam, epoch, old, new)``: it codes every sample from its code
+    in ``old`` into ``new``, moves the atoms of ``D`` in place, and
+    returns the code and dictionary phase times.
+    """
     cfg.validate()
     validate_dataset(ds)
-    n = ds.n
-    m = cfg.dict_size
     lam = cfg.effective_lambda(ds.p)
-    D = init_dictionary(ds, m, cfg.init, cfg.seed)
-    run_epoch = _native.kernel().epoch
-    if cfg.rate_schedule == RATE_ADAPTIVE:
-        rate = HessianDiag.zeros(m)
-    else:
-        rate = NaturalRateSchedule(cfg.rate_a, cfg.rate_b)
-    codes = _CodeStore(m, n, 0)  # every code starts at zero
+    D = init_dictionary(ds, cfg.dict_size, cfg.init, cfg.seed)
+    run_epoch = epoch_of(cfg)  # after the atoms: before them, train-patch's peak RSS rose 0.5 MiB
+    codes = _CodeStore(cfg.dict_size, ds.n, 0)  # every code starts at zero
     stats: List[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         new = _CodeStore.after(codes)
-        times = run_epoch(D, ds.X, _visit_order(cfg, n, epoch), lam, cfg.cd_steps, codes, new, rate)
+        t_code, t_dict = run_epoch(D, ds.X, lam, epoch, codes, new)
         codes = new
-        stats.append(_epoch_stats(epoch, D, codes, ds.X, lam, *times))
+        stats.append(EpochStats(epoch, _objective(D, codes, ds.X, lam), t_code, t_dict,
+                                float(codes.length.mean()), int(codes.length.max())))
         if progress is not None:
             progress(stats[-1])
     return TrainResult(dictionary=Dictionary(D.atoms), codes=codes.codes(), stats=stats)
+
+
+def _sgd_epoch(cfg: TrainConfig) -> _Epoch:
+    """One engine ``epoch`` in the config's visit order, with the config's rate."""
+    run = _native.kernel().epoch
+    if cfg.rate_schedule == RATE_ADAPTIVE:
+        rate = HessianDiag.zeros(cfg.dict_size)
+    else:
+        rate = NaturalRateSchedule(cfg.rate_a, cfg.rate_b)
+
+    def epoch(D, X, lam, t, old, new):
+        return run(D, X, _visit_order(cfg, X.shape[1], t), lam, cfg.cd_steps, old, new, rate)
+
+    return epoch
+
+
+def _batch_epoch(D, X, lam, t, old, new) -> Tuple[float, float]:
+    """The CD oracle's codes in sample order with D held fixed, then one ``dense`` step."""
+    engine = _native.kernel()
+    order = np.arange(X.shape[1], dtype=np.int64)
+    t_code, _ = engine.epoch(D, X, order, lam, 1, old, new, None, ORACLE_TOL, DEFAULT_MAX_CYCLES)
+    t0 = time.perf_counter()
+    engine.dense(D.atoms, new.dense(), X, BATCH_MAX_STEPS)
+    return t_code, time.perf_counter() - t0
 
 
 def scc_train(
@@ -129,7 +142,7 @@ def scc_train(
     """Stochastic training with adaptive per-atom rates."""
     if cfg.rate_schedule != RATE_ADAPTIVE:
         raise ConfigInvalid("scc_train requires the adaptive_hessian rate schedule")
-    return _sgd_train(ds, cfg, progress)
+    return _train(ds, cfg, progress, _sgd_epoch)
 
 
 def natural_rate_train(
@@ -138,7 +151,7 @@ def natural_rate_train(
     """Stochastic training with the scalar a/(t+b) schedule."""
     if cfg.rate_schedule != RATE_NATURAL:
         raise ConfigInvalid("natural_rate_train requires the natural rate schedule")
-    return _sgd_train(ds, cfg, progress)
+    return _train(ds, cfg, progress, _sgd_epoch)
 
 
 def batch_train(
@@ -146,31 +159,12 @@ def batch_train(
 ) -> TrainResult:
     """Alternating baseline: exact codes, then backtracking gradient steps.
 
-    Per epoch every code is re-solved to convergence against the fixed
-    dictionary, one sample after another, into one code store by
-    ``lasso._encode_frozen``: the CD oracle of ``lasso_oracle_cd``, from
-    zero in the first epoch (its bits) and from the sample's code of the
-    last epoch after it.  Then up to ``BATCH_MAX_STEPS`` full-gradient
-    attempts run with the step halved whenever the quadratic part of the
-    objective would grow: one ``dense`` call of the engine of
-    ``_native.kernel()``, the kernel's or ``dictionary._dense_py``, with
-    the same bits.  From the second epoch on the code store starts with
-    room for the last epoch's entries, or n if more, plus one code.
+    Per epoch one ``epoch`` call of the engine, in sample order with the
+    dictionary held fixed, re-solves every code with the CD oracle of
+    ``lasso_oracle_cd``: from zero in the first epoch (its bits), and from
+    the last epoch's code after it.  Then one ``dense`` call of the same
+    engine makes up to ``BATCH_MAX_STEPS`` full-gradient attempts, halving
+    the step whenever the quadratic part of the objective would grow; its
+    time starts before the dense code matrix is built.
     """
-    cfg.validate()
-    validate_dataset(ds)
-    m = cfg.dict_size
-    lam = cfg.effective_lambda(ds.p)
-    D = init_dictionary(ds, m, cfg.init, cfg.seed)
-    codes = None  # the first epoch's codes start from zero
-    stats: List[EpochStats] = []
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        codes = _encode_frozen(D, ds.X, lam, 1, ORACLE_TOL, DEFAULT_MAX_CYCLES, start=codes)
-        t1 = time.perf_counter()
-        _native.kernel().dense(D.atoms, codes.dense(), ds.X, BATCH_MAX_STEPS)
-        t2 = time.perf_counter()
-        stats.append(_epoch_stats(epoch, D, codes, ds.X, lam, t1 - t0, t2 - t1))
-        if progress is not None:
-            progress(stats[-1])
-    return TrainResult(dictionary=Dictionary(D.atoms), codes=codes.codes(), stats=stats)
+    return _train(ds, cfg, progress, lambda cfg: _batch_epoch)

@@ -223,6 +223,14 @@ class TestSparseCode:
         assert SparseCode.from_dense(dense).nnz == 1
         assert SparseCode.from_dense(dense, prune_tol=0.0).nnz == 2
 
+    def test_from_dense_rejects_nan_and_bad_prune_tol(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFinite):
+                SparseCode.from_dense(np.array([bad, 1.0]))
+        for prune_tol in (math.nan, -1e-12, math.inf, True, None):
+            with pytest.raises(ConfigInvalid, match="prune_tol"):
+                SparseCode.from_dense(np.array([0.0, 1.0]), prune_tol=prune_tol)
+
 
 class TestHessianDiag:
     def test_rejects_negative(self):
@@ -277,6 +285,10 @@ class TestTrainConfig:
             dict(dict_size=True),
             dict(dict_size=4, epochs=1.5),
             dict(dict_size=4, cd_steps=2.5),
+            dict(dict_size=4, lam=True),
+            dict(dict_size=4, lam="0.1"),
+            dict(dict_size=4, rate_schedule="natural", rate_a=None),
+            dict(dict_size=4, rate_schedule="natural", rate_b=True),
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -47,6 +47,12 @@ class TestExtractPatches:
         with pytest.raises(ConfigInvalid):
             extract_patches(np.zeros((20, 20)), window=0)
 
+    @pytest.mark.parametrize("name", ["window", "stride"])
+    def test_window_and_stride_are_counts(self, name):
+        for bad in (2.5, "2", True, None, 0, -1):
+            with pytest.raises(ConfigInvalid, match=name):
+                extract_patches(np.ones((20, 20)), **{name: bad})
+
 
 class TestPreprocess:
     def test_two_point_arithmetic(self):

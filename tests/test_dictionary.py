@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,8 @@ class TestFullGradientStep:
         rng = rng_from_seed(19)
         D = Dictionary(random_unit_atoms(rng, 4, 5))
         ds = DataSet(rng.standard_normal((4, 2)))
-        with pytest.raises(ConfigInvalid):
-            full_gradient_step(D, [SparseCode.zero(5)] * 2, ds, eta=0.0)
+        for eta in (0.0, math.inf, math.nan, True, "0.1", None):
+            with pytest.raises(ConfigInvalid, match="eta"):
+                full_gradient_step(D, [SparseCode.zero(5)] * 2, ds, eta=eta)
         with pytest.raises(DimensionMismatch):
             full_gradient_step(D, [SparseCode.zero(5)], ds, eta=0.1)

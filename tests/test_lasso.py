@@ -27,8 +27,8 @@ from scc.lasso import DEFAULT_MAX_CYCLES
 from conftest import (CD_PATHS, NATIVE_POSSIBLE, cd_path, random_ball_atoms, random_instance,
                       random_unit_atoms, ref_oracle, ref_oracle_full, ref_pass)
 
-# tolerances that no solver takes: each must be finite and > 0
-_BAD_TOLS = (0.0, -1e-10, math.inf, math.nan)
+# tolerances that no solver takes: each must be a real number (not a bool), finite and > 0
+_BAD_TOLS = (0.0, -1e-10, math.inf, math.nan, True, None, "1e-10", 1e-10 + 0j)
 
 
 class TestSoftThreshold:
@@ -360,13 +360,14 @@ _SOLVERS = {
 }
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -0.1, True, None, "0.1", 0.1 + 0j])
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
 def test_solvers_reject_bad_lambda(solver, lam):
     D = Dictionary(np.eye(4))
     x = np.array([1.0, -0.5, 0.2, 0.0])
-    with pytest.raises(ConfigInvalid, match="lambda"):
-        _SOLVERS[solver](D, x, lam)
+    for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
+        with cd_path(path), pytest.raises(ConfigInvalid, match="lambda"):
+            _SOLVERS[solver](D, x, lam)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -25,7 +25,6 @@ from scc import (
     sgd_update_support,
     soft_threshold,
 )
-from scc import trainer
 from scc.core import _CodeStore
 from scc.dictionary import _gradient_step_dense, _quadratic_term
 from scc.lasso import ORACLE_TOL
@@ -264,6 +263,20 @@ def reference_batch(ds, cfg):
     return D, objective(D, codes, ds, lam)
 
 
+class _ColdEpochs:
+    """An engine whose every ``epoch`` starts from zero codes instead of ``old``."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    def epoch(self, D, X, order, lam, steps, old, new, *rest):
+        zero = _CodeStore(old.m, old.length.size, 0)
+        return self.engine.epoch(D, X, order, lam, steps, zero, new, *rest)
+
+
 class TestBatchTrain:
     @pytest.mark.parametrize("planted,epochs,init", [
         ((8, 12, 60, 2, 0.02, 41), 3, "random_patches"),
@@ -287,15 +300,17 @@ class TestBatchTrain:
     # epoch objectives by 4.5e-12 relative.
     @pytest.mark.parametrize("path", CD_PATHS)
     @pytest.mark.parametrize("p,m,n,k", [(16, 32, 120, 3), (64, 256, 40, 5), (256, 1024, 12, 5)])
-    def test_warm_start_is_within_tolerance_of_cold(self, path, p, m, n, k, monkeypatch):
+    def test_warm_start_is_within_tolerance_of_cold(self, path, p, m, n, k):
         ds, _, _ = generate_planted(p, m, n, k, 0.01, seed=46 + p)
         cfg = TrainConfig(dict_size=m, epochs=3, seed=p, init="random_gaussian")
-        frozen = trainer._encode_frozen
         with cd_path(path):
             warm = batch_train(ds, cfg)
-            monkeypatch.setattr(trainer, "_encode_frozen",
-                                lambda *args, start: frozen(*args, start=None))
-            cold = batch_train(ds, cfg)  # every epoch from zero
+            engine = _native.kernel()
+            _native._kernel = _ColdEpochs(engine)
+            try:
+                cold = batch_train(ds, cfg)  # every epoch from zero
+            finally:  # before cd_path restores the engine it found
+                _native._kernel = engine
         for a, b in zip(warm.codes, cold.codes):
             assert a.indices.tobytes() == b.indices.tobytes()
             assert np.abs(a.values - b.values).max(initial=0.0) <= 1e-8
@@ -363,3 +378,25 @@ def test_huge_samples_raise_nonfinite(train, path):
     ds = DataSet(np.random.default_rng(46).standard_normal((4, 10)) * 1e200)
     with cd_path(path), pytest.raises(NonFinite, match="^sample 0 has a squared norm"):
         train(ds, TrainConfig(dict_size=3, lam=0.1, epochs=1))
+
+
+@pytest.mark.parametrize("path", CD_PATHS)
+@pytest.mark.parametrize("train", [scc_train, natural_rate_train, batch_train])
+def test_every_trainer_runs_the_shared_epoch_loop(train, path):
+    schedule = "natural" if train is natural_rate_train else "adaptive_hessian"
+    ds, _, _ = generate_planted(7, 10, 15, 2, 0.05, seed=5)
+    seen = []
+    with cd_path(path):
+        result = train(ds, TrainConfig(dict_size=10, epochs=3, seed=2, rate_schedule=schedule),
+                       progress=seen.append)
+    assert [s.epoch for s in seen] == [1, 2, 3]
+    assert len(result.stats) == 3 and all(a is b for a, b in zip(seen, result.stats))
+    for s in seen:
+        assert s.time_code_update >= 0 and s.time_dict_update >= 0
+    nnz = [z.nnz for z in result.codes]
+    assert len(nnz) == 15 and max(nnz) > 0
+    assert seen[-1].mean_support == np.mean(nnz) and seen[-1].max_support == max(nnz)
+    X = np.ones((7, 2))
+    X[1, 1] = np.nan
+    with cd_path(path), pytest.raises(ConfigInvalid, match="dict_size"):  # the config first
+        train(DataSet(X), TrainConfig(dict_size=0, rate_schedule=schedule))
