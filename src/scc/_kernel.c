@@ -4,10 +4,10 @@
  * dataset objective, and the per-sample coordinate-descent passes of the
  * cheap encoder and of the two single-pass cycles.
  *
- * A sample is coded by one of two routines.  encode, the cheap encoder,
- * makes a fixed number of passes: at most one full pass, then a few over
- * the support.  oracle, the CD oracle, makes full passes to a tolerance on
- * a pass budget, settling a working set between them.
+ * A sample is coded by one of two routines on one count of passes: encode,
+ * the cheap encoder, makes exactly that many, at most one full pass and the
+ * rest over the support; oracle, the CD oracle, makes at most that many,
+ * full passes to a tolerance with a working set settled between them.
  *
  * Built by scc._native_lib with -O2 -ftree-vectorize
  * -fvect-cost-model=dynamic -ffp-contract=off -falign-loops=64 and loaded
@@ -154,17 +154,17 @@ INLINE int64_t nonzeros(int64_t m, const double *z, int64_t *support)
     return nnz;
 }
 
-/* The cheap encoder: full (0 or 1) full passes, then steps - 1 passes over
- * the support, which only ever shrinks.  z (length m) holds the warm start
- * on entry and the code on exit; support receives the final support in
- * ascending order.  Returns its length.  Mirrors lasso._encode_py. */
+/* The cheap encoder: passes passes, full (0 or 1) of them full and the rest
+ * over the support, which only ever shrinks.  z (length m) holds the warm
+ * start on entry and the code on exit; support receives the final support
+ * in ascending order.  Returns its length.  Mirrors lasso._encode_py. */
 INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
-                      double lam, int64_t full, int64_t steps, int64_t *support)
+                      double lam, int64_t full, int64_t passes, int64_t *support)
 {
     for (int64_t pass = 0; pass < full; pass++)
         cd_pass(p, atoms, NULL, m, z, r, lam);
     int64_t nnz = nonzeros(m, z, support);
-    for (int64_t s = 1; s < steps; s++) {
+    for (int64_t pass = full; pass < passes; pass++) {
         int64_t kept = 0;
         cd_pass(p, atoms, support, nnz, z, r, lam);
         for (int64_t k = 0; k < nnz; k++)
@@ -179,18 +179,18 @@ INLINE int64_t encode(int64_t p, int64_t m, const double *atoms, double *z, doub
  * more.  After each full pass that does, the working set, its nonzeros,
  * is settled first by passes over just those until one changes none by tol
  * or more (a coordinate that falls to zero stays in the set until the next
- * full pass).  Every pass, full or over the working set, counts against the
- * one budget, max_cycles; pass counts those made.  z and support as for
- * encode.  Returns the length of the support, or -1 when the budget ran
- * out before a full pass settled.  Mirrors lasso._oracle_py. */
+ * full pass).  It makes at most passes passes, full and working-set passes
+ * alike; pass counts those made.  z and support as for encode.  Returns
+ * the length of the support, or -1 when the budget ran out before a full
+ * pass settled.  Mirrors lasso._oracle_py. */
 INLINE int64_t oracle(int64_t p, int64_t m, const double *atoms, double *z, double *r,
-                      double lam, double tol, int64_t max_cycles, int64_t *support)
+                      double lam, double tol, int64_t passes, int64_t *support)
 {
-    for (int64_t pass = 1; pass <= max_cycles; pass++) {
+    for (int64_t pass = 1; pass <= passes; pass++) {
         if (cd_pass(p, atoms, NULL, m, z, r, lam) < tol)
             return nonzeros(m, z, support);
         int64_t work = nonzeros(m, z, support);
-        while (pass < max_cycles) {
+        while (pass < passes) {
             pass++; /* a working-set pass spends the budget too */
             if (cd_pass(p, atoms, support, work, z, r, lam) < tol)
                 break;
@@ -199,11 +199,11 @@ INLINE int64_t oracle(int64_t p, int64_t m, const double *atoms, double *z, doub
     return -1;
 }
 
-/* encode_scc (full 1), cd_full_cycle and cd_support_cycle. */
+/* encode_scc (full 1, passes steps), cd_full_cycle (1, 1) and cd_support_cycle (0, 1). */
 CLONED int64_t scc_encode(int64_t p, int64_t m, const double *atoms, double *z, double *r,
-                          double lam, int64_t full, int64_t steps, int64_t *support)
+                          double lam, int64_t full, int64_t passes, int64_t *support)
 {
-    return encode(p, m, atoms, z, r, lam, full, steps, support);
+    return encode(p, m, atoms, z, r, lam, full, passes, support);
 }
 
 /* Codes of one pass over a dataset: code i is indices[start[i] ..
@@ -317,16 +317,16 @@ void scc_objective(int64_t p, int64_t n, const double *atoms, const double *x,
 }
 
 /* The state of one stochastic epoch; mirrors the arguments of
- * lasso._epoch_py.  Each sample is coded by oracle, on the budget
- * max_cycles, when tol > 0, and otherwise by encode: one full pass and
- * steps - 1 support passes.  h holds the curvature cells of the adaptive
- * rule, or is NULL for the natural rule a / (t + b), whose a is always
- * > 0.  h NULL and a = 0 hold the dictionary fixed: the epoch only codes,
- * moves no atom and leaves t as it is (lasso._epoch_py with rate None). */
+ * lasso._epoch_py.  Each sample is coded by oracle, in at most passes
+ * passes, when tol > 0, and otherwise by encode, in exactly passes: one
+ * full pass and passes - 1 support passes.  h holds the curvature cells of
+ * the adaptive rule, or is NULL for the natural rule a / (t + b), whose a
+ * is always > 0.  h NULL and a = 0 hold the dictionary fixed: the epoch
+ * only codes, moves no atom and leaves t as it is (lasso._epoch_py with
+ * rate None). */
 struct epoch {
-    int64_t p, m, n, steps;
+    int64_t p, m, n, passes;
     double lam, tol;
-    int64_t max_cycles;
     double *atoms;        /* p x m, updated in place */
     const double *x;      /* p x n samples */
     const int64_t *order; /* the n visits */
@@ -381,8 +381,8 @@ CLONED int64_t scc_epoch(struct epoch *e)
         for (int64_t q = 0; q < k; q++)
             z[idx[q]] = val[q];
         int64_t nnz = e->tol > 0.0
-                          ? oracle(p, m, e->atoms, z, r, e->lam, e->tol, e->max_cycles, support)
-                          : encode(p, m, e->atoms, z, r, e->lam, 1, e->steps, support);
+                          ? oracle(p, m, e->atoms, z, r, e->lam, e->tol, e->passes, support)
+                          : encode(p, m, e->atoms, z, r, e->lam, 1, e->passes, support);
         if (nnz < 0)
             return -2;
         int64_t *new_idx = e->new.indices + e->new.used;

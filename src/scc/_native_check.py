@@ -80,13 +80,13 @@ def _outputs(k, D, X, codes, natural: bool) -> list:
     m, n = D.m, X.shape[1]
     out = []
     for z in (codes[2], codes[0]):  # cold, and warm from every entry
-        for full, steps in ((1, 3), (0, 2)):  # the cheap encoder, and support passes alone
+        for full, passes in ((1, 3), (0, 1)):  # the cheap encoder, and a support pass alone
             r = _residual(D, z, X[:, 0])
-            code = k.encode(D, z, r, 0.02, full, steps)
+            code = k.encode(D, z, r, 0.02, full, passes)
             out += [code.indices.tobytes(), code.values.tobytes(), r.tobytes()]
     # the oracle: passes to tol 0.05, at most 3, into a store that has to grow
-    _, oracle = _epoch(k, D, X, np.arange(n), 0.1, 1, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
-                       None, 0.05, 3)
+    _, oracle = _epoch(k, D, X, np.arange(n), 0.1, 3, _CodeStore(m, n, 0), _CodeStore(m, n, 0),
+                       None, 0.05)
     # a training epoch from the other codes, into a store with room for one
     rate = NaturalRateSchedule(0.5, 10.0) if natural else HessianDiag.zeros(m)
     order = np.array([1, 0]) if natural else np.arange(2)
@@ -104,12 +104,12 @@ def _outputs(k, D, X, codes, natural: bool) -> list:
     return out
 
 
-def _epoch(k, D, X, order, lam, steps, old, new, rate, tol=0.0, max_cycles=1):
+def _epoch(k, D, X, order, lam, passes, old, new, rate, tol=0.0):
     """``k.epoch`` on a copy of the atoms of ``D``, so that moving them spoils no other
     run: the copy, and the bytes of its atoms, of ``new`` and whether every visit settled."""
     W = Dictionary(D.atoms)
     try:
-        k.epoch(W, X, order, lam, steps, old, new, rate, tol, max_cycles)
+        k.epoch(W, X, order, lam, passes, old, new, rate, tol)
         settled = True
     except MaxIterationsExceeded:
         settled = False

@@ -73,10 +73,9 @@ class _Codes(ctypes.Structure):
 class _Epoch(ctypes.Structure):
     """``struct epoch``: the arguments and progress of one ``scc_epoch`` run."""
 
-    _fields_ = [("p", _i64), ("m", _i64), ("n", _i64), ("steps", _i64), ("lam", _f64),
-                ("tol", _f64), ("max_cycles", _i64),
-                ("atoms", _ptr), ("x", _ptr), ("order", _ptr), ("old", _Codes), ("new", _Codes),
-                ("h", _ptr), ("a", _f64), ("b", _f64), ("t", _i64),
+    _fields_ = [("p", _i64), ("m", _i64), ("n", _i64), ("passes", _i64), ("lam", _f64),
+                ("tol", _f64), ("atoms", _ptr), ("x", _ptr), ("order", _ptr),
+                ("old", _Codes), ("new", _Codes), ("h", _ptr), ("a", _f64), ("b", _f64), ("t", _i64),
                 ("z", _ptr), ("r", _ptr), ("g", _ptr), ("support", _ptr),
                 ("next", _i64), ("time_code", _f64), ("time_dict", _f64), ("bad", _i64)]
 
@@ -99,8 +98,9 @@ class Kernel:
     through ``ndarray.ctypes.data``; the atoms' address is looked up once
     per atom matrix.  ``encode`` runs the cheap encoder of ``lasso.encode_scc``,
     ``cd_full_cycle`` and ``cd_support_cycle`` on a checked residual.  ``epoch``
-    codes each sample with the CD oracle when its ``tol`` is positive and
-    with the cheap encoder otherwise, writes the codes into a
+    codes each sample on one count of passes: with the CD oracle, in at most
+    ``passes``, when its ``tol`` is positive, and otherwise with the cheap
+    encoder, in exactly ``passes``.  It writes the codes into a
     ``core._CodeStore`` and returns to Python only to grow it.  With rate
     None it holds the dictionary fixed and only codes: so ``batch_train`` and
     ``lasso._encode_frozen`` (``scc encode --mode scc:S`` and, with the
@@ -141,25 +141,25 @@ class Kernel:
             self._atoms = (weakref.ref(atoms), address)
         return address
 
-    def encode(self, D, z_init, r: np.ndarray, lam: float, full: int, steps: int):
-        """``lasso._encode_py``, the cheap encoder: ``full`` (0 or 1) full passes and
-        ``steps - 1`` support passes from ``z_init``; ``r`` = x - D z_init, updated in place.
-        It has no tolerance: the CD oracle runs only inside ``epoch``."""
+    def encode(self, D, z_init, r: np.ndarray, lam: float, full: int, passes: int):
+        """``lasso._encode_py``, the cheap encoder: ``passes`` passes from ``z_init``,
+        ``full`` (0 or 1) of them full and the rest over the support; ``r`` = x - D z_init,
+        updated in place.  It has no tolerance: the CD oracle runs only inside ``epoch``."""
         z = z_init.to_dense()
         support = np.empty(D.m, dtype=np.int64)
         nnz = self._encode(D.p, D.m, self._atoms_address(D.atoms), _address(z), _address(r), lam,
-                           full, steps, _address(support))
+                           full, passes, _address(support))
         support = support[:nnz].copy()
         return SparseCode._trusted(support, z[support], D.m)
 
-    def epoch(self, D, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
-              old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0, max_cycles: int = 1):
+    def epoch(self, D, X: np.ndarray, order: np.ndarray, lam: float, passes: int,
+              old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0):
         """``lasso._epoch_py`` in one kernel call, and one more each time ``new`` grows.
 
         Rate None leaves ``h`` NULL and ``a`` zero, which holds the dictionary fixed.
         """
         p, m = D.p, D.m
-        e = _Epoch(p=p, m=m, n=order.size, steps=steps, lam=lam, tol=tol, max_cycles=max_cycles,
+        e = _Epoch(p=p, m=m, n=order.size, passes=passes, lam=lam, tol=tol,
                    atoms=self._atoms_address(D.atoms), x=X.ctypes.data, order=order.ctypes.data,
                    old=_codes(old), new=_codes(new))
         natural = isinstance(rate, NaturalRateSchedule)
@@ -179,7 +179,7 @@ class Kernel:
         if status == -1:
             raise _no_curvature(e.bad)
         if status < 0:
-            raise _not_converged(max_cycles)
+            raise _not_converged(passes)
         return e.time_code, e.time_dict
 
     def objective(self, D, store: _CodeStore, X: np.ndarray, lam: float) -> np.ndarray:

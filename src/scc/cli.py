@@ -181,8 +181,9 @@ def _cmd_train(args) -> int:
 
 
 def _parse_mode(mode: str, parser: argparse.ArgumentParser):
+    """(passes, tol) of ``--mode``: the oracle's budget and stop, or S cheap passes."""
     if mode == "oracle":
-        return None
+        return DEFAULT_MAX_CYCLES, ORACLE_TOL
     if mode.startswith("scc:"):
         try:
             steps = int(mode.split(":", 1)[1])
@@ -190,22 +191,18 @@ def _parse_mode(mode: str, parser: argparse.ArgumentParser):
             parser.error(f"bad --mode {mode!r}")
         if steps < 1:
             parser.error(f"--mode scc:S needs S >= 1, got {steps}")
-        return steps
+        return steps, 0.0
     parser.error(f"--mode must be 'oracle' or 'scc:S', got {mode!r}")
 
 
 def _cmd_encode(args) -> int:
-    steps = _parse_mode(args.mode, args.parser)
+    passes, tol = _parse_mode(args.mode, args.parser)
     D = read_dictionary(args.dict_path)
     ds = read_dataset(args.data)
     cfg = TrainConfig(dict_size=D.m, lam=args.lam)
     cfg.validate()  # the one lambda rule: finite and > 0, or the default
     lam = cfg.effective_lambda(ds.p)
-    if steps is None:
-        codes = _encode_frozen(D, ds.X, lam, 1, ORACLE_TOL, DEFAULT_MAX_CYCLES)
-    else:
-        codes = _encode_frozen(D, ds.X, lam, steps)
-    write_codes(args.out, codes)
+    write_codes(args.out, _encode_frozen(D, ds.X, lam, passes, tol))
     return 0
 
 

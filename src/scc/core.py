@@ -373,15 +373,8 @@ class SparseCode:
         return out
 
     @property
-    def support(self) -> np.ndarray:
-        return self.indices
-
-    @property
     def nnz(self) -> int:
         return self.indices.size
-
-    def l1(self) -> float:
-        return float(np.abs(self.values).sum())
 
 
 @dataclass(eq=False)

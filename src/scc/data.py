@@ -11,7 +11,6 @@ single samples, datasets and the planted generator.
 
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 import numpy as np
@@ -30,6 +29,7 @@ from .core import (
     SparseCode,
     rng_from_seed,
     _require_count,
+    _require_positive,
 )
 from .dictionary import project_unit_ball
 
@@ -109,8 +109,7 @@ def init_dictionary(ds: DataSet, m: int, method: str, seed: int) -> Dictionary:
     """
     if ds.n == 0:
         raise Empty("cannot initialize from an empty dataset")
-    if m < 1:
-        raise ConfigInvalid(f"dictionary size must be >= 1, got {m}")
+    m = _require_count("dictionary size", m)
     rng = rng_from_seed(seed)
     if method == INIT_RANDOM_PATCHES:
         picks = rng.choice(ds.n, size=m, replace=m > ds.n)
@@ -146,15 +145,14 @@ def generate_planted(
     but their supports are the ground truth that recovery experiments
     care about.
     """
+    p, m, n, k_sparsity = (_require_count(name, value) for name, value in
+                           (("p", p), ("m", m), ("n", n), ("k_sparsity", k_sparsity)))
     if p < 2:
         # a centred atom of one row is zero and cannot be scaled to unit norm
         raise ConfigInvalid(f"p must be >= 2, got {p}")
-    if m < 1 or n < 1:
-        raise ConfigInvalid(f"m, n must be >= 1, got {m}, {n}")
-    if not 1 <= k_sparsity <= m:
+    if k_sparsity > m:
         raise ConfigInvalid(f"k_sparsity must be in [1, {m}], got {k_sparsity}")
-    if not 0 <= noise_sigma < math.inf:
-        raise ConfigInvalid(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    _require_positive("noise_sigma", noise_sigma, or_zero=True)
     rng = rng_from_seed(seed)
     atoms = np.asfortranarray(rng.standard_normal((p, m)))
     atoms -= atoms.mean(axis=0)

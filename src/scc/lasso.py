@@ -16,15 +16,15 @@ which is exact minimization over z_j when ||d_j|| = 1 and a valid
 unit-step proximal update whenever ||d_j|| <= 1, so the objective
 never increases.
 
-Two routines code a sample.  The cheap encoder, ``_encode_py``, makes
-a fixed number of passes: ``full`` (0 or 1) full passes, then ``steps -
-1`` support passes.  The CD oracle, ``_oracle_py``, makes full passes
-until one changes no coordinate by ``tol`` or more, and after each full
-pass that does, passes over its nonzeros alone (the working set, as in
-the active-set cycles of Friedman, Hastie and Tibshirani's glmnet) until
-one of them changes none by ``tol`` or more.  Every pass spends its one
-budget, ``max_cycles``.  Most of the oracle's visits then go to the
-coordinates that move.  ``encode_scc`` solves one sample in one
+Two routines code a sample, each on one count of passes.  The cheap
+encoder, ``_encode_py``, makes exactly ``passes``: ``full`` (0 or 1)
+full passes, then ``passes - full`` support passes.  The CD oracle,
+``_oracle_py``, makes at most ``passes``: full passes until one changes
+no coordinate by ``tol`` or more, and after each full pass that does,
+passes over its nonzeros alone (the working set, as in the active-set
+cycles of Friedman, Hastie and Tibshirani's glmnet) until one of them
+changes none by ``tol`` or more.  Most of the oracle's visits then go
+to the coordinates that move.  ``encode_scc`` solves one sample in one
 ``encode`` call of the engine that ``_native.kernel()`` returns: the
 native kernel when it loads, otherwise the Python reference loop
 ``_encode_py`` over ``_cd_pass``; both give the same bits.  So do
@@ -127,13 +127,13 @@ def _cd_pass(cols, coords, z: list, r: np.ndarray, lam: float) -> float:
 
 
 def _encode_one(
-    D: Dictionary, z: SparseCode, x, ws: Optional[CDWorkspace], lam: float, full: int, steps: int
+    D: Dictionary, z: SparseCode, x, ws: Optional[CDWorkspace], lam: float, full: int, passes: int
 ) -> CDResult:
-    """The checked path of ``encode_scc`` and the cycles: ``full`` full and ``steps - 1``
-    support passes from ``z`` in the engine, on ``ws.residual`` in place (its layout is
-    ``CDWorkspace``'s rule), or with ``ws`` None on a fresh x - D z."""
+    """The checked path of ``encode_scc`` and the cycles: ``passes`` passes from ``z`` in the
+    engine, ``full`` of them full, on ``ws.residual`` in place (its layout is ``CDWorkspace``'s
+    rule), or with ``ws`` None on a fresh x - D z."""
     _require_positive("lambda", lam)
-    steps = _require_count("steps", steps)
+    passes = _require_count("steps", passes)  # encode_scc's steps; the cycles pass 1
     v = _fit_sample(D, x, z)
     if ws is None:  # a fresh residual, which has the layout the engine takes
         r = _minus_code(D, z, v)
@@ -149,8 +149,8 @@ def _encode_one(
         _require_finite(v[:, None])
     if not (math.isfinite(r.dot(r)) or np.isfinite(r).all()):
         raise NonFinite("residual x - D z contains NaN or Inf")
-    code = _native.kernel().encode(D, z, r, lam, full, steps)
-    return CDResult(code, r if ws is None else r.copy(), full + steps - 1)
+    code = _native.kernel().encode(D, z, r, lam, full, passes)
+    return CDResult(code, r if ws is None else r.copy(), passes)
 
 
 def cd_full_cycle(
@@ -171,7 +171,7 @@ def cd_support_cycle(
 
     Coordinates may shrink to zero and leave the support; none may enter.
     """
-    return _encode_one(D, z, x, ws, lam, 0, 2)
+    return _encode_one(D, z, x, ws, lam, 0, 1)
 
 
 def encode_scc(
@@ -193,12 +193,12 @@ def encode_scc(
 
 
 def _encode_py(
-    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, full: int, steps: int
+    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, full: int, passes: int
 ) -> SparseCode:
     """The cheap encoder's passes in Python; ``r`` = x - D z_init, updated in place.
 
-    ``full`` (0 or 1) full passes, then ``steps - 1`` support passes over
-    the nonzeros that they leave (with ``full`` 0, those of ``z_init``).
+    ``full`` (0 or 1) full passes, then ``passes - full`` support passes
+    over the nonzeros that they leave (with ``full`` 0, those of ``z_init``).
 
     The passes run in one thread at a time, as the oracle's do.  Each
     ``r.dot`` releases the GIL, and threads that handed it over on every
@@ -213,36 +213,36 @@ def _encode_py(
         for _ in range(full):
             _cd_pass(cols, coords, z, r, lam)
         support = [j for j in coords if z[j]]
-        for _ in range(steps - 1):
+        for _ in range(passes - full):
             _cd_pass(cols, support, z, r, lam)
             support = [j for j in support if z[j]]  # support passes only ever remove coordinates
     return _code(z, support, D.m)
 
 
 def _oracle_py(
-    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, tol: float, max_cycles: int
+    D: Dictionary, z_init: SparseCode, r: np.ndarray, lam: float, tol: float, passes: int
 ) -> Optional[SparseCode]:
     """The CD oracle's passes in Python; ``r`` = x - D z_init, updated in place.
 
     Full passes until one changes no coordinate by ``tol`` (> 0) or more;
     after each full pass that does, passes over its nonzeros, the working
-    set, until one changes none by ``tol`` or more.  Every pass, full or
-    over the working set, counts against the budget ``max_cycles``.
-    Returns the code, or None when the budget ran out before a full pass
-    settled.  The passes hold ``_encode_py``'s lock.
+    set, until one changes none by ``tol`` or more.  At most ``passes``
+    passes, full and working-set passes alike.  Returns the code, or None
+    when they ran out before a full pass settled.  The passes hold
+    ``_encode_py``'s lock.
     """
     z = z_init.to_dense().tolist()
     cols = D.columns
     coords = range(D.m)
-    passes = 0
+    made = 0
     with _passes_lock:
-        while passes < max_cycles:
-            passes += 1
+        while made < passes:
+            made += 1
             if _cd_pass(cols, coords, z, r, lam) < tol:
                 return _code(z, [j for j in coords if z[j]], D.m)
             work = [j for j in coords if z[j]]
-            while passes < max_cycles:
-                passes += 1  # a working-set pass spends the budget too
+            while made < passes:
+                made += 1  # a working-set pass spends the budget too
                 if _cd_pass(cols, work, z, r, lam) < tol:
                     break
     return None
@@ -254,20 +254,20 @@ def _code(z: list, support: list, m: int) -> SparseCode:
                                np.array([z[j] for j in support], dtype=np.float64), m)
 
 
-def _not_converged(max_cycles: int) -> MaxIterationsExceeded:
-    return MaxIterationsExceeded(f"coordinate descent did not converge in {max_cycles} cycles")
+def _not_converged(passes: int) -> MaxIterationsExceeded:
+    return MaxIterationsExceeded(f"coordinate descent did not converge in {passes} cycles")
 
 
 def _epoch_py(
-    D: Dictionary, X: np.ndarray, order: np.ndarray, lam: float, steps: int,
-    old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0, max_cycles: int = 1,
+    D: Dictionary, X: np.ndarray, order: np.ndarray, lam: float, passes: int,
+    old: _CodeStore, new: _CodeStore, rate, tol: float = 0.0,
 ) -> Tuple[float, float]:
     """One stochastic epoch in Python; returns the code and dictionary phase times.
 
     Visits the samples (columns of ``X``) in ``order``.  Each visit
-    codes the sample, warm-started from its code in ``old``, with
-    ``_oracle_py`` (``tol``, ``max_cycles``) when ``tol`` > 0, else with
-    ``_encode_py``'s one full pass and ``steps - 1`` support passes.  It
+    codes the sample, warm-started from its code in ``old``: with
+    ``_oracle_py``, in at most ``passes`` passes, when ``tol`` > 0, else
+    with ``_encode_py``, in exactly ``passes``, the first of them full.  It
     puts the code into ``new``, and moves the supported atoms of ``D``
     in place by the steps of ``rate``: z_j / h_jj after folding the code
     into the curvature ``HessianDiag``, or a/(t+b) * z_j from the
@@ -286,11 +286,11 @@ def _epoch_py(
         z_init = old.code(i)
         r = _minus_code(D, z_init, X[:, i])
         if tol > 0:
-            code = _oracle_py(D, z_init, r, lam, tol, max_cycles)
+            code = _oracle_py(D, z_init, r, lam, tol, passes)
             if code is None:
-                raise _not_converged(max_cycles)
+                raise _not_converged(passes)
         else:
-            code = _encode_py(D, z_init, r, lam, 1, steps)
+            code = _encode_py(D, z_init, r, lam, 1, passes)
         new.put(i, code)
         t1 = time.perf_counter()
         t_code += t1 - t0
@@ -306,23 +306,21 @@ def _epoch_py(
 
 
 def _encode_frozen(
-    D: Dictionary, X: np.ndarray, lam: float, steps: int, tol: float = 0.0,
-    max_cycles: int = 1,
+    D: Dictionary, X: np.ndarray, lam: float, passes: int, tol: float = 0.0
 ) -> _CodeStore:
     """The codes of every column of ``X`` under ``D`` held fixed, into one store in sample order.
 
     They are one epoch in sample order from zero that moves no atom, one
     ``epoch`` call of the engine of ``_native.kernel()``.  With the
     default ``tol`` they have the bits of per-sample ``encode_scc``
-    calls; with ``tol`` > 0 they are the CD oracle's, on the pass budget
-    ``max_cycles``, which makes no support pass (its callers pass
-    ``steps`` 1).  NonFinite if ``X`` holds NaN or Inf.  The store
-    starts with room for n + m entries, and grows as needed; the
-    capacity never changes a bit.
+    calls whose ``steps`` is ``passes``; with ``tol`` > 0 they are the CD
+    oracle's in at most ``passes`` passes, its callers' ``max_cycles``,
+    the name a bad count is reported under.  NonFinite if ``X`` holds
+    NaN or Inf.  The store starts with room for n + m entries, and grows
+    as needed; the capacity never changes a bit.
     """
     _require_positive("lambda", lam)
-    steps = _require_count("steps", steps)
-    max_cycles = _require_count("max_cycles", max_cycles)
+    passes = _require_count("max_cycles" if tol > 0 else "steps", passes)
     X = np.asfortranarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != D.p:
         raise DimensionMismatch(f"sample of shape {X.shape[:1]} does not fit atoms of length {D.p}")
@@ -330,8 +328,8 @@ def _encode_frozen(
     m, n = D.m, X.shape[1]
     zero = _CodeStore(m, n, 0)
     store = _CodeStore.after(zero)
-    _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, steps, zero, store, None,
-                           tol, max_cycles)
+    _native.kernel().epoch(D, X, np.arange(n, dtype=np.int64), lam, passes, zero, store, None,
+                           tol)
     return store
 
 
@@ -370,13 +368,13 @@ def lasso_oracle_cd_batch(
     MaxIterationsExceeded on the first sample that has not stopped after
     ``max_cycles`` passes of either kind, and NonFinite if ``X`` holds
     NaN or Inf.  The codes are views of one ``_encode_frozen`` store:
-    passes to ``tol`` on a budget of ``max_cycles``, and no support pass.
+    at most ``max_cycles`` passes to ``tol``.
     They match plain full-pass descent to the same ``tol`` in support,
     and in value as far as that stop leaves either short of the optimum
     (tests/test_lasso.py states the bounds).
     """
     _require_positive("tol", tol)
-    return _encode_frozen(D, X, lam, 1, tol, max_cycles).codes()
+    return _encode_frozen(D, X, lam, max_cycles, tol).codes()
 
 
 def lasso_oracle_prox(

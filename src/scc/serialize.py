@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,17 +74,21 @@ def write_matrix(path: PathLike, X: np.ndarray) -> None:
     Path(path).write_bytes(header + payload)
 
 
+def _read_header(path: PathLike, head: bytes, magic: bytes, name: str) -> Tuple[int, int]:
+    """The two uint32 sizes of the 16-byte header ``head`` of a ``name`` container."""
+    if len(head) < 8:
+        raise Truncated(f"{path}: shorter than the magic tag")
+    if head[:8] != magic:
+        raise BadMagic(f"{path}: not a {name} container")
+    if len(head) < 16:
+        raise Truncated(f"{path}: header cut short")
+    return struct.unpack("<II", head[8:16])
+
+
 def read_matrix(path: PathLike) -> np.ndarray:
     """Read a matrix container; the payload goes straight into the returned Fortran array."""
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 8:
-            raise Truncated(f"{path}: shorter than the magic tag")
-        if head[:8] != MAGIC_MATRIX:
-            raise BadMagic(f"{path}: not a matrix container")
-        if len(head) < 16:
-            raise Truncated(f"{path}: header cut short")
-        p, n = struct.unpack("<II", head[8:16])
+        p, n = _read_header(path, fh.read(16), MAGIC_MATRIX, "matrix")
         size = os.fstat(fh.fileno()).st_size
         expected = 16 + 8 * p * n
         if size < expected:
@@ -173,13 +177,7 @@ def write_codes(path: PathLike, codes: Union[_CodeStore, Sequence[SparseCode]]) 
 
 def read_codes(path: PathLike) -> List[SparseCode]:
     data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise Truncated(f"{path}: shorter than the magic tag")
-    if data[:8] != MAGIC_CODES:
-        raise BadMagic(f"{path}: not a sparse-code container")
-    if len(data) < 16:
-        raise Truncated(f"{path}: header cut short")
-    m, n = struct.unpack("<II", data[8:16])
+    m, n = _read_header(path, data[:16], MAGIC_CODES, "sparse-code")
     if m == 0:
         raise FormatError(f"{path}: header declares codes over 0 atoms")
     codes: List[SparseCode] = []

@@ -130,7 +130,7 @@ def _batch_epoch(D, X, lam, t, old, new) -> Tuple[float, float]:
     """The CD oracle's codes in sample order with D held fixed, then one ``dense`` step."""
     engine = _native.kernel()
     order = np.arange(X.shape[1], dtype=np.int64)
-    t_code, _ = engine.epoch(D, X, order, lam, 1, old, new, None, ORACLE_TOL, DEFAULT_MAX_CYCLES)
+    t_code, _ = engine.epoch(D, X, order, lam, DEFAULT_MAX_CYCLES, old, new, None, ORACLE_TOL)
     t0 = time.perf_counter()
     engine.dense(D.atoms, new.dense(), X, BATCH_MAX_STEPS)
     return t_code, time.perf_counter() - t0

@@ -149,6 +149,14 @@ class TestInitDictionary:
         with pytest.raises(ConfigInvalid):
             init_dictionary(ds, 4, "kmeans", seed=0)
 
+    def test_rejects_bad_size(self, rng):
+        ds = DataSet(rng.standard_normal((4, 4)))
+        with pytest.raises(ConfigInvalid, match="^dictionary size must be >= 1, got 0$"):
+            init_dictionary(ds, 0, "random_patches", seed=0)
+        for m in (-1, True, 2.5, "3", None):
+            with pytest.raises(ConfigInvalid, match="^dictionary size must be "):
+                init_dictionary(ds, m, "random_patches", seed=0)
+
 
 class TestGeneratePlanted:
     def test_deterministic(self):
@@ -181,6 +189,13 @@ class TestGeneratePlanted:
             (1, 4, 60, 2, 0.01),  # a centred 1-row atom is zero
             (8, 12, 20, 2, math.nan),
             (8, 12, 20, 2, math.inf),
+            (8, 12, 20, 2, True),  # not a bool that runs as sigma 1.0
+            (8, 12, 20, 2, "0.1"),
+            (2.5, 12, 20, 2, 0.1),  # counts are integers, not a bare TypeError later
+            (8, True, 20, 1, 0.1),
+            (8, 12, "3", 2, 0.1),
+            (8, 12, 20, 2.0, 0.1),
+            (8, 12, 0, 2, 0.1),
         ]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # rejected before any arithmetic

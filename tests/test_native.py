@@ -4,6 +4,7 @@ cannot, and it never changes a bit of what the trainers compute."""
 import hashlib
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -173,7 +174,7 @@ _MUTANTS = {
     "dispatch": ("e->tol > 0.0", "e->tol > INFINITY"),
     # an oracle that never settles a working set between its full passes: the plain
     # full-pass descent, whose codes meet the tolerance too
-    "working_set": ("while (pass < max_cycles) {", "while (0) {"),
+    "working_set": ("while (pass < passes) {", "while (0) {"),
     # working-set passes that leave the budget unspent: only a sample that runs out of
     # budget during them can tell
     "budget": ("pass++; /* a working-set pass spends the budget too */", ";"),
@@ -185,10 +186,10 @@ _MUTANTS = {
     "dgemm": ("if (M > 1 && N > 1 && P > 1) {", "if (0) {"),
     # an scc_encode that makes one support pass more than it is asked for: every epoch,
     # which calls the cheap encoder itself, stays right
-    "encode": ("lam, full, steps, support);", "lam, full, steps + 1, support);"),
+    "encode": ("lam, full, passes, support);", "lam, full, passes + 1, support);"),
     # an scc_encode that makes its full pass whatever it is asked for: encode_scc and
     # cd_full_cycle, which ask for one, stay right
-    "full": ("lam, full, steps, support);", "lam, 1, steps, support);"),
+    "full": ("lam, full, passes, support);", "lam, 1, passes, support);"),
 }
 
 
@@ -437,6 +438,29 @@ def _refuse_mutant(mutant, cache, tmp_path, monkeypatch, caplog, builds):
     library = _library()
     assert list(cache.iterdir()) == [library]
     shutil.copyfile(library, builds / f"{mutant}.so")
+
+
+def _c_struct_fields(name: str) -> list:
+    """[(member, type)] of ``struct name`` in the kernel's source, in order: the type is
+    "int64_t", "double", "struct codes", or "pointer" for a pointer to anything."""
+    source = re.sub(r"/\*.*?\*/", "", _native_lib.SOURCE.read_text(), flags=re.S)
+    body = re.search(rf"struct {name} {{(.*?)}};", source, re.S).group(1)
+    fields = []
+    for decl in filter(None, (d.strip() for d in body.split(";"))):
+        base, names = re.fullmatch(r"(?:const )?(struct \w+|\w+) (.+)", decl, re.S).groups()
+        fields += [(d.strip(" *"), "pointer" if d.strip().startswith("*") else base)
+                   for d in names.split(",")]
+    return fields
+
+
+@pytest.mark.parametrize("name,struct", [("codes", _native_lib._Codes),
+                                         ("epoch", _native_lib._Epoch)])
+def test_ctypes_structs_match_the_kernel_source(name, struct):
+    # a member that one side gains, loses or reorders would have load() pass the kernel
+    # arguments at the wrong offsets before its self-test could refuse it; no compiler needed
+    types = {_native_lib._i64: "int64_t", _native_lib._f64: "double",
+             _native_lib._ptr: "pointer", _native_lib._Codes: "struct codes"}
+    assert [(f, types[t]) for f, t in struct._fields_] == _c_struct_fields(name)
 
 
 def _refused(caplog):
@@ -877,14 +901,14 @@ def test_oracle_codes_match_on_each_path(params):
             if codes is None:
                 with pytest.raises(MaxIterationsExceeded,
                                    match=f"^coordinate descent did not converge in {max_cycles} "):
-                    _encode_frozen(D, X, lam, 1, 1e-10, max_cycles)
+                    _encode_frozen(D, X, lam, max_cycles, 1e-10)
             else:
-                assert (_native_check._store_bytes(_encode_frozen(D, X, lam, 1, 1e-10, max_cycles))
+                assert (_native_check._store_bytes(_encode_frozen(D, X, lam, max_cycles, 1e-10))
                         == _native_check._store_bytes(_CodeStore.of(codes, m)))
             small = _CodeStore(m, n, min(capacity, m - 1))  # no room for a code of m entries
             try:
-                _native.kernel().epoch(D, X, np.arange(n), lam, 1, _CodeStore(m, n, 0), small,
-                                       None, 1e-10, max_cycles)
+                _native.kernel().epoch(D, X, np.arange(n), lam, max_cycles, _CodeStore(m, n, 0),
+                                       small, None, 1e-10)
                 raised = False
             except MaxIterationsExceeded:
                 raised = True
@@ -903,7 +927,7 @@ def test_frozen_epochs_and_objective_match_at_every_vector_remainder(p):
     outcomes = {}
     for path in CD_PATHS:
         with cd_path(path):
-            stores = [_encode_frozen(D, X, 0.05, 3), _encode_frozen(D, X, 0.05, 1, 1e-10, 100_000)]
+            stores = [_encode_frozen(D, X, 0.05, 3), _encode_frozen(D, X, 0.05, 100_000, 1e-10)]
             outcomes[path] = [_native_check._store_bytes(s) for s in stores] + [
                 _native.kernel().objective(D, s, X, 0.05).tobytes() for s in stores]
     assert outcomes["kernel"] == outcomes["python"]

@@ -272,9 +272,9 @@ class _ColdEpochs:
     def __getattr__(self, name):
         return getattr(self.engine, name)
 
-    def epoch(self, D, X, order, lam, steps, old, new, *rest):
+    def epoch(self, D, X, order, lam, passes, old, new, *rest):
         zero = _CodeStore(old.m, old.length.size, 0)
-        return self.engine.epoch(D, X, order, lam, steps, zero, new, *rest)
+        return self.engine.epoch(D, X, order, lam, passes, zero, new, *rest)
 
 
 class TestBatchTrain:
