@@ -10,14 +10,14 @@
  * full passes to a tolerance with a working set settled between them.
  *
  * Built by scc._native_lib with -O2 -ftree-vectorize
- * -fvect-cost-model=dynamic -ffp-contract=off -falign-loops=64 and loaded
- * through ctypes.  The results are bit-identical to the Python loops in
- * scc.lasso._epoch_py, scc.dictionary._dense_py, scc.metrics._terms_py,
- * scc.lasso._encode_py and scc.lasso._oracle_py:
+ * -fvect-cost-model=dynamic -ffp-contract=off -falign-loops=64, linked
+ * against the OpenBLAS that numpy loaded, and loaded through ctypes.  The
+ * results are bit-identical to the Python loops in scc.lasso._epoch_py,
+ * scc.dictionary._dense_py, scc.metrics._terms_py, scc.lasso._encode_py
+ * and scc.lasso._oracle_py:
  *
- *   - every inner product goes through the cblas_ddot that numpy calls
- *     (the pointer is handed in by scc_init), and is taken as
- *     0.0 + ddot(...), exactly as numpy's DOUBLE_dot accumulates it;
+ *   - every inner product goes through the cblas_ddot that numpy calls,
+ *     taken as 0.0 + ddot(...), exactly as numpy's DOUBLE_dot accumulates it;
  *   - every matrix product calls numpy's cblas_dgemm or cblas_dgemv with
  *     the arguments numpy's matmul passes for operands of that layout, or
  *     takes numpy's dot and plain-loop routes where matmul takes them (see
@@ -58,26 +58,22 @@
 #include <string.h>
 #include <time.h>
 
-typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
-typedef void (*dgemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
-                         int64_t lda, const double *x, int64_t incx, double beta, double *y,
-                         int64_t incy);
-typedef void (*dgemm_fn)(int order, int transa, int transb, int64_t m, int64_t n, int64_t k,
-                         double alpha, const double *a, int64_t lda, const double *b, int64_t ldb,
-                         double beta, double *c, int64_t ldc);
+/* numpy's OpenBLAS, which the kernel is linked against: the ILP64 cblas routines
+ * of numpy's wheels, called by their short names, and the core it picked. */
+double scipy_cblas_ddot64_(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
+void scipy_cblas_dgemv64_(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
+                          int64_t lda, const double *x, int64_t incx, double beta, double *y,
+                          int64_t incy);
+void scipy_cblas_dgemm64_(int order, int transa, int transb, int64_t m, int64_t n, int64_t k,
+                          double alpha, const double *a, int64_t lda, const double *b, int64_t ldb,
+                          double beta, double *c, int64_t ldc);
+char *scipy_openblas_get_corename64_(void);
+
+#define ddot scipy_cblas_ddot64_
+#define dgemv scipy_cblas_dgemv64_
+#define dgemm scipy_cblas_dgemm64_
 
 enum { CBLAS_ROW_MAJOR = 101, CBLAS_COL_MAJOR = 102, CBLAS_NO_TRANS = 111, CBLAS_TRANS = 112 };
-
-static ddot_fn ddot;
-static dgemv_fn dgemv;
-static dgemm_fn dgemm;
-
-void scc_init(ddot_fn f, dgemv_fn g, dgemm_fn h)
-{
-    ddot = f;
-    dgemv = g;
-    dgemm = h;
-}
 
 /* CLONED builds a function once per vector ISA, behind an ifunc: only on
  * x86-64 ELF with glibc, whose loader runs ifunc resolvers (musl's does
@@ -101,6 +97,12 @@ const char *scc_isa(void)
         return "avx2";
 #endif
     return "default";
+}
+
+/* The core whose microkernels OpenBLAS picked for this CPU. */
+const char *scc_core(void)
+{
+    return scipy_openblas_get_corename64_();
 }
 
 #ifndef CLONED

@@ -13,10 +13,11 @@ an epoch runs when its tolerance is positive.
 Its results are bit-identical to the Python loops: every inner product
 and every matrix product goes through the ``cblas_ddot``,
 ``cblas_dgemv`` and ``cblas_dgemm`` of the OpenBLAS that numpy loaded,
-called as numpy's matmul calls them (or along its dot and plain-loop
-routes where a dimension is 1), sums follow numpy's order, and every
-other operation is the same correctly rounded IEEE operation (the source
-is built without floating-point contraction).
+which the kernel is linked against, called as numpy's matmul calls them
+(or along its dot and plain-loop routes where a dimension is 1), sums
+follow numpy's order, and every other operation is the same correctly
+rounded IEEE operation (the source is built without floating-point
+contraction).
 
 ``kernel()`` returns the engine that every caller runs: the loaded
 ``_native_lib.Kernel``, or ``_native_lib.LOOPS``, the Python loops

@@ -1,22 +1,23 @@
 """The native kernel library: how it is built, cached and called.
 
 ``_native.kernel()`` imports this module on first use, so that
-``import scc`` does not pay for it.  ``load()`` finds the ``cblas_ddot``,
-``cblas_dgemv`` and ``cblas_dgemm`` of the OpenBLAS that numpy loaded, compiles
-``_kernel.c`` with the system C compiler (``cc``) into
+``import scc`` does not pay for it.  ``load()`` finds the OpenBLAS that
+numpy loaded, compiles ``_kernel.c`` with the system C compiler (``cc``)
+and links it against that library, which the kernel calls by name, into
 ``${XDG_CACHE_HOME:-~/.cache}/scc/<hash>.so`` unless it is cached
-there, loads it with ctypes and compares it byte for byte with the
-Python loops, ``LOOPS``, before handing it out (``_native_check``).  Any
-failure makes ``load()`` return None, and ``_native.kernel()`` hand out
-``LOOPS``.
+there, loads it with ctypes (the dynamic loader finds numpy's copy
+already mapped) and compares it byte for byte with the Python loops,
+``LOOPS``, before handing it out (``_native_check``).  Any failure makes
+``load()`` return None, and ``_native.kernel()`` hand out ``LOOPS``.
 
 A passing self-test leaves a stamp, ``<hash>.stamp``, beside the library:
 its key (``_stamp_key``) covers the library's bytes, the bytes of every
 module of this package, the numpy and Python versions, numpy's OpenBLAS,
-the core that OpenBLAS picked for this CPU and the clone of the kernel's
-hot entry points that runs on it (``Kernel.isa``).  A process that finds
-the stamp holding its own key hands the kernel out without importing
-``_native_check``; any other stamp, or none, runs the self-test again.
+the core that OpenBLAS picked for this CPU (``Kernel.core``) and the
+clone of the kernel's hot entry points that runs on it (``Kernel.isa``).
+A process that finds the stamp holding its own key hands the kernel out
+without importing ``_native_check``; any other stamp, or none, runs the
+self-test again.
 
 Both keys are BLAKE2b digests from the interpreter's built-in
 ``_blake2``: faster than its built-in SHA-256, and without hashlib,
@@ -53,10 +54,6 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ftree-vectorize", "-fvect-cost-model=dynamic", "-ffp-contract=off",
          "-falign-loops=64", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"  # the ILP64 cblas_ddot of numpy's OpenBLAS wheels
-DGEMV = "scipy_cblas_dgemv64_"  # and its cblas_dgemv
-DGEMM = "scipy_cblas_dgemm64_"  # and its cblas_dgemm
-# the core whose microkernels OpenBLAS picked for this CPU at run time
-CORENAME = "scipy_openblas_get_corename64_"
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -78,6 +75,19 @@ class _Epoch(ctypes.Structure):
                 ("old", _Codes), ("new", _Codes), ("h", _ptr), ("a", _f64), ("b", _f64), ("t", _i64),
                 ("z", _ptr), ("r", _ptr), ("g", _ptr), ("support", _ptr),
                 ("next", _i64), ("time_code", _f64), ("time_dict", _f64), ("bad", _i64)]
+
+
+# The kernel's entry points: name -> (return type, parameter types), as its source
+# declares them.
+_PROTOTYPES = {
+    "scc_encode": (_i64, [_i64, _i64, _ptr, _ptr, _ptr, _f64, _i64, _i64, _ptr]),
+    "scc_epoch": (_i64, [ctypes.POINTER(_Epoch)]),
+    "scc_objective": (None, [_i64, _i64, _ptr, _ptr, ctypes.POINTER(_Codes), _f64, _ptr, _ptr,
+                             _ptr]),
+    "scc_dense": (_i64, [_i64, _i64, _i64, _ptr, _ptr, _ptr, _i64, _ptr]),
+    "scc_isa": (ctypes.c_char_p, []),
+    "scc_core": (ctypes.c_char_p, []),
+}
 
 
 def _codes(store: _CodeStore) -> _Codes:
@@ -110,28 +120,16 @@ class Kernel:
     for the Fortran-ordered dense codes ``Z`` of ``X``.  ``LOOPS`` has
     the same entry points, and gives the same bits.  ``isa`` names the clone
     of ``scc_epoch`` and ``scc_encode`` that runs here: "avx512f", "avx2" or
-    "default".
+    "default"; ``core`` the core whose microkernels numpy's OpenBLAS picked.
     """
 
-    def __init__(self, lib: ctypes.CDLL, openblas: ctypes.CDLL) -> None:
-        lib.scc_init.argtypes = [_ptr, _ptr, _ptr]
-        lib.scc_init.restype = None
-        lib.scc_init(*(ctypes.cast(getattr(openblas, f), _ptr) for f in (DDOT, DGEMV, DGEMM)))
-        self._encode = lib.scc_encode
-        self._encode.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _f64, _i64, _i64, _ptr]
-        self._encode.restype = _i64
-        self._epoch = lib.scc_epoch
-        self._epoch.argtypes = [ctypes.POINTER(_Epoch)]
-        self._epoch.restype = _i64
-        self._objective = lib.scc_objective
-        self._objective.argtypes = [_i64, _i64, _ptr, _ptr, ctypes.POINTER(_Codes), _f64,
-                                    _ptr, _ptr, _ptr]
-        self._objective.restype = None
-        self._dense = lib.scc_dense
-        self._dense.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _ptr, _i64, _ptr]
-        self._dense.restype = _i64
-        lib.scc_isa.restype = ctypes.c_char_p
-        self.isa = lib.scc_isa().decode()
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        for name, (restype, argtypes) in _PROTOTYPES.items():
+            f = getattr(lib, name)
+            f.restype, f.argtypes = restype, argtypes
+        self._encode, self._epoch = lib.scc_encode, lib.scc_epoch
+        self._objective, self._dense = lib.scc_objective, lib.scc_dense
+        self.isa, self.core = lib.scc_isa().decode(), lib.scc_core().decode()
         self._atoms = (lambda: None, 0)  # (weak reference to an atom matrix, its address)
 
     def _atoms_address(self, atoms: np.ndarray) -> int:
@@ -225,8 +223,8 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _numpy_openblas():
-    """(path, handle) of the OpenBLAS that numpy loaded, or None.
+def _numpy_openblas() -> Optional[str]:
+    """The path of the OpenBLAS that numpy loaded, or None.
 
     Only numpy's OpenBLAS exports the ILP64 ``DDOT``, so another OpenBLAS
     in the process (scipy's, say) is passed over.
@@ -239,8 +237,8 @@ def _numpy_openblas():
         return None
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
         try:
-            if hasattr(openblas := ctypes.CDLL(path), DDOT):
-                return path, openblas
+            if hasattr(ctypes.CDLL(path), DDOT):
+                return path
         except OSError:
             continue
     return None
@@ -269,47 +267,38 @@ def _replace(path: Path, fill) -> None:
             os.unlink(tmp)
 
 
-def _build(cc: str, path: Path) -> None:
-    """Compile the kernel to ``path``."""
+def _build(cc: str, path: Path, blas: str) -> None:
+    """Compile the kernel to ``path``, linked against the OpenBLAS at ``blas``."""
     # imported here, and logging in load(), so that loading a cached kernel
     # needs neither (each adds about 0.3 MiB to a process)
     import subprocess
 
     path.parent.mkdir(parents=True, exist_ok=True)
-    _replace(path, lambda tmp: subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+    _replace(path, lambda tmp: subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), blas, "-lm"],
                                               check=True, stdin=subprocess.DEVNULL,
                                               capture_output=True, timeout=120))
 
 
-def _corename(openblas: ctypes.CDLL) -> bytes:
-    """The core whose microkernels ``openblas`` picked for this CPU; AttributeError
-    where it does not say."""
-    corename = getattr(openblas, CORENAME)
-    corename.restype = ctypes.c_char_p
-    return corename()
-
-
-def _stamp_key(lib: Path, isa: str, blas: str, openblas: ctypes.CDLL) -> Optional[bytes]:
-    """What a passing self-test of the kernel at ``lib``, running its ``isa``
-    clones, stands for, or None if OpenBLAS does not name its core or a file
-    cannot be read.
+def _stamp_key(lib: Path, k: Kernel, blas: str) -> Optional[bytes]:
+    """What a passing self-test of the kernel ``k`` at ``lib`` stands for, or None
+    if a file cannot be read.
 
     The library's bytes, those of every module of this package (the reference
     loops, ``Kernel`` and the self-test's instances), the numpy and Python
-    versions, numpy's OpenBLAS (path, size and mtime), its core and the clone.
+    versions, numpy's OpenBLAS (path, size and mtime), the core it picked and
+    the clone of the kernel that runs.
     """
     from _blake2 import blake2b
 
     try:
-        core = _corename(openblas)
         blas_stat = os.stat(blas)
         files = [lib, *sorted(Path(__file__).parent.glob("*.py"))]
         lines = [f"{f.name} {blake2b(f.read_bytes()).hexdigest()}" for f in files]
-    except (AttributeError, OSError):
+    except OSError:
         return None
     lines += [f"numpy {np.__version__}", f"python {sys.version}",
               f"blas {blas} {blas_stat.st_size} {blas_stat.st_mtime_ns}",
-              f"core {core!r}", f"isa {isa}"]
+              f"core {k.core}", f"isa {k.isa}"]
     return "\n".join(lines).encode() + b"\n"
 
 
@@ -322,21 +311,20 @@ def load() -> Optional[Kernel]:
     Why it is None goes to this module's logger at debug level only.
     """
     try:
-        found = _numpy_openblas()
+        blas = _numpy_openblas()
         cc = shutil.which("cc")
-        if found is None or cc is None:
-            raise OSError(f"no {DDOT} in numpy's OpenBLAS" if found is None else "no cc on PATH")
-        blas, openblas = found
+        if blas is None or cc is None:
+            raise OSError(f"no {DDOT} in numpy's OpenBLAS" if blas is None else "no cc on PATH")
         path = cache_path(cc, blas)
         if not path.exists():
-            _build(cc, path)
+            _build(cc, path, blas)
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:  # a damaged cache entry: build it again
-            _build(cc, path)
+            _build(cc, path, blas)
             lib = ctypes.CDLL(str(path))
-        k = Kernel(lib, openblas)
-        key, stamp = _stamp_key(path, k.isa, blas, openblas), path.with_suffix(".stamp")
+        k = Kernel(lib)
+        key, stamp = _stamp_key(path, k, blas), path.with_suffix(".stamp")
         try:
             stamped = key is not None and stamp.read_bytes() == key
         except OSError:

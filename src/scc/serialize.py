@@ -68,10 +68,12 @@ def write_matrix(path: PathLike, X: np.ndarray) -> None:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFinite("refusing to write NaN or Inf")
-    p, n = arr.shape
-    header = MAGIC_MATRIX + struct.pack("<II", p, n)
-    payload = np.asfortranarray(arr).astype("<f8", copy=False).tobytes(order="F")
-    Path(path).write_bytes(header + payload)
+    header = MAGIC_MATRIX + struct.pack("<II", *arr.shape)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        # column by column: the transpose of the Fortran-ordered matrix is C-contiguous, so
+        # the array's own bytes go out, copied only when it is not that matrix already
+        fh.write(np.asfortranarray(arr, dtype="<f8").T)
 
 
 def _read_header(path: PathLike, head: bytes, magic: bytes, name: str) -> Tuple[int, int]:

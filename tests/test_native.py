@@ -1,7 +1,9 @@
 """The native kernel: it loads where it can, it falls back silently where it
 cannot, and it never changes a bit of what the trainers compute."""
 
+import ctypes
 import hashlib
+import json
 import os
 import platform
 import re
@@ -71,7 +73,7 @@ def fresh_cache(tmp_path, monkeypatch):
 def built_library(tmp_path_factory):
     """The kernel, compiled once per test session."""
     path = tmp_path_factory.mktemp("kernel") / "kernel.so"
-    _native_lib._build(shutil.which("cc"), path)
+    _native_lib._build(shutil.which("cc"), path, _native_lib._numpy_openblas())
     return path
 
 
@@ -120,7 +122,7 @@ def self_tests(monkeypatch):
 
 def _library():
     """Where ``load()`` caches the kernel that it builds from ``_native_lib.SOURCE``."""
-    return _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_openblas()[0])
+    return _native_lib.cache_path(shutil.which("cc"), _native_lib._numpy_openblas())
 
 
 def _stamp():
@@ -193,6 +195,24 @@ _MUTANTS = {
 }
 
 
+# run in a new process: whether it loads the kernel, the core the kernel names, and
+# [path, core] of each mapped OpenBLAS that exports numpy's ILP64 ddot, the core as that
+# library itself names it (RTLD_NOLOAD: only a library that is already mapped is opened)
+_MAPPED_OPENBLAS = """
+import ctypes, json, os, scc._native as n, scc._native_lib as L
+k = n.kernel()
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = {f[5].strip() for f in (line.split(maxsplit=5) for line in fh) if len(f) == 6}
+mapped = []
+for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+    lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+    if hasattr(lib, "scipy_cblas_ddot64_"):
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        mapped.append([path, lib.scipy_openblas_get_corename64_().decode()])
+print(json.dumps([isinstance(k, L.Kernel), getattr(k, "core", None), mapped]))
+"""
+
+
 class TestLoading:
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_kernel_loads_where_it_can(self, fresh_cache):
@@ -230,7 +250,7 @@ class TestLoading:
         assert _new_process() == ["True", "False", "False"]
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
-    @pytest.mark.parametrize("damage", ["contents", "truncated", "library", "isa"])
+    @pytest.mark.parametrize("damage", ["contents", "truncated", "library", "isa", "core"])
     def test_a_stamp_of_another_key_runs_the_self_test_again(self, built_cache, self_tests,
                                                               damage):
         k = _native_lib.load()
@@ -241,10 +261,10 @@ class TestLoading:
             stamp.write_bytes(key.replace(b"numpy", b"nompy"))
         elif damage == "truncated":
             stamp.write_bytes(key[:-1])
-        elif damage == "isa":  # the stamp of a CPU that runs another clone
-            isa = f"\nisa {k.isa}\n".encode()
-            assert key.count(isa) == 1
-            stamp.write_bytes(key.replace(isa, b"\nisa another\n"))
+        elif damage in ("isa", "core"):  # the stamp of a CPU that runs another clone or core
+            line = f"\n{damage} {getattr(k, damage)}\n".encode()
+            assert key.count(line) == 1
+            stamp.write_bytes(key.replace(line, f"\n{damage} another\n".encode()))
         else:  # another library: still loadable, with other bytes
             with open(stamp.with_suffix(".so"), "ab") as fh:
                 fh.write(b"\0")
@@ -261,6 +281,19 @@ class TestLoading:
                 flags = set(next(line for line in fh if line.startswith("flags")).split())
         want = "avx512f" if "avx512f" in flags else "avx2" if "avx2" in flags else "default"
         assert _native_lib.load().isa == want
+
+    @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
+    def test_the_kernel_shares_numpys_openblas(self, built_cache):
+        # a new process that imports this scc and loads the kernel maps one OpenBLAS with
+        # numpy's ILP64 ddot: the kernel's NEEDED entry resolved to numpy's copy and loaded
+        # no second one; and the kernel names the core that this copy picked
+        package = Path(_native_lib.__file__).parent.parent
+        out = subprocess.run([sys.executable, "-c", _MAPPED_OPENBLAS], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=str(package)),
+                             check=True)
+        kernel, core, mapped = json.loads(out.stdout)
+        assert kernel and len(mapped) == 1, mapped
+        assert mapped[0][1] == core, (mapped, core)
 
     @pytest.mark.skipif(not NATIVE_POSSIBLE, reason="no C compiler or no OpenBLAS ddot here")
     def test_a_stamp_of_other_package_sources_runs_the_self_test_again(self, built_cache,
@@ -292,7 +325,7 @@ class TestLoading:
         found = _native_lib._numpy_openblas()
         if found is None:
             pytest.skip("numpy loaded no OpenBLAS with that ddot here")
-        path = _native_lib.cache_path(failing_cc, found[0])
+        path = _native_lib.cache_path(failing_cc, found)
         path.parent.mkdir(parents=True)
         path.write_bytes(b"\x7fELF truncated")
         assert _native_lib.load() is None
@@ -440,11 +473,15 @@ def _refuse_mutant(mutant, cache, tmp_path, monkeypatch, caplog, builds):
     shutil.copyfile(library, builds / f"{mutant}.so")
 
 
+def _c_source() -> str:
+    """The kernel's source without its comments."""
+    return re.sub(r"/\*.*?\*/", "", _native_lib.SOURCE.read_text(), flags=re.S)
+
+
 def _c_struct_fields(name: str) -> list:
     """[(member, type)] of ``struct name`` in the kernel's source, in order: the type is
     "int64_t", "double", "struct codes", or "pointer" for a pointer to anything."""
-    source = re.sub(r"/\*.*?\*/", "", _native_lib.SOURCE.read_text(), flags=re.S)
-    body = re.search(rf"struct {name} {{(.*?)}};", source, re.S).group(1)
+    body = re.search(rf"struct {name} {{(.*?)}};", _c_source(), re.S).group(1)
     fields = []
     for decl in filter(None, (d.strip() for d in body.split(";"))):
         base, names = re.fullmatch(r"(?:const )?(struct \w+|\w+) (.+)", decl, re.S).groups()
@@ -453,14 +490,43 @@ def _c_struct_fields(name: str) -> list:
     return fields
 
 
+# each ctypes type, by the name that _c_struct_fields and _c_prototype give its C type
+_C_TYPES = {None: "void", _native_lib._i64: "int64_t", _native_lib._f64: "double",
+            _native_lib._ptr: "pointer", _native_lib._Codes: "struct codes",
+            ctypes.c_char_p: "const char *", ctypes.POINTER(_native_lib._Codes): "struct codes *",
+            ctypes.POINTER(_native_lib._Epoch): "struct epoch *"}
+
+
 @pytest.mark.parametrize("name,struct", [("codes", _native_lib._Codes),
                                          ("epoch", _native_lib._Epoch)])
 def test_ctypes_structs_match_the_kernel_source(name, struct):
     # a member that one side gains, loses or reorders would have load() pass the kernel
     # arguments at the wrong offsets before its self-test could refuse it; no compiler needed
-    types = {_native_lib._i64: "int64_t", _native_lib._f64: "double",
-             _native_lib._ptr: "pointer", _native_lib._Codes: "struct codes"}
-    assert [(f, types[t]) for f, t in struct._fields_] == _c_struct_fields(name)
+    assert [(f, _C_TYPES[t]) for f, t in struct._fields_] == _c_struct_fields(name)
+
+
+def _c_prototype(name: str) -> tuple:
+    """(return type, [parameter types]) of the function ``name`` as the kernel's source
+    defines it: a type is "void", "int64_t", "double", "const char *", "struct codes *",
+    "struct epoch *", or "pointer" for a pointer to anything else."""
+    ret, params = re.search(rf"^(?:CLONED )?([\w ]+?\s*\**)\s*\b{name}\(([^)]*)\)\s*{{",
+                            _c_source(), re.M).groups()
+    types = []
+    for decl in params.split(","):
+        decl = " ".join(decl.replace("const ", "").split())
+        if decl != "void":
+            struct = re.match(r"struct \w+ \*", decl)
+            types.append(struct.group() if struct else
+                         "pointer" if "*" in decl else decl.split()[0])
+    return " ".join(ret.split()), types
+
+
+@pytest.mark.parametrize("name", sorted(_native_lib._PROTOTYPES))
+def test_ctypes_prototypes_match_the_kernel_source(name):
+    # a parameter that one side gains, loses or reorders would have the kernel read its
+    # arguments misaligned before its self-test could refuse it; no compiler needed
+    restype, argtypes = _native_lib._PROTOTYPES[name]
+    assert (_C_TYPES[restype], [_C_TYPES[t] for t in argtypes]) == _c_prototype(name)
 
 
 def _refused(caplog):

@@ -147,6 +147,19 @@ class TestMatrixContainer:
             tracemalloc.stop()
         assert peak < 1.5 * size, peak / size
 
+    def test_fortran_matrix_is_written_without_a_copy_of_its_payload(self, tmp_path, rng):
+        path = tmp_path / "d.sccmat"
+        X = np.asfortranarray(rng.standard_normal((64, 2000)))
+        tracemalloc.start()
+        try:
+            write_matrix(path, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's booleans are an eighth of the payload
+        assert peak < 0.25 * X.nbytes, peak / X.nbytes
+        assert path.read_bytes()[16:] == X.tobytes(order="F")
+
     def test_csv_fallback_one_sample_per_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1,f2\n1.0,2.0,3.0\n4.0,5.5,6.25\n")
