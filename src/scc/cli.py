@@ -81,65 +81,75 @@ def build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--data", type=Path, required=True)
     encode.add_argument("--lambda", dest="lam", type=float,
                         help="regularization weight (default 1.2/sqrt(p))")
-    encode.add_argument("--mode", default="scc:3",
+    encode.add_argument("--mode", type=_mode, default="scc:3",
                         help="'scc:S' for S coordinate-descent steps, or 'oracle'")
     encode.add_argument("--out", type=Path, required=True)
-    encode.set_defaults(func=_cmd_encode, parser=encode)
+    encode.set_defaults(func=_cmd_encode)
 
     bench = sub.add_parser("bench", help="run a training grid and emit a metrics CSV")
     _add_data_source(bench)
-    bench.add_argument("--dict-sizes", required=True, metavar="M1,M2,...")
-    bench.add_argument("--cd-steps", default="3", metavar="S1,S2,...")
+    bench.add_argument("--dict-sizes", type=_int_list, required=True, metavar="M1,M2,...")
+    bench.add_argument("--cd-steps", type=_int_list, default="3", metavar="S1,S2,...")
     bench.add_argument("--epochs", type=int, default=10, metavar="K")
     bench.add_argument("--lambda", dest="lam", type=float)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", type=Path, required=True)
-    bench.set_defaults(func=_cmd_bench, parser=bench)
+    bench.set_defaults(func=_cmd_bench)
 
     return parser
 
 
 def _add_data_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--data", type=Path, help="matrix container with one sample per column")
-    sub.add_argument("--synthetic", metavar="P,M,N,K,SIGMA",
-                     help="generate planted data instead of reading --data")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", type=Path, help="matrix container with one sample per column")
+    source.add_argument("--synthetic", type=_synthetic, metavar="P,M,N,K,SIGMA",
+                        help="generate planted data instead of reading --data")
 
 
-def _parse_synthetic(text: str, parser: argparse.ArgumentParser):
+def _synthetic(text: str) -> tuple:
+    """``--synthetic``: the planted generator's (p, m, n, k, sigma)."""
     fields = text.split(",")
-    if len(fields) != 5:
-        parser.error(f"--synthetic expects P,M,N,K,SIGMA, got {text!r}")
     try:
-        p, m, n, k = (int(f) for f in fields[:4])
-        sigma = float(fields[4])
+        if len(fields) == 5:
+            return (*map(int, fields[:4]), float(fields[4]))
     except ValueError:
-        parser.error(f"--synthetic expects four ints and a float, got {text!r}")
-    return p, m, n, k, sigma
+        pass
+    raise argparse.ArgumentTypeError(f"expected four ints and a float P,M,N,K,SIGMA, got {text!r}")
+
+
+def _int_list(text: str) -> List[int]:
+    """A nonempty comma-separated list of integers; blank items are skipped."""
+    try:
+        items = [int(f) for f in text.split(",") if f.strip()]
+    except ValueError:
+        items = []
+    if not items:
+        raise argparse.ArgumentTypeError(f"expected a nonempty list of integers, got {text!r}")
+    return items
+
+
+def _mode(text: str) -> tuple:
+    """(passes, tol) of ``--mode``: the oracle's budget and stop, or S cheap passes."""
+    if text == "oracle":
+        return DEFAULT_MAX_CYCLES, ORACLE_TOL
+    try:
+        if text.startswith("scc:") and int(text[4:]) >= 1:
+            return int(text[4:]), 0.0
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'oracle' or 'scc:S' with S >= 1, got {text!r}")
 
 
 def _load_training_data(args) -> tuple:
-    """Return (dataset, planted_m) honoring exactly one data-source flag."""
-    parser = args.parser
-    if (args.data is None) == (args.synthetic is None):
-        parser.error("exactly one of --data or --synthetic is required")
+    """Return (dataset, planted_m) from ``--synthetic`` or ``--data``."""
     if args.synthetic is not None:
-        p, m, n, k, sigma = _parse_synthetic(args.synthetic, parser)
+        p, m, n, k, sigma = args.synthetic
         ds, _, _ = generate_planted(p, m, n, k, sigma, args.seed)
         return ds, m
     ds = read_dataset(args.data)
     if getattr(args, "preprocess", False):
         ds = preprocess_dataset(ds)
     return ds, None
-
-
-def _parse_int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> List[int]:
-    items = [f for f in text.split(",") if f.strip()]
-    if not items:
-        parser.error(f"{flag} needs a nonempty comma-separated list")
-    try:
-        return [int(f) for f in items]
-    except ValueError:
-        parser.error(f"{flag} must list integers, got {text!r}")
 
 
 def _progress_printer(tag: str):
@@ -180,23 +190,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_mode(mode: str, parser: argparse.ArgumentParser):
-    """(passes, tol) of ``--mode``: the oracle's budget and stop, or S cheap passes."""
-    if mode == "oracle":
-        return DEFAULT_MAX_CYCLES, ORACLE_TOL
-    if mode.startswith("scc:"):
-        try:
-            steps = int(mode.split(":", 1)[1])
-        except ValueError:
-            parser.error(f"bad --mode {mode!r}")
-        if steps < 1:
-            parser.error(f"--mode scc:S needs S >= 1, got {steps}")
-        return steps, 0.0
-    parser.error(f"--mode must be 'oracle' or 'scc:S', got {mode!r}")
-
-
 def _cmd_encode(args) -> int:
-    passes, tol = _parse_mode(args.mode, args.parser)
+    passes, tol = args.mode
     D = read_dictionary(args.dict_path)
     ds = read_dataset(args.data)
     cfg = TrainConfig(dict_size=D.m, lam=args.lam)
@@ -207,9 +202,6 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    parser = args.parser
-    sizes = _parse_int_list(args.dict_sizes, "--dict-sizes", parser)
-    steps_grid = _parse_int_list(args.cd_steps, "--cd-steps", parser)
     ds, _ = _load_training_data(args)
     rows = ["algo,m,S,epoch,objective,time_code_s,time_dict_s"]
 
@@ -220,8 +212,8 @@ def _cmd_bench(args) -> int:
                 f"{s.time_code_update!r},{s.time_dict_update!r}"
             )
 
-    for m in sizes:
-        for steps in steps_grid:
+    for m in args.dict_sizes:
+        for steps in args.cd_steps:
             cfg = TrainConfig(dict_size=m, lam=args.lam, epochs=args.epochs,
                               cd_steps=steps, seed=args.seed)
             result = scc_train(ds, cfg, progress=_progress_printer(f"scc m={m} S={steps}"))

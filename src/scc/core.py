@@ -313,16 +313,20 @@ class SparseCode:
     m: int
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
+        if idx.size and idx.dtype.kind not in "iu":  # an empty float array is the zero code
+            raise InvariantViolation(f"indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         val = np.asarray(self.values, dtype=np.float64)
         if idx.ndim != 1 or val.ndim != 1 or idx.size != val.size:
             raise DimensionMismatch("indices and values must be 1-D and equal length")
-        if self.m < 1:
-            raise DimensionMismatch(f"ambient dimension must be >= 1, got {self.m}")
+        m = _require_int("ambient dimension", self.m)
+        if m < 1:
+            raise DimensionMismatch(f"ambient dimension must be >= 1, got {m}")
         if idx.size:
             if not np.all(np.diff(idx) > 0):
                 raise InvariantViolation("indices must be strictly increasing")
-            if idx[0] < 0 or idx[-1] >= self.m:
+            if idx[0] < 0 or idx[-1] >= m:
                 raise InvariantViolation("index out of range")
             if not np.isfinite(val).all():
                 raise NonFinite("sparse code contains NaN or Inf")
@@ -330,6 +334,7 @@ class SparseCode:
                 raise InvariantViolation("explicit zeros are not stored")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def _trusted(cls, indices: np.ndarray, values: np.ndarray, m: int) -> "SparseCode":

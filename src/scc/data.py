@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     ConfigInvalid,
@@ -47,9 +48,11 @@ def extract_patches(
 ) -> DataSet:
     """Slide a window over ``image`` and keep the non-flat patches, raw.
 
-    Each window is flattened row-major into a length window^2 vector.
-    Patches whose pixel standard deviation falls below ``std_threshold``
-    are discarded, so the result may hold zero samples.
+    The windows start every ``stride`` pixels, row by row, and each is
+    flattened row-major into a length window^2 vector; numpy cuts them
+    all in one strided view.  Patches whose pixel standard deviation
+    falls below ``std_threshold`` are discarded, so the result may hold
+    zero samples.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
@@ -59,17 +62,9 @@ def extract_patches(
     rows, cols = img.shape
     if rows < window or cols < window:
         raise ImageTooSmall(f"image {rows}x{cols} is smaller than the {window}x{window} window")
-    kept: List[np.ndarray] = []
-    for r in range(0, rows - window + 1, stride):
-        for c in range(0, cols - window + 1, stride):
-            patch = img[r : r + window, c : c + window].ravel()
-            if float(patch.std()) >= std_threshold:
-                kept.append(patch)
-    p = window * window
-    X = np.empty((p, len(kept)), order="F")
-    for i, patch in enumerate(kept):
-        X[:, i] = patch
-    return DataSet(X, preprocessed=False)
+    windows = sliding_window_view(img, (window, window))[::stride, ::stride]
+    W = windows.reshape(-1, window * window)  # one window per row, in the order they lie
+    return DataSet._adopt(W[W.std(axis=1) >= std_threshold].T)  # the mask's pick is a copy
 
 
 def preprocess(s: Sample) -> Sample:

@@ -35,6 +35,7 @@ from .core import (
     ZeroCurvature,
     _fit_codes,
     _fit_sample,
+    _require_int,
     _require_positive,
 )
 
@@ -63,6 +64,7 @@ def _no_curvature(j: int) -> ZeroCurvature:
 
 def learning_rate(H: HessianDiag, j: int) -> float:
     """Adaptive rate 1 / h_jj; the cell must have been accumulated first."""
+    j = _require_int("column", j)
     if not 0 <= j < H.m:
         raise DimensionMismatch(f"column {j} out of range for {H.m} atoms")
     h = float(H.diag[j])

@@ -89,7 +89,8 @@ class CDResult:
 
 
 def soft_threshold(v: float, lam: float) -> float:
-    """Shrink ``v`` toward zero by ``lam``; the dead zone [-lam, lam] maps to 0."""
+    """Shrink ``v`` toward zero by ``lam`` >= 0; the dead zone [-lam, lam] maps to 0."""
+    _require_positive("lambda", lam, or_zero=True)
     if v > lam:
         return v - lam
     if v < -lam:

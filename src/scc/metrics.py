@@ -28,13 +28,15 @@ from .core import (
     _fit_codes,
     _fit_sample,
     _minus_code,
+    _require_positive,
 )
 
 
 def sample_objective(
     D: Dictionary, z: SparseCode, x: Union[Sample, np.ndarray], lam: float
 ) -> float:
-    """Penalized reconstruction cost of one sample under code ``z``."""
+    """Penalized reconstruction cost of one sample under code ``z``; ``lam`` may be 0."""
+    _require_positive("lambda", lam, or_zero=True)
     return _term(D, z, _fit_sample(D, x, z), lam)
 
 
@@ -55,8 +57,10 @@ def objective(
     The codes and samples are checked against ``D`` once, and packed
     into a code store for ``_objective``, by ``core._fit_codes``.
     ``SCC_THREADS`` is not read here; the ``scc`` command validates it
-    once at start-up.  Raises Empty for a dataset without samples.
+    once at start-up.  Raises Empty for a dataset without samples, and
+    ConfigInvalid for a ``lam`` that is not finite and >= 0.
     """
+    _require_positive("lambda", lam, or_zero=True)
     return _objective(D, _fit_codes(D, codes, ds), ds.X, lam)
 
 

@@ -9,7 +9,7 @@ Matrix container (datasets and dictionaries):
 Sparse-code container:
 
     bytes 0..7    magic "SCCSPC01"
-    bytes 8..15   m, n as uint32, with m >= 1
+    bytes 8..15   m, n as uint32, with m >= 1 (n may be 0)
     per code      count as uint32, then count (uint32 index, float64
                   value) pairs with strictly increasing indices below m
                   and finite nonzero values
@@ -22,12 +22,14 @@ with each code's count inserted before its first pair.
 Metrics go to CSV with columns
 ``epoch,objective,time_code_s,time_dict_s,mean_support,max_support``;
 floats are written with repr so they parse back exactly.  Image input
-is 8-bit binary PGM (P5).
+is 8-bit binary PGM (P5); one regular expression reads its header's
+four tokens, past whitespace and # comments.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import struct
 from pathlib import Path
 from typing import List, Sequence, Tuple, Union
@@ -159,11 +161,15 @@ def read_dictionary(path: PathLike) -> Dictionary:
 # ---------------------------------------------------------------------------
 
 def write_codes(path: PathLike, codes: Union[_CodeStore, Sequence[SparseCode]]) -> None:
-    """Write the codes of a ``core._CodeStore``, or a list of codes, in order."""
-    n = codes.length.size if isinstance(codes, _CodeStore) else len(codes)
-    if n == 0:
+    """Write the codes of a ``core._CodeStore``, or a nonempty list of codes, in order.
+
+    A store knows its ``m`` even when it holds no code, so an empty one
+    is written as the header ``(m, 0)`` alone.
+    """
+    if not isinstance(codes, _CodeStore) and len(codes) == 0:
         raise DimensionMismatch("cannot serialize zero codes (ambient dimension unknown)")
     store = codes if isinstance(codes, _CodeStore) else _CodeStore.of(codes, codes[0].m)
+    n = store.length.size
     start = np.zeros(n, dtype=np.int64)
     np.cumsum(store.length[:-1], out=start[1:])
     if not np.array_equal(start, store.start):  # codes out of sample order: pack them in it
@@ -251,23 +257,9 @@ def read_metrics_csv(path: PathLike) -> List[EpochStats]:
 # PGM (binary, 8-bit)
 # ---------------------------------------------------------------------------
 
-def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    pos = 0
-    while pos < len(data):
-        ch = data[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        yield data[start:pos], pos + 1  # +1 swallows the single delimiter
-    return
+# one header token, after any whitespace and # comments; a comment runs to
+# its newline or to the end of the data, so no token is read out of one
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 
 
 def read_pgm(path: PathLike) -> np.ndarray:
@@ -275,11 +267,9 @@ def read_pgm(path: PathLike) -> np.ndarray:
     data = Path(path).read_bytes()
     tokens = []
     after = 0
-    for tok, nxt in _pgm_tokens(data):
-        tokens.append(tok)
-        after = nxt
-        if len(tokens) == 4:
-            break
+    while len(tokens) < 4 and (m := _PGM_TOKEN.match(data, after)):
+        tokens.append(m.group(1))
+        after = m.end() + 1  # +1 swallows the single delimiter
     if not tokens or tokens[0] != b"P5":
         raise BadMagic(f"{path}: not a binary PGM (P5) file")
     if len(tokens) < 4:

@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scc import cli, generate_planted, sample_objective, soft_threshold
 from scc.cli import main
 from scc.serialize import (
+    MAGIC_CODES,
     read_codes,
     read_metrics_csv,
     write_dataset,
@@ -13,9 +15,51 @@ from scc.serialize import (
     write_matrix,
 )
 
+from conftest import CD_PATHS, NATIVE_POSSIBLE, cd_path
+
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+_BENCH = ["bench", "--synthetic", "8,12,20,2,0.02", "--out", "b.csv"]
+# a command line that is whole but for the flag under test
+_COMMAND = {
+    "--synthetic": ["train"],
+    "--dict-sizes": _BENCH,
+    "--cd-steps": [*_BENCH, "--dict-sizes", "8"],
+    "--mode": ["encode", "--dict", "d.sccmat", "--data", "x.sccmat", "--out", "z.sccspc"],
+}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--synthetic", "1,2,3"),
+    ("--synthetic", "a,b,c,d,e"),
+    ("--synthetic", "1,2,3,4,x"),
+    ("--dict-sizes", ""),
+    ("--dict-sizes", "8,x"),
+    ("--cd-steps", "x"),
+    ("--mode", "magic"),
+    ("--mode", "scc:0"),
+    ("--mode", "scc:x"),
+])
+def test_malformed_value_is_refused_while_parsing(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.chdir(tmp_path)
+    # parsing comes before the SCC_THREADS check, so a bad cap does not turn this into exit 1
+    monkeypatch.setenv("SCC_THREADS", "abc")
+    loads = []
+    monkeypatch.setattr(cli, "generate_planted", lambda *a, **k: loads.append(a))
+    with pytest.raises(SystemExit) as exc:
+        run([*_COMMAND[flag], flag, value])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    assert loads == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_list_items_go_through_int():
+    args = cli.build_parser().parse_args([*_BENCH, "--dict-sizes", " 8, 12,"])
+    assert (args.dict_sizes, args.cd_steps, args.synthetic) == ([8, 12], [3], (8, 12, 20, 2, 0.02))
 
 
 class TestTrain:
@@ -189,6 +233,33 @@ class TestEncode:
             run(["encode", "--dict", tmp_path / "dict.sccmat", "--data",
                  tmp_path / "data.sccmat", "--mode", "magic", "--out", tmp_path / "z"])
         assert exc.value.code == 2
+
+    def test_mode_count_goes_through_int(self, tmp_path):
+        ds, truth, _ = generate_planted(16, 32, 60, 3, 0.01, seed=303)
+        write_dataset(tmp_path / "data.sccmat", ds)
+        write_dictionary(tmp_path / "dict.sccmat", truth)
+        blobs = {}
+        for mode in ("scc:3", "scc: 3", "scc:+3", "scc:2"):
+            out = tmp_path / "z.sccspc"
+            assert run(
+                ["encode", "--dict", tmp_path / "dict.sccmat", "--data",
+                 tmp_path / "data.sccmat", "--mode", mode, "--out", out]
+            ) == 0
+            blobs[mode] = out.read_bytes()
+        assert blobs["scc: 3"] == blobs["scc:+3"] == blobs["scc:3"] != blobs["scc:2"]
+
+    def test_data_without_samples_writes_a_header_alone(self, tmp_path):
+        self.identity_fixture(tmp_path)
+        write_matrix(tmp_path / "empty.sccmat", np.empty((4, 0)))
+        out = tmp_path / "z.sccspc"
+        for path in CD_PATHS if NATIVE_POSSIBLE else ("python",):
+            with cd_path(path):
+                assert run(
+                    ["encode", "--dict", tmp_path / "dict.sccmat", "--data",
+                     tmp_path / "empty.sccmat", "--out", out]
+                ) == 0
+            assert out.read_bytes() == MAGIC_CODES + struct.pack("<II", 4, 0)
+            assert read_codes(out) == []
 
     def test_cheap_mode_close_to_oracle(self, tmp_path):
         ds, truth, _ = generate_planted(16, 32, 60, 3, 0.01, seed=303)

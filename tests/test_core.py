@@ -218,6 +218,24 @@ class TestSparseCode:
         with pytest.raises(InvariantViolation):
             SparseCode(np.array([1]), np.array([0.0]), 5)
 
+    def test_indices_must_be_integers(self):
+        for bad in (np.array([0.5]), np.array([1.0]), np.array([True]), np.array(["1"])):
+            with pytest.raises(InvariantViolation, match="indices must be integers"):
+                SparseCode(bad, np.array([1.0]), 3)
+        for good in (np.array([1], dtype=np.uint32), [1]):
+            assert SparseCode(good, np.array([1.0]), 3).indices.dtype == np.int64
+        assert SparseCode(np.array([]), np.array([]), 3).nnz == 0  # an empty float array
+
+    def test_ambient_dimension_must_be_an_integer(self):
+        for bad in (True, 3.5, 3.0, "3", None):
+            with pytest.raises(ConfigInvalid, match="ambient dimension"):
+                SparseCode(np.array([1]), np.array([1.0]), bad)
+        for bad in (0, -2):
+            with pytest.raises(DimensionMismatch):
+                SparseCode.zero(bad)
+        z = SparseCode(np.array([1]), np.array([1.0]), np.int64(3))
+        assert type(z.m) is int and z.to_dense().tolist() == [0.0, 1.0, 0.0]
+
     def test_prune_tol_drops_dust(self):
         dense = np.array([0.0, 1e-13, 0.5])
         assert SparseCode.from_dense(dense).nnz == 1

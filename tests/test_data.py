@@ -54,6 +54,45 @@ class TestExtractPatches:
                 extract_patches(np.ones((20, 20)), **{name: bad})
 
 
+def loop_patches(img, window, stride, std_threshold):
+    """``extract_patches`` as first written: one window at a time, row by row."""
+    kept = []
+    for r in range(0, img.shape[0] - window + 1, stride):
+        for c in range(0, img.shape[1] - window + 1, stride):
+            patch = img[r : r + window, c : c + window].ravel()
+            if float(patch.std()) >= std_threshold:
+                kept.append(patch)
+    X = np.empty((window * window, len(kept)), order="F")
+    for i, patch in enumerate(kept):
+        X[:, i] = patch
+    return X
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_extract_patches_matches_the_window_loop(seed):
+    rng = rng_from_seed(seed)
+    rows, cols = (int(v) for v in rng.integers(4, 40, size=2))
+    img = rng.integers(0, 256, size=(rows, cols)).astype(np.float64)
+    if seed % 2:
+        img[: rows // 2] = 7.0  # a flat half, whose windows fall below a small threshold
+    if seed % 5 == 0:
+        img = np.asfortranarray(img[:, ::-1])  # a strided view of a Fortran array
+    side = min(rows, cols)
+    # window 1, a window equal to the image's shorter side, and one in between; strides
+    # below the window overlap, and strides above it leave gaps
+    for window in (1, side, int(rng.integers(1, side + 1))):
+        for stride in (1, max(1, window // 2), window, window + 3):
+            patches = loop_patches(img, window, stride, 0.0)
+            top = max((float(patch.std()) for patch in patches.T), default=0.0)
+            for threshold in (0.0, 1e-6, top / 2, np.nextafter(top, np.inf)):
+                want = loop_patches(img, window, stride, threshold)
+                got = extract_patches(img, window, stride, threshold).X
+                assert got.shape == want.shape
+                assert got.tobytes(order="F") == want.tobytes(order="F")
+                if threshold > top:
+                    assert got.shape[1] == 0  # above every patch's std: no sample
+
+
 class TestPreprocess:
     def test_two_point_arithmetic(self):
         out = preprocess(Sample(np.array([1.0, 3.0])))

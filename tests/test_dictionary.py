@@ -109,6 +109,15 @@ class TestLearningRate:
         with pytest.raises(ZeroCurvature):
             learning_rate(HessianDiag.zeros(2), 1)
 
+    def test_column_must_be_an_integer(self):
+        H = HessianDiag(np.array([0.5, 0.25]))
+        for bad in (True, 1.5, 1.0, "1", None):
+            with pytest.raises(ConfigInvalid, match="column"):
+                learning_rate(H, bad)
+        with pytest.raises(DimensionMismatch):
+            learning_rate(H, 2)
+        assert learning_rate(H, np.int64(1)) == 4.0
+
     def test_rate_decay_across_accumulations(self):
         H = HessianDiag.zeros(4)
         z = SparseCode(np.array([1]), np.array([0.7]), 4)

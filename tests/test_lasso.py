@@ -45,6 +45,14 @@ class TestSoftThreshold:
         assert soft_threshold(0.1, 0.1) == 0.0
         assert soft_threshold(-0.1, 0.1) == 0.0
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf, True, "0.1", None])
+    def test_rejects_bad_lambda(self, lam):
+        with pytest.raises(ConfigInvalid, match="lambda"):
+            soft_threshold(1.0, lam)
+
+    def test_zero_lambda_is_identity(self):
+        assert soft_threshold(-0.3, 0) == -0.3
+
     def test_shrinks_magnitude(self):
         rng = rng_from_seed(5)
         for v in rng.uniform(-3, 3, size=200):

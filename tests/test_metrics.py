@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from scc import (
+    ConfigInvalid,
     DataSet,
     Dictionary,
     DimensionMismatch,
@@ -49,6 +52,27 @@ class TestSampleObjective:
         D = Dictionary(np.eye(2))
         with pytest.raises(DimensionMismatch):
             sample_objective(D, SparseCode.zero(3), np.zeros(2), 0.1)
+
+
+_BAD_LAMBDAS = (-1.0, -1e-300, math.nan, math.inf, True, "0.1", None)
+
+
+@pytest.mark.parametrize("lam", _BAD_LAMBDAS)
+def test_metrics_reject_bad_lambda(lam):
+    D = Dictionary(np.eye(2))
+    x = np.array([0.6, 0.8])
+    with pytest.raises(ConfigInvalid, match="lambda"):
+        sample_objective(D, SparseCode.zero(2), x, lam)
+    with pytest.raises(ConfigInvalid, match="lambda"):
+        objective(D, [SparseCode.zero(2)], DataSet(x[:, None]), lam)
+
+
+def test_zero_lambda_gives_the_reconstruction_error():
+    D = Dictionary(np.eye(2))
+    z = SparseCode(np.array([0]), np.array([0.4]), 2)
+    x = np.array([0.5, 0.05])
+    assert sample_objective(D, z, x, 0) == pytest.approx(0.00625)
+    assert objective(D, [z], DataSet(x[:, None]), 0.0) == pytest.approx(0.00625)
 
 
 class TestObjective:

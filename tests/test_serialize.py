@@ -286,12 +286,17 @@ class TestCodesContainer:
 
     def test_zero_codes_and_mixed_ambients_are_rejected(self, tmp_path):
         path = tmp_path / "z.sccspc"
-        for codes in ([], _CodeStore(4, 0, 0)):
-            with pytest.raises(DimensionMismatch, match="zero codes"):
-                write_codes(path, codes)
+        with pytest.raises(DimensionMismatch, match="zero codes"):
+            write_codes(path, [])  # a list without codes does not know its m
         with pytest.raises(DimensionMismatch, match="code 1 has ambient 5, expected 4"):
             write_codes(path, [SparseCode.zero(4), SparseCode.zero(5)])
         assert not path.exists()
+
+    def test_empty_store_writes_its_header(self, tmp_path):
+        path = tmp_path / "z.sccspc"
+        write_codes(path, _CodeStore(4, 0, 0))
+        assert path.read_bytes() == MAGIC_CODES + struct.pack("<II", 4, 0)
+        assert read_codes(path) == []
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "z.sccspc"
@@ -376,6 +381,42 @@ class TestPgm:
         img = read_pgm(path)
         assert img.shape == (2, 3)
         assert img[1, 2] == 5
+
+    @pytest.mark.parametrize("header", [
+        b"P5 #a\n3\t#b\n2\n#c\n255\n",  # a comment between every pair of tokens
+        b"#x\nP5\n#y\n3\n#z\n2\n#w\n255\n",  # and before the first
+        b"P5 3 2 255 ",
+        b"P5\t3\t2\t255\t",
+        b"P5\r3\r2\r255\r",
+        b"P5\x0b3\x0b2\x0b255\x0b",
+        b"P5\x0c3\x0c2\x0c255\x0c",
+        b"P5\n \t\r\x0b\x0c3 2\n255\n",  # a run of all six whitespace bytes
+    ])
+    def test_header_separators(self, tmp_path, header):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(header + bytes(range(6)))
+        np.testing.assert_array_equal(read_pgm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+
+    @pytest.mark.parametrize("data, error", [
+        (b"P5 3 2 # the end, without a newline", Truncated),
+        (b"P5 3#2 2 255\n" + bytes(6), FormatError),  # "3#2" is one token
+        (b"P5 #\n", Truncated),
+        (b"#P5\n3 2 255\n" + bytes(6), BadMagic),  # a token is never read out of a comment
+        (b"# comment only", BadMagic),
+        (b"", BadMagic),
+        (b"P5 3 2 255", Truncated),  # the header's last token ends the file
+    ])
+    def test_malformed_headers(self, tmp_path, data, error):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(data)
+        with pytest.raises(error):
+            read_pgm(path)
+
+    def test_token_may_hold_a_hash_after_its_first_byte(self, tmp_path):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(b"P5#x\n3 2 255\n" + bytes(6))
+        with pytest.raises(BadMagic):  # the magic token is "P5#x"
+            read_pgm(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "i.pgm"
